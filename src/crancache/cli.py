@@ -70,7 +70,7 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
                                    slot_s=user_params.slot_s,
                                    spectral_efficiency=user_params.spectral_efficiency)
             row.append(effcap.eff_cap_user(float(theta), scenario.user_distance,
-                                           scenario.lambda_rrh, p, user_quant).value)
+                                           scenario.lambda_rrh, p, user_quant))
         rows.append(tuple(row))
     write_csv(os.path.join(out_dir, "effcap_vs_theta.csv"), header,
               ["theta_per_bit"] + [f"effcap_beta{int(b)}" for b in betas], rows)
@@ -110,14 +110,8 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
 # -- validate ---------------------------------------------------------------
 
 
-def run_validate(scenario: Scenario, out_dir: str,
-                 corrupt_geometry_factor: float = 1.0) -> bool:
-    """Cross-check closed forms against Monte Carlo on the same parameters.
-
-    ``corrupt_geometry_factor`` deliberately scales the interference
-    geometry constant in the analytic path; anything but 1.0 must make the
-    outage check fail (negative-control hook for the test suite).
-    """
+def run_validate(scenario: Scenario, out_dir: str) -> bool:
+    """Cross-check closed forms against Monte Carlo on the same parameters."""
     os.makedirs(out_dir, exist_ok=True)
     params = scenario.user_radio()
     quant = scenario.user_quantizer()
@@ -140,12 +134,8 @@ def run_validate(scenario: Scenario, out_dir: str,
     sinr = simkit.sample_sinr_batch(d_m, lam, params, trials,
                                     substream(scenario.seed, 11),
                                     scenario.sim_radius)
-    beta = params.pathloss_exponent
-    k1 = (2 * np.pi * effcap.a_beta(beta) * lam * d_m ** 2
-          * corrupt_geometry_factor)
-    k2 = d_m ** beta * params.noise / params.snr
     for gamma in (0.1, 1.0, 10.0):
-        analytic = float(-np.expm1(-(k1 * gamma ** (2 / beta) + k2 * gamma)))
+        analytic = effcap.outage_prob(gamma, d_m, lam, params)
         emp = float(np.mean(sinr < gamma))
         se = math.sqrt(max(emp * (1 - emp), 1e-12) / trials)
         record(f"outage_cdf_gamma_{gamma:g}", analytic, emp, se,
@@ -153,7 +143,7 @@ def run_validate(scenario: Scenario, out_dir: str,
 
     for label, theta in (("cluster", float(scenario.theta_cluster[0])),
                          ("cloud", float(scenario.theta_cloud[0]))):
-        ana = effcap.eff_cap_user(theta, d_m, lam, params, quant).value
+        ana = effcap.eff_cap_user(theta, d_m, lam, params, quant)
         mc = simkit.mc_eff_cap(theta, d_m, lam, params, trials, scenario.seed,
                                scenario.sim_radius)
         tol = max(0.02 * abs(ana), 3 * mc.std_error)
@@ -162,7 +152,7 @@ def run_validate(scenario: Scenario, out_dir: str,
 
     # vanishing-exponent limit: the capacity map flattens to the ergodic mean
     theta0 = 1e-8
-    ana0 = effcap.eff_cap_user(theta0, d_m, lam, params, quant).value
+    ana0 = effcap.eff_cap_user(theta0, d_m, lam, params, quant)
     ergodic = params.spectral_efficiency * float(np.mean(np.log2(1 + sinr)))
     record("ergodic_limit", ana0, ergodic,
            params.spectral_efficiency * float(np.std(np.log2(1 + sinr)))

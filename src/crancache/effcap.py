@@ -37,6 +37,9 @@ DEFAULT_GAMMA_MAX = 5e4
 # the log-moment near SINR ~ 1e-6; six extra decades of margin are cheap.
 DEFAULT_GAMMA_MIN = 1e-12
 
+# Boundaries per survival chunk; bounds the links x boundaries scratch array.
+_BOUNDARY_CHUNK = 1 << 13
+
 
 def a_beta(beta: float) -> float:
     """Geometry constant (1/beta)*Gamma(2/beta)*Gamma(1-2/beta).
@@ -176,20 +179,68 @@ class Quantizer:
         return cls(np.linspace(0.0, gamma_max, intervals + 1))
 
 
-@dataclass(frozen=True)
-class EffCapResult:
-    """Effective capacity value plus per-interval log-moment contributions."""
+def _sinr_coeffs(gamma, lambda_rrh: float, params: RadioParams,
+                 lambda_l: float | None = None):
+    """Exponents (c1, c2) of the SINR law on a threshold grid.
 
-    value: float
-    components: np.ndarray
+    A link of length d has Pr{SINR > gamma} = exp(-(c1*d^2 + c2*d^beta))
+    (Andrews, Baccelli & Ganti 2011): c1 = 2*pi*A(beta)*lambda*gamma^(2/beta)
+    is the Poisson interference field, c2 = gamma*noise/snr the noise floor.
+    Given ``lambda_l``, d is the distance to the nearest of the lambda_l
+    content holders, so the other holders lie beyond d: the remaining
+    lambda_R - lambda_l of the field interferes as before and the holders
+    add pi*lambda_l*u(gamma).
+    """
+    beta = params.pathloss_exponent
+    g = np.asarray(gamma, dtype=float)
+    lam = lambda_rrh if lambda_l is None else lambda_rrh - lambda_l
+    c1 = 2.0 * np.pi * a_beta(beta) * lam * g ** (2.0 / beta)
+    if lambda_l is not None:
+        c1 = c1 + np.pi * lambda_l * u_func(g, beta)
+    return c1, g * (params.noise / params.snr)
+
+
+def _moment_weights(quantizer: Quantizer, a: float) -> np.ndarray:
+    """Log-moment weight (1 + midpoint)^(-a) of every quantizer interval."""
+    return np.exp(-a * np.log1p(quantizer.midpoints))
+
+
+def _folded_moment(survival, weights: np.ndarray):
+    """Sum over quantizer intervals of probability mass times weight.
+
+    ``survival(sl)`` is the survival function at the boundaries in slice
+    ``sl`` (last axis).  Masses are its differences, and the mass beyond
+    gamma_max folds into the last interval so the masses sum to one.
+    Boundaries are taken _BOUNDARY_CHUNK at a time, which bounds the
+    scratch memory when the survival has many rows.
+    """
+    n = weights.size
+    g = 0.0
+    for lo in range(0, n, _BOUNDARY_CHUNK):
+        sl = slice(lo, min(lo + _BOUNDARY_CHUNK, n) + 1)
+        surv = survival(sl)
+        g = g + (surv[..., :-1] - surv[..., 1:]) @ weights[lo:sl.stop - 1]
+    return g + surv[..., -1] * weights[-1]
+
+
+def _log_moments(d, c1: np.ndarray, c2: np.ndarray, beta: float,
+                 weights: np.ndarray):
+    """Quantized log-moment G(d) of the SINR law, shaped like the lengths d.
+
+    ``c1``, ``c2`` are :func:`_sinr_coeffs` on the quantizer boundaries and
+    ``weights`` is :func:`_moment_weights`.
+    """
+    d = np.asarray(d, dtype=float)[..., None]
+    d_sq, d_beta = d ** 2, d ** beta
+    # negating the (len(d), 1) columns saves a pass over each survival chunk
+    return _folded_moment(lambda sl: np.exp(-d_sq * c1[sl] - d_beta * c2[sl]), weights)
 
 
 def outage_prob(gamma, d_m: float, lambda_rrh: float, params: RadioParams):
     """Pr{SINR < gamma} for a user served from distance d_m.
 
-    Survival function exp(-2*pi*A(beta)*gamma^(2/beta)*lambda_R*d^2
-    - gamma*d^beta*noise/snr); the first term is the Poisson interference
-    field, the second the noise floor.  Vectorized over gamma.
+    One minus the survival law of :func:`_sinr_coeffs`; vectorized over
+    gamma.
     """
     if d_m < 0:
         raise ParameterError("distance must be non-negative")
@@ -198,27 +249,13 @@ def outage_prob(gamma, d_m: float, lambda_rrh: float, params: RadioParams):
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ParameterError("SINR threshold must be non-negative")
-    beta = params.pathloss_exponent
-    k1 = 2.0 * np.pi * a_beta(beta) * lambda_rrh * d_m ** 2
-    k2 = d_m ** beta * params.noise / params.snr
-    out = -np.expm1(-(k1 * g ** (2.0 / beta) + k2 * g))
+    c1, c2 = _sinr_coeffs(g, lambda_rrh, params)
+    out = -np.expm1(-(c1 * d_m ** 2 + c2 * d_m ** params.pathloss_exponent))
     return float(out) if np.isscalar(gamma) else out
 
 
-def _interval_masses(survival_at_boundaries: np.ndarray) -> np.ndarray:
-    """Probability mass per interval; tail beyond the grid folds into the last."""
-    m = survival_at_boundaries[:-1] - survival_at_boundaries[1:]
-    m[-1] += survival_at_boundaries[-1]
-    return m
-
-
-def _log_moment(masses: np.ndarray, midpoints: np.ndarray, a: float) -> tuple[float, np.ndarray]:
-    comps = masses * np.exp(-a * np.log1p(midpoints))
-    return float(np.sum(comps)), comps
-
-
 def eff_cap_user(theta: float, d_m: float, lambda_rrh: float,
-                 params: RadioParams, quantizer: Quantizer) -> EffCapResult:
+                 params: RadioParams, quantizer: Quantizer) -> float:
     """Effective capacity (bit/s/Hz) of a user served from distance d_m.
 
     Quantizes the SINR distribution of :func:`outage_prob` and maps the
@@ -231,16 +268,11 @@ def eff_cap_user(theta: float, d_m: float, lambda_rrh: float,
         raise ParameterError("distance must be non-negative")
     if lambda_rrh <= 0:
         raise ParameterError("RRH intensity must be positive")
-    beta = params.pathloss_exponent
-    b = quantizer.boundaries
-    k1 = 2.0 * np.pi * a_beta(beta) * lambda_rrh * d_m ** 2
-    k2 = d_m ** beta * params.noise / params.snr
-    survival = np.exp(-(k1 * b ** (2.0 / beta) + k2 * b))
-    masses = _interval_masses(survival)
+    c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params)
     a = params.spectral_efficiency * theta * params.bandwidth_hz * params.tbar
-    g_sum, comps = _log_moment(masses, quantizer.midpoints, a)
-    value = -math.log(g_sum) / (theta * params.bandwidth_hz * params.slot_s)
-    return EffCapResult(value=value, components=comps)
+    g_sum = float(_log_moments(d_m, c1, c2, params.pathloss_exponent,
+                               _moment_weights(quantizer, a)))
+    return -math.log(g_sum) / (theta * params.bandwidth_hz * params.slot_s)
 
 
 def l_func_limited(gamma, q_ratio: float, beta: float):
@@ -260,12 +292,10 @@ def l_func_limited(gamma, q_ratio: float, beta: float):
     return float(out) if np.isscalar(gamma) else out
 
 
-def _l_decay_coeff(gamma, lambda_l: float, lambda_rrh: float, beta: float):
+def _l_decay_coeff(gamma, lambda_l: float, lambda_rrh: float, params: RadioParams):
     """Quadratic-exponent coefficient of the nearest-distance outage integrand."""
-    g = np.asarray(gamma, dtype=float)
-    return (2.0 * np.pi * a_beta(beta) * g ** (2.0 / beta) * (lambda_rrh - lambda_l)
-            + np.pi * lambda_l * u_func(g, beta)
-            + np.pi * lambda_l)
+    c1, _ = _sinr_coeffs(gamma, lambda_rrh, params, lambda_l)
+    return c1 + np.pi * lambda_l
 
 
 def l_func_general(gamma: float, lambda_l: float, lambda_rrh: float,
@@ -282,7 +312,7 @@ def l_func_general(gamma: float, lambda_l: float, lambda_rrh: float,
     if not 0 < lambda_l <= lambda_rrh:
         raise ParameterError("need 0 < lambda_l <= lambda_rrh")
     beta = params.pathloss_exponent
-    c = float(_l_decay_coeff(gamma, lambda_l, lambda_rrh, beta))
+    c = float(_l_decay_coeff(gamma, lambda_l, lambda_rrh, params))
     noise_rate = gamma * params.noise / params.snr
 
     def integrand(d):
@@ -309,7 +339,7 @@ def _l_grid(boundaries: np.ndarray, lambda_l: float, lambda_rrh: float,
         return np.asarray(l_func_limited(boundaries, lambda_rrh / lambda_l,
                                          params.pathloss_exponent))
     beta = params.pathloss_exponent
-    c = _l_decay_coeff(boundaries, lambda_l, lambda_rrh, beta)
+    c = _l_decay_coeff(boundaries, lambda_l, lambda_rrh, params)
     # in t = pi*lambda_l*d^2 the integral is int exp(-(1+alpha)t - nu t^(b/2)) dt;
     # substituting t = s*tau with s = 1/((1+alpha) + nu^(2/b)) keeps both decay
     # channels at unit scale, else the nodes overshoot the noise cliff entirely
@@ -347,37 +377,25 @@ def avg_eff_cap_content(theta: float, popularity: float, lambda_l: float,
         raise ParameterError("need theta > 0 and popularity in [0, 1]")
     if not 0 < lambda_l <= lambda_rrh:
         raise ParameterError("need 0 < lambda_l <= lambda_rrh")
+    if form not in ("distance_avg", "quantized_moment"):
+        raise ParameterError(f"unknown estimator form {form!r}")
     if popularity == 0.0:
         return 0.0
-    beta = params.pathloss_exponent
-    b = quantizer.boundaries
-    mids = quantizer.midpoints
     a = params.spectral_efficiency * theta * params.bandwidth_hz * params.tbar
+    weights = _moment_weights(quantizer, a)
     denom = theta * params.bandwidth_hz * params.slot_s
 
     if form == "quantized_moment":
-        l_curve = _l_grid(b, lambda_l, lambda_rrh, params)
-        masses = np.diff(l_curve)
-        masses[-1] += 1.0 - l_curve[-1]
-        g_sum, _ = _log_moment(masses, mids, a)
+        survival = 1.0 - _l_grid(quantizer.boundaries, lambda_l, lambda_rrh, params)
+        g_sum = float(_folded_moment(lambda sl: survival[sl], weights))
         return popularity * (-math.log(g_sum) / denom)
 
-    if form != "distance_avg":
-        raise ParameterError(f"unknown estimator form {form!r}")
-
-    # conditional survival given nearest-holder distance d:
-    #   exp(-[2 pi A (lambda_R - lambda_l) g^(2/b) + pi lambda_l u(g)] d^2 - g d^b noise/snr)
-    cond_coeff = (2.0 * np.pi * a_beta(beta) * b ** (2.0 / beta) * (lambda_rrh - lambda_l)
-                  + np.pi * lambda_l * u_func(b, beta))
-    noise_coeff = b * params.noise / params.snr
-    log_weight = np.log1p(mids)
+    c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params, lambda_l)
+    beta = params.pathloss_exponent
 
     def eff_cap_at(t: float) -> float:
-        d_sq = t / (np.pi * lambda_l)
-        survival = np.exp(-cond_coeff * d_sq - noise_coeff * d_sq ** (beta / 2.0))
-        masses = _interval_masses(survival)
-        g_sum = float(np.sum(masses * np.exp(-a * log_weight)))
-        return -math.log(g_sum) / denom
+        d = math.sqrt(t / (np.pi * lambda_l))
+        return -math.log(float(_log_moments(d, c1, c2, beta, weights))) / denom
 
     val, _ = integrate.quad(lambda t: math.exp(-t) * eff_cap_at(t),
                             0.0, np.inf, epsabs=1e-9, epsrel=1e-8, limit=200)

@@ -33,7 +33,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .content import ClusterCache, ContentCatalog, hit_ratio
-from .effcap import LN2, Quantizer, RadioParams, a_beta, required_spectral_efficiency
+from .effcap import (LN2, Quantizer, RadioParams, _log_moments, _moment_weights,
+                     _sinr_coeffs, required_spectral_efficiency)
 from .energy import PowerModel, eta_rru
 from .errors import ConvergenceError, ParameterError, StabilityViolationError
 from .geometry import (STREAM_GAME, DensityConfig, NetworkRealization,
@@ -43,8 +44,6 @@ from .qos import QosProfile
 MAX_SWEEPS = 10_000
 SHAPLEY_EXACT_CAP = 10
 DEFAULT_COST_COEFF = 1e-4
-
-_BOUNDARY_CHUNK = 1 << 13
 
 
 @dataclass(eq=False)
@@ -136,29 +135,12 @@ class ClusterInstance:
         tab = self._k_cache.get(a)
         if tab is not None:
             return tab
-        beta = self.params.pathloss_exponent
-        b = self.quantizer.boundaries
-        mids = self.quantizer.midpoints
-        d = self._dist.ravel()
-        k1 = 2.0 * np.pi * a_beta(beta) * self.lambda_rrh * d ** 2
-        k2 = d ** beta * (self.params.noise / self.params.snr)
-        w = np.exp(-a * np.log1p(mids))
-        g = np.zeros(d.size)
-        last_surv = None
-        for lo in range(0, b.size - 1, _BOUNDARY_CHUNK):
-            hi = min(lo + _BOUNDARY_CHUNK + 1, b.size)
-            surv = np.exp(-(k1[:, None] * b[None, lo:hi] ** (2.0 / beta)
-                            + k2[:, None] * b[None, lo:hi]))
-            g += (surv[:, :-1] - surv[:, 1:]) @ w[lo:hi - 1]
-            last_surv = surv[:, -1]
-        g += last_surv * w[-1]  # mass beyond gamma_max folds into the last interval
+        c1, c2 = _sinr_coeffs(self.quantizer.boundaries, self.lambda_rrh, self.params)
+        g = _log_moments(self._dist.ravel(), c1, c2, self.params.pathloss_exponent,
+                         _moment_weights(self.quantizer, a))
         tab = (-np.log(g) / (a * LN2)).reshape(self._dist.shape)
         self._k_cache[a] = tab
         return tab
-
-    def invalidate_caches(self) -> None:
-        self._k_cache.clear()
-        self._cap_cache.clear()
 
 
 def coalition_eff_cap(coalition: Iterable[int], content: int,
@@ -388,30 +370,13 @@ def _signature(partition: tuple[frozenset, ...]) -> str:
 
 
 def rru_coalition_utility(coalition: Iterable[int], rrh_partition: RrhPartition,
-                          instance: ClusterInstance, rru_count: int,
-                          form: str = "composition") -> float:
-    """Utility of one RRU: clamped net worth of its RRH coalitions.
-
-    ``composition`` sums the per-content coalition values; ``direct``
-    recomputes capacity and power in one expression.  The two agree to
-    rounding, and both are kept so the identity can be watched in tests.
-    """
+                          instance: ClusterInstance, rru_count: int) -> float:
+    """Utility of one RRU: clamped sum of its per-content coalition values."""
     contents = sorted(coalition)
     if sorted(rrh_partition.coalitions) != contents:
         raise ParameterError("RRH partition does not match the RRU's contents")
-    if form == "composition":
-        total = sum(coalition_value(rrh_partition.members(c), c, instance, rru_count)
-                    for c in contents)
-    elif form == "direct":
-        cap = sum(coalition_eff_cap(rrh_partition.members(c), c, instance, rru_count)
-                  for c in contents)
-        n_members = sum(len(rrh_partition.members(c)) for c in contents
-                        if rrh_partition.members(c))
-        share = sum(instance.share_power(c) for c in contents
-                    if rrh_partition.members(c))
-        total = cap - instance.cost_coeff * (n_members * instance.power.rrh_nominal + share)
-    else:
-        raise ParameterError(f"unknown utility form {form!r}")
+    total = sum(coalition_value(rrh_partition.members(c), c, instance, rru_count)
+                for c in contents)
     return max(total, 0.0)
 
 
@@ -884,14 +849,3 @@ def random_instance(seed: int, n_rrh: int, n_users: int, content_count: int = 5,
                            lambda_rrh=lambda_rrh, quantizer=quantizer,
                            cost_coeff=cost_coeff)
 
-
-def instance_from_scenario(realization: NetworkRealization, catalog: ContentCatalog,
-                           cache: ClusterCache, qos: QosProfile, params: RadioParams,
-                           power: PowerModel, lambda_rrh: float, quantizer: Quantizer,
-                           cost_coeff: float = DEFAULT_COST_COEFF,
-                           literal_power_accounting: bool = False) -> ClusterInstance:
-    return ClusterInstance(realization=realization, catalog=catalog, cache=cache,
-                           qos=qos, params=params, power=power,
-                           lambda_rrh=lambda_rrh, quantizer=quantizer,
-                           cost_coeff=cost_coeff,
-                           literal_power_accounting=literal_power_accounting)

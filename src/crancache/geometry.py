@@ -44,17 +44,6 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class SpatialPoint:
-    """A planar location, meters from the cluster center."""
-
-    x: float
-    y: float
-
-    def distance_to(self, other: "SpatialPoint") -> float:
-        return float(np.hypot(self.x - other.x, self.y - other.y))
-
-
-@dataclass(frozen=True)
 class DensityConfig:
     """Intensities of the RRH and user fields (points per square meter).
 
@@ -208,24 +197,28 @@ def load_realization(path: str) -> NetworkRealization:
     it = iter(lines)
 
     def expect(tag: str) -> str:
-        ln = next(it)
-        if not ln.startswith(tag + " "):
+        ln = next(it, None)
+        if ln is None or not ln.startswith(tag + " "):
             raise ParameterError(f"malformed realization file: expected {tag!r}, got {ln!r}")
         return ln.split(None, 1)[1]
-
-    radius = float(expect("radius"))
-    seed = int(expect("seed"))
 
     def read_block(tag: str):
         n = int(expect(tag))
         xy = np.empty((n, 2))
         marks = np.empty(n, dtype=int)
         for i in range(n):
-            fx, fy, fc = next(it).split()
+            fx, fy, fc = next(it, "").split()
             xy[i] = (float(fx), float(fy))
             marks[i] = int(fc)
         return xy, marks
 
-    rrh_xy, rrh_content = read_block("rrh")
-    user_xy, user_content = read_block("user")
+    try:
+        radius = float(expect("radius"))
+        seed = int(expect("seed"))
+        rrh_xy, rrh_content = read_block("rrh")
+        user_xy, user_content = read_block("user")
+    except ParameterError:
+        raise
+    except ValueError as exc:  # short point lines and non-numeric fields
+        raise ParameterError(f"malformed realization file: {exc}") from None
     return NetworkRealization(radius, rrh_xy, rrh_content, user_xy, user_content, seed)

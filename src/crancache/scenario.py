@@ -86,6 +86,10 @@ class Scenario:
     user_distance: float = 50.0        # typical-user serving distance, meters
     user_gamma_max: float = 1e12       # SINR grid reach for per-user curves
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
+
     def _theta_vec(self, raw: tuple) -> np.ndarray:
         if len(raw) == 1:
             return np.full(self.content_count, raw[0])

@@ -70,7 +70,6 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
     denom = interference + params.noise
     with np.errstate(divide="ignore"):
         sinr = np.where(denom > 0.0, signal / np.maximum(denom, 1e-300), np.inf)
-    n_capped = int(np.count_nonzero(sinr > SINR_CAP))
     if np.any(denom == 0.0):
         warnings.warn("trial with empty interference field and zero noise; "
                       f"SINR capped at {SINR_CAP:g}", stacklevel=2)

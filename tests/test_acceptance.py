@@ -36,7 +36,7 @@ def test_criterion_01_analytic_mc_agreement(scenario):
         params = _user_radio(scenario, beta)
         for theta in (float(scenario.theta_cluster[0]), float(scenario.theta_cloud[0])):
             ana = effcap.eff_cap_user(theta, scenario.user_distance,
-                                      scenario.lambda_rrh, params, quant).value
+                                      scenario.lambda_rrh, params, quant)
             mc = simkit.mc_eff_cap(theta, scenario.user_distance,
                                    scenario.lambda_rrh, params,
                                    scenario.mc_trials, seed=scenario.seed)
@@ -56,7 +56,7 @@ def test_criterion_02_monotone_in_pathloss(scenario):
     for theta in (0.1, 0.6):
         values = [effcap.eff_cap_user(theta, scenario.user_distance,
                                       scenario.lambda_rrh,
-                                      _user_radio(scenario, beta), quant).value
+                                      _user_radio(scenario, beta), quant)
                   for beta in (4.0, 6.0, 8.0)]
         print(f"criterion 2: theta={theta:g} E(beta=4,6,8) = "
               + ", ".join(f"{v:.5f}" for v in values))

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crancache import effcap
 from crancache.cli import (ALGORITHMS, _parse, build_instance, main,
                            run_allocate, run_analyze, run_sweep, run_validate,
                            write_csv)
@@ -62,16 +63,20 @@ def test_run_analyze_is_reproducible(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_run_validate_and_negative_control(tmp_path):
+def test_run_validate_and_negative_control(tmp_path, monkeypatch):
     s = replace(Scenario(), mc_trials=20_000)
     assert run_validate(s, str(tmp_path / "ok")) is True
     cols, rows = _read_csv(tmp_path / "ok" / "validation.csv")
     assert cols == ["check", "analytic", "reference", "std_error", "status"]
     statuses = {r[-1] for r in rows}
     assert statuses <= {"PASS", "INFO"}
-    # a wrong interference constant must be caught by the outage checks
-    assert run_validate(s, str(tmp_path / "bad"),
-                        corrupt_geometry_factor=1.3) is False
+    # a wrong interference constant must be caught by every outage check
+    a_beta = effcap.a_beta
+    monkeypatch.setattr(effcap, "a_beta", lambda beta: 1.3 * a_beta(beta))
+    assert run_validate(s, str(tmp_path / "bad")) is False
+    _, rows = _read_csv(tmp_path / "bad" / "validation.csv")
+    outage = {r[0]: r[-1] for r in rows if r[0].startswith("outage_cdf_gamma_")}
+    assert outage == {f"outage_cdf_gamma_{g}": "FAIL" for g in ("0.1", "1", "10")}
 
 
 def test_build_instance_rejects_empty_field():
@@ -140,6 +145,14 @@ def test_main_exit_codes(tmp_path):
         main(["allocate", "--algorithm", "annealing"])
     with pytest.raises(SystemExit):
         main([])                                    # a subcommand is required
+
+
+def test_negative_seed_is_rejected(tmp_path):
+    out = str(tmp_path / "o")
+    assert main(["allocate", "--seed", "-1", "--out", out]) == 2
+    cfg = tmp_path / "neg.ini"
+    cfg.write_text("[run]\nseed = -1\n")
+    assert main(["--config", str(cfg), "allocate", "--out", out]) == 2
 
 
 def test_main_seed_override(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from crancache.content import ContentCatalog, ClusterCache
-from crancache.effcap import (LN2, EffCapResult, Quantizer, RadioParams,
+from crancache.effcap import (LN2, Quantizer, RadioParams,
                               a_beta, avg_eff_cap_cluster, avg_eff_cap_content,
                               caching_gain, eff_cap_user, l_func_general,
                               l_func_limited, outage_prob,
@@ -15,6 +15,7 @@ from crancache.effcap import (LN2, EffCapResult, Quantizer, RadioParams,
                               required_spectral_efficiency, u_func)
 from crancache.effcap import _l_grid
 from crancache.errors import DomainError, ParameterError
+from crancache.games import random_instance
 from crancache.qos import QosProfile
 
 from conftest import radio
@@ -170,21 +171,28 @@ def wide_quantizer(n=1 << 14):
     return Quantizer.geometric(n, 1e12)
 
 
-def test_eff_cap_log_moment_identity():
-    # value and components must satisfy value = -ln(sum comps)/(theta W T)
-    res = eff_cap_user(0.1, 50.0, 5e-6, radio(), wide_quantizer())
-    assert isinstance(res, EffCapResult)
-    g = float(res.components.sum())
-    assert abs(res.value + math.log(g) / (0.1 * 1000.0 * 1e-3)) < 1e-9
+def test_eff_cap_user_matches_k_table():
+    # the per-user capacity and the allocation link table evaluate one
+    # SINR law, so every link must agree: capacity = mu * K
+    inst = random_instance(42, 6, 12)
+    for n in (1, 3):
+        mu = inst.mu_for(n)
+        params = inst.params.with_spectral_efficiency(mu)
+        for content in range(inst.content_count):
+            k = inst._k_table(inst._log_moment_exponent(content, n))
+            theta = inst.theta_of(content)
+            for (u, r), d in np.ndenumerate(inst._dist):
+                got = eff_cap_user(theta, d, inst.lambda_rrh, params, inst.quantizer)
+                assert got == pytest.approx(mu * k[u, r], rel=1e-12)
 
 
 def test_eff_cap_monotone_in_theta_and_distance():
     q = wide_quantizer()
     thetas = [0.02, 0.1, 0.5, 2.0]
-    vals = [eff_cap_user(t, 50.0, 5e-6, radio(), q).value for t in thetas]
+    vals = [eff_cap_user(t, 50.0, 5e-6, radio(), q) for t in thetas]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     dists = [10.0, 50.0, 200.0]
-    vals = [eff_cap_user(0.1, d, 5e-6, radio(), q).value for d in dists]
+    vals = [eff_cap_user(0.1, d, 5e-6, radio(), q) for d in dists]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -192,7 +200,7 @@ def test_eff_cap_increases_with_pathloss_exponent():
     # at 50 m the serving link is strong; steeper decay hurts the (farther)
     # interferers more than the signal, so capacity grows with beta
     q = wide_quantizer()
-    vals = [eff_cap_user(0.1, 50.0, 5e-6, radio(beta=b), q).value
+    vals = [eff_cap_user(0.1, 50.0, 5e-6, radio(beta=b), q)
             for b in (4.0, 6.0, 8.0)]
     assert vals[0] < vals[1] < vals[2]
 
@@ -201,8 +209,8 @@ def test_eff_cap_regression_values():
     # anchors cross-checked against Monte Carlo (acceptance suite re-runs
     # that comparison at full trial count)
     q = Quantizer.geometric(1 << 16, 1e12)
-    assert abs(eff_cap_user(0.1, 50.0, 5e-6, radio(), q).value - 6.13618) < 2e-4
-    assert abs(eff_cap_user(0.6, 50.0, 5e-6, radio(beta=8.0), q).value
+    assert abs(eff_cap_user(0.1, 50.0, 5e-6, radio(), q) - 6.13618) < 2e-4
+    assert abs(eff_cap_user(0.6, 50.0, 5e-6, radio(beta=8.0), q)
                - 4.97376) < 2e-4
 
 
@@ -212,25 +220,25 @@ def test_eff_cap_small_theta_reaches_ergodic_capacity():
     val, _ = integrate.quad(lambda x: math.exp(-k1 * math.sqrt(x)) / (1 + x),
                             0.0, np.inf, epsabs=1e-12, epsrel=1e-10, limit=400)
     ergodic = val / LN2
-    got = eff_cap_user(1e-8, 50.0, 5e-6, radio(), wide_quantizer(1 << 16)).value
+    got = eff_cap_user(1e-8, 50.0, 5e-6, radio(), wide_quantizer(1 << 16))
     assert abs(got - ergodic) / ergodic < 0.01
 
 
 def test_eff_cap_bounded_by_grid_ceiling():
     q = Quantizer.geometric(256, 100.0)
-    v = eff_cap_user(0.01, 1.0, 5e-6, radio(), q).value
+    v = eff_cap_user(0.01, 1.0, 5e-6, radio(), q)
     assert v <= 1.0 * math.log2(1.0 + 100.0) + 1e-9
 
 
 def test_eff_cap_quantizer_refinement_converges():
-    coarse = eff_cap_user(0.1, 50.0, 5e-6, radio(), Quantizer.geometric(1 << 12, 1e12)).value
-    fine = eff_cap_user(0.1, 50.0, 5e-6, radio(), Quantizer.geometric(1 << 17, 1e12)).value
+    coarse = eff_cap_user(0.1, 50.0, 5e-6, radio(), Quantizer.geometric(1 << 12, 1e12))
+    fine = eff_cap_user(0.1, 50.0, 5e-6, radio(), Quantizer.geometric(1 << 17, 1e12))
     assert abs(coarse - fine) / fine < 5e-3
 
 
 def test_eff_cap_equal_width_grid_agrees_at_moderate_exponent():
-    geo = eff_cap_user(0.6, 50.0, 5e-6, radio(), Quantizer.geometric(1 << 16, 5e4)).value
-    eq = eff_cap_user(0.6, 50.0, 5e-6, radio(), Quantizer.equal_width(10 ** 6, 5e4)).value
+    geo = eff_cap_user(0.6, 50.0, 5e-6, radio(), Quantizer.geometric(1 << 16, 5e4))
+    eq = eff_cap_user(0.6, 50.0, 5e-6, radio(), Quantizer.equal_width(10 ** 6, 5e4))
     assert abs(geo - eq) / geo < 5e-3
 
 

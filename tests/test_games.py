@@ -5,6 +5,7 @@ import pytest
 
 from crancache import games
 from crancache.errors import (ConvergenceError, ParameterError)
+from crancache.geometry import NetworkRealization
 from crancache.games import (AllocationResult, ClusterInstance, RrhPartition,
                              ShapleyTable, check_nash_stable, coalition_eff_cap,
                              coalition_value, evaluate_fixed_partition,
@@ -183,21 +184,24 @@ def test_prune_keeps_every_served_user_covered(inst):
 
 
 def test_rru_utility_forms_agree(inst):
+    # oracle: capacity and power in one expression instead of the sum of
+    # per-content coalition values
     contents = frozenset(range(inst.content_count))
     part = hedonic_rrh_association(sorted(contents), inst, rru_count=1)
-    comp = rru_coalition_utility(contents, part, inst, 1, form="composition")
-    direct = rru_coalition_utility(contents, part, inst, 1, form="direct")
+    served = [c for c in contents if part.members(c)]
+    cap = sum(coalition_eff_cap(part.members(c), c, inst, 1) for c in served)
+    n_members = sum(len(part.members(c)) for c in served)
+    share = sum(inst.share_power(c) for c in served)
+    direct = max(cap - inst.cost_coeff * (n_members * inst.power.rrh_nominal + share), 0.0)
+    comp = rru_coalition_utility(contents, part, inst, 1)
     assert comp > 0
     assert comp == pytest.approx(direct, rel=1e-12)
 
 
 def test_rru_utility_guards(inst):
-    contents = frozenset({0, 1})
     part = hedonic_rrh_association([0, 1], inst, rru_count=2)
     with pytest.raises(ParameterError):
         rru_coalition_utility(frozenset({0, 1, 2}), part, inst, 2)
-    with pytest.raises(ParameterError):
-        rru_coalition_utility(contents, part, inst, 2, form="weird")
 
 
 def test_rru_utility_clamps_at_zero():
@@ -225,11 +229,11 @@ def test_shapley_exact_symmetry_for_twin_rrhs():
     r = base.realization
     rrh_xy = r.rrh_xy.copy()
     rrh_xy[1] = rrh_xy[0]
-    twin = games.instance_from_scenario(
-        games.NetworkRealization(r.cluster_radius, rrh_xy, r.rrh_content,
-                                 r.user_xy, r.user_content, r.seed),
-        base.catalog, base.cache, base.qos, base.params, base.power,
-        base.lambda_rrh, base.quantizer)
+    twin = ClusterInstance(
+        realization=NetworkRealization(r.cluster_radius, rrh_xy, r.rrh_content,
+                                       r.user_xy, r.user_content, r.seed),
+        catalog=base.catalog, cache=base.cache, qos=base.qos, params=base.params,
+        power=base.power, lambda_rrh=base.lambda_rrh, quantizer=base.quantizer)
     table = shapley_values(twin, mode="exact")
     assert np.allclose(table.values[:, 0], table.values[:, 1], rtol=1e-12, atol=0.0)
 

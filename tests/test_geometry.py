@@ -161,6 +161,19 @@ def test_load_rejects_malformed_file(tmp_path):
     p.write_text("radius 100\nwrong 5\n")
     with pytest.raises(ParameterError):
         load_realization(str(p))
+    # a saved realization cut in half, and a short or non-numeric point line
+    good = tmp_path / "good.txt"
+    cfg = DensityConfig.from_popularity(5e-6, 5e-6, zipf_popularity(1.0, 5))
+    save_realization(sample_network(cfg, 1000.0, seed=5), str(good))
+    lines = good.read_text().splitlines(keepends=True)
+    p.write_text("".join(lines[:len(lines) // 2]))
+    with pytest.raises(ParameterError, match="malformed realization file"):
+        load_realization(str(p))
+    for bad_point in ("1.5 2.5\n", "1.5 north 0\n"):
+        lines[4] = bad_point
+        p.write_text("".join(lines))
+        with pytest.raises(ParameterError, match="malformed realization file"):
+            load_realization(str(p))
 
 
 def test_fading_stream_distinct_from_position_stream():
