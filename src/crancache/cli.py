@@ -89,9 +89,8 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
         for k in range(scenario.content_count + 1):
             # top-k cache; popularity is sorted so the hit ratio is a prefix sum
             p_hit = float(catalog.popularity[:k].sum())
-            cap_total = float(p_hit * from_cache.sum()
-                              + (1.0 - p_hit) * from_cloud.sum())
-            gain = float(p_hit * (from_cache - from_cloud).sum())
+            cap_total = effcap.avg_eff_cap_cluster(p_hit, from_cache, from_cloud)
+            gain = effcap.caching_gain(p_hit, from_cache, from_cloud)
             peak_gain = max(peak_gain, gain)
             delta = energy.power_delta(k, p_hit, scenario.power())
             eta = energy.eta_cluster(cap_total, scenario.lambda_rrh,
@@ -224,13 +223,9 @@ def block_energy_efficiency(instance: games.ClusterInstance,
             members = partition.members(content)
             caps.append(games.coalition_eff_cap(members, content, instance, n))
             active_counts.append(len(members & result.active))
-        if instance.literal_power_accounting:
-            cached, cloud = instance.cache.size, instance.catalog.count
-        else:
-            cached = sum(1 for c in block if instance.cache.holds(c))
-            cloud = len(block) - cached
+        cached, fetched = instance.paid_objects(block)
         etas.append(energy.eta_rru(caps, active_counts, instance.n_rrh,
-                                   cached, cloud, instance.power))
+                                   cached, fetched, instance.power))
     return etas
 
 

@@ -228,12 +228,19 @@ def _log_moments(d, c1: np.ndarray, c2: np.ndarray, beta: float,
     """Quantized log-moment G(d) of the SINR law, shaped like the lengths d.
 
     ``c1``, ``c2`` are :func:`_sinr_coeffs` on the quantizer boundaries and
-    ``weights`` is :func:`_moment_weights`.
+    ``weights`` is :func:`_moment_weights`.  A G that underflows to 0 (a
+    link of length ~0 puts all mass on the top interval, whose weight
+    vanishes under a strict exponent) has no finite capacity and raises
+    DomainError.
     """
     d = np.asarray(d, dtype=float)[..., None]
     d_sq, d_beta = d ** 2, d ** beta
     # negating the (len(d), 1) columns saves a pass over each survival chunk
-    return _folded_moment(lambda sl: np.exp(-d_sq * c1[sl] - d_beta * c2[sl]), weights)
+    g = _folded_moment(lambda sl: np.exp(-d_sq * c1[sl] - d_beta * c2[sl]), weights)
+    if not np.all(g > 0.0):
+        raise DomainError("log-moment underflows to 0 (link too short for the "
+                          "delay exponent); effective capacity is not finite")
+    return g
 
 
 def outage_prob(gamma, d_m: float, lambda_rrh: float, params: RadioParams):
@@ -427,34 +434,23 @@ def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: flo
     return from_cache, from_cloud
 
 
-def avg_eff_cap_cluster(catalog, cache, qos, lambda_split: np.ndarray,
-                        lambda_rrh: float, params: RadioParams, quantizer: Quantizer,
-                        form: str = "distance_avg") -> float:
-    """Cluster-level mean effective capacity under the given cache.
+def avg_eff_cap_cluster(p_hit: float, from_cache: np.ndarray,
+                        from_cloud: np.ndarray) -> float:
+    """Cluster-level mean effective capacity at cache hit ratio ``p_hit``.
 
-    E_T = P_hit * sum_l E_l(theta_cluster) + (1 - P_hit) * sum_l E_l(theta_cloud);
-    non-decreasing in the cache size whenever cloud exponents are at least
-    as strict as cluster ones.
+    E_T = P_hit * sum_l E_l(theta_cluster) + (1 - P_hit) * sum_l E_l(theta_cloud),
+    from the :func:`per_content_eff_caps` vectors; non-decreasing in the
+    hit ratio whenever cloud exponents are at least as strict as cluster
+    ones.
     """
-    from .content import hit_ratio
-
-    from_cache, from_cloud = per_content_eff_caps(catalog, qos, lambda_split,
-                                                  lambda_rrh, params, quantizer, form)
-    p_hit = hit_ratio(cache, catalog)
     return float(p_hit * from_cache.sum() + (1.0 - p_hit) * from_cloud.sum())
 
 
-def caching_gain(catalog, cache, qos, lambda_split: np.ndarray, lambda_rrh: float,
-                 params: RadioParams, quantizer: Quantizer,
-                 form: str = "distance_avg") -> float:
+def caching_gain(p_hit: float, from_cache: np.ndarray, from_cloud: np.ndarray) -> float:
     """Capacity added by the cache relative to serving everything from the cloud.
 
-    P_hit * sum_l (E_l(theta_cluster) - E_l(theta_cloud)); non-negative
-    whenever theta_cluster <= theta_cloud elementwise.
+    P_hit * sum_l (E_l(theta_cluster) - E_l(theta_cloud)), from the
+    :func:`per_content_eff_caps` vectors; non-negative whenever
+    theta_cluster <= theta_cloud elementwise.
     """
-    from .content import hit_ratio
-
-    from_cache, from_cloud = per_content_eff_caps(catalog, qos, lambda_split,
-                                                  lambda_rrh, params, quantizer, form)
-    p_hit = hit_ratio(cache, catalog)
     return float(p_hit * (from_cache - from_cloud).sum())

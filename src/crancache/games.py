@@ -1,22 +1,22 @@
 """Coalition formation for RRH association and RRU sharing.
 
-Two nested games allocate the cluster:
+Both coalition games run one hedonic switch rule (Bogomolnaia & Jackson
+2002), :func:`_wants_switch`: a player moves only if its own payoff AND
+the joint value of the two coalitions it touches strictly rise.  The
+summed coalition value is then a strict potential, so the sweep
+:func:`_switch_until_stable` always settles into a Nash-stable partition.
 
-* inner game: within one resource block (RRU), RRHs split into one
-  coalition per content object carried by that block.  RRHs migrate
-  between coalitions under a two-condition preference (own payoff up AND
-  joint coalition value up), which makes the summed coalition value a
-  strictly increasing potential, so negotiation always settles into a
-  Nash-stable partition.
-* outer game: content objects group into RRUs.  Candidate merges and
-  splits are accepted only when total welfare (sum of per-RRU utilities,
-  each evaluated with the spectral-efficiency requirement of the candidate
-  RRU count) strictly increases, so the outer search is also monotone and
-  cannot revisit a partition.
+* inner game: within one resource block (RRU), RRHs choose which of the
+  block's contents to serve (capacity minus power bill).
+* Shapley game, the cheap outer allocation: contents choose a block under
+  Shapley-value conflict payoffs; contents whose per-RRH Shapley profiles
+  differ share a block at little cost, contents that want the same RRHs
+  do not.
 
-A cheaper outer allocation replaces nested evaluation with Shapley-value
-conflict payoffs: contents whose per-RRH Shapley profiles differ can share
-a block at little cost, contents that want the same RRHs cannot.
+The nested outer allocation is a merge-and-split search: a candidate
+merge or split is accepted only when total welfare (sum of per-RRU
+utilities, each at the spectral-efficiency requirement of the candidate
+RRU count) strictly increases, so it cannot revisit a partition.
 
 All negotiation orders are fixed (ascending index) and every tie refuses
 the move, so results are deterministic functions of (instance, seed).
@@ -120,6 +120,18 @@ class ClusterInstance:
         return (self.power.cache_per_object if self.cache.holds(content)
                 else self.power.backhaul)
 
+    def paid_objects(self, contents: frozenset) -> tuple[int, int]:
+        """(cached, fetched): objects a block carrying ``contents`` pays power for.
+
+        Default accounting counts the objects the block actually serves;
+        the literal variant charges the full cache and catalog regardless,
+        which decouples the bill from the block.
+        """
+        if self.literal_power_accounting:
+            return self.cache.size, self.catalog.count
+        cached = sum(1 for c in contents if self.cache.holds(c))
+        return cached, len(contents) - cached
+
     def _log_moment_exponent(self, content: int, rru_count: int | None) -> float:
         return (self.mu_for(rru_count) * self.theta_of(content)
                 * self.params.bandwidth_hz * self.params.tbar)
@@ -209,33 +221,34 @@ def rrh_payoff(rrh: int, coalition: Iterable[int], content: int,
 
 @dataclass(frozen=True)
 class RrhPartition:
-    """Assignment of every RRH to exactly one content coalition of one RRU."""
+    """Assignment of every player to exactly one labelled coalition:
+    RRHs to the contents of one RRU, or contents to block indices."""
 
-    coalitions: dict  # content -> frozenset of RRH indices
+    coalitions: dict  # label -> frozenset of players
 
     def __post_init__(self):
         seen: set[int] = set()
         for members in self.coalitions.values():
             if seen & members:
-                raise ParameterError("RRH appears in two coalitions")
+                raise ParameterError("player appears in two coalitions")
             seen |= members
         object.__setattr__(self, "coalitions",
                            {c: frozenset(m) for c, m in sorted(self.coalitions.items())})
 
-    def members(self, content: int) -> frozenset:
-        return self.coalitions[content]
+    def members(self, label: int) -> frozenset:
+        return self.coalitions[label]
 
-    def content_of(self, rrh: int) -> int:
-        for content, members in self.coalitions.items():
-            if rrh in members:
-                return content
-        raise ParameterError(f"RRH {rrh} not in any coalition")
+    def content_of(self, player: int) -> int:
+        for label, members in self.coalitions.items():
+            if player in members:
+                return label
+        raise ParameterError(f"player {player} not in any coalition")
 
-    def moved(self, rrh: int, target: int) -> "RrhPartition":
-        src = self.content_of(rrh)
+    def moved(self, player: int, target: int) -> "RrhPartition":
+        src = self.content_of(player)
         new = dict(self.coalitions)
-        new[src] = new[src] - {rrh}
-        new[target] = new[target] | {rrh}
+        new[src] = new[src] - {player}
+        new[target] = new[target] | {player}
         return RrhPartition(new)
 
     def total_value(self, instance: ClusterInstance,
@@ -244,28 +257,56 @@ class RrhPartition:
                    for c, m in self.coalitions.items())
 
 
+def _wants_switch(player: int, target: int, partition: RrhPartition,
+                  payoff, value) -> bool:
+    """Whether ``player`` strictly gains AND lifts the joint value by moving.
+
+    ``payoff(player, coalition, label)`` is its payoff for joining
+    ``coalition``, ``value(coalition, label)`` a coalition's worth.  Any
+    tie refuses the move, which is what rules out oscillation.
+    """
+    current = partition.content_of(player)
+    if target == current:
+        return False
+    a = partition.members(target)
+    b = partition.members(current)
+    b_rest = b - {player}
+    own_now = payoff(player, b_rest, current)
+    if payoff(player, a, target) <= own_now:
+        return False
+    joint_now = value(a, target) + value(b, current)
+    joint_then = value(a | {player}, target) + value(b_rest, current)
+    return joint_then > joint_now
+
+
+def _switch_until_stable(partition: RrhPartition, players: Sequence[int],
+                         wants, max_sweeps: int) -> RrhPartition:
+    """Sweep players in order, each moving to the first label ``wants``
+    accepts, until a sweep moves nobody (a Nash-stable partition)."""
+    labels = sorted(partition.coalitions)
+    for _ in range(max_sweeps):
+        moved = False
+        for player in players:
+            for target in labels:
+                if wants(player, target, partition):
+                    partition = partition.moved(player, target)
+                    moved = True
+                    break
+        if not moved:
+            return partition
+    raise ConvergenceError(f"no stable partition within {max_sweeps} sweeps")
+
+
 def prefers(rrh: int, target_content: int, partition: RrhPartition,
             instance: ClusterInstance, rru_count: int | None = None) -> bool:
     """Whether the RRH strictly wants to defect to the target coalition.
 
-    Requires both a strictly higher own payoff and a strictly higher joint
-    value of the two coalitions touched; any tie refuses the move, which
-    is what rules out oscillation.
+    :func:`_wants_switch` with RRH payoffs and coalition values.
     """
-    current = partition.content_of(rrh)
-    if target_content == current:
-        return False
-    a = partition.members(target_content)
-    b_rest = partition.members(current) - {rrh}
-    own_now = rrh_payoff(rrh, b_rest, current, instance, rru_count)
-    own_there = rrh_payoff(rrh, a, target_content, instance, rru_count)
-    if own_there <= own_now:
-        return False
-    joint_now = (coalition_value(a, target_content, instance, rru_count)
-                 + coalition_value(partition.members(current), current, instance, rru_count))
-    joint_then = (coalition_value(a | {rrh}, target_content, instance, rru_count)
-                  + coalition_value(b_rest, current, instance, rru_count))
-    return joint_then > joint_now
+    return _wants_switch(
+        rrh, target_content, partition,
+        lambda p, coalition, c: rrh_payoff(p, coalition, c, instance, rru_count),
+        lambda coalition, c: coalition_value(coalition, c, instance, rru_count))
 
 
 def greedy_init_partition(contents: Sequence[int], instance: ClusterInstance,
@@ -309,17 +350,11 @@ def hedonic_rrh_association(contents: Sequence[int], instance: ClusterInstance,
     if sorted(partition.coalitions) != contents:
         raise ParameterError("init partition does not cover exactly the given contents")
     scan = list(range(instance.n_rrh)) if order is None else list(order)
-    for _ in range(max_sweeps):
-        moved = False
-        for rrh in scan:
-            for target in contents:
-                if prefers(rrh, target, partition, instance, rru_count):
-                    partition = partition.moved(rrh, target)
-                    moved = True
-                    break
-        if not moved:
-            return partition
-    raise ConvergenceError(f"no stable RRH partition within {max_sweeps} sweeps")
+    # prefers is looked up at call time, so a wrapper bound on the module sees each call
+    return _switch_until_stable(
+        partition, scan,
+        lambda rrh, target, part: prefers(rrh, target, part, instance, rru_count),
+        max_sweeps)
 
 
 def check_nash_stable(partition: RrhPartition, instance: ClusterInstance,
@@ -367,6 +402,17 @@ def _canonical(partition: Iterable[frozenset]) -> tuple[frozenset, ...]:
 
 def _signature(partition: tuple[frozenset, ...]) -> str:
     return "|".join(",".join(str(c) for c in sorted(b)) for b in partition)
+
+
+def _catalog_partition(instance: ClusterInstance,
+                       blocks: Iterable[frozenset] | None) -> tuple[frozenset, ...]:
+    """Canonical RRU partition of the catalog; one block per content if None."""
+    if blocks is None:
+        return tuple(frozenset({c}) for c in range(instance.content_count))
+    state = _canonical(blocks)
+    if sorted(c for b in state for c in b) != list(range(instance.content_count)):
+        raise ParameterError("RRU blocks must partition the full catalog")
+    return state
 
 
 def rru_coalition_utility(coalition: Iterable[int], rrh_partition: RrhPartition,
@@ -453,16 +499,20 @@ def _bipartitions(block: frozenset, exhaustive_cap: int = 12):
             yield block - {item}, frozenset({item})
 
 
-def _merge_candidates(partition: tuple, exhaustive: bool):
-    n = len(partition)
-    if exhaustive:
-        # all groups of >= 2 blocks, smallest first
-        for size in range(2, n + 1):
-            yield from itertools.combinations(range(n), size)
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield (i, j)
+def _neighbours(state: tuple, exhaustive: bool):
+    """(op, candidate) pairs: every merge (pairs, or all groups of >= 2
+    blocks smallest first when exhaustive), then every split."""
+    n = len(state)
+    sizes = range(2, n + 1) if exhaustive else (2,)
+    for size in sizes:
+        for combo in itertools.combinations(range(n), size):
+            merged = frozenset().union(*(state[i] for i in combo))
+            yield "merge", _canonical(
+                [b for i, b in enumerate(state) if i not in combo] + [merged])
+    for idx, block in enumerate(state):
+        for left, right in _bipartitions(block):
+            yield "split", _canonical(
+                [b for i, b in enumerate(state) if i != idx] + [left, right])
 
 
 def nested_allocate(instance: ClusterInstance,
@@ -479,11 +529,7 @@ def nested_allocate(instance: ClusterInstance,
     stable against all scanned merges and splits.
     """
     t0 = time.perf_counter()
-    all_contents = range(instance.content_count)
-    state = (_canonical(init) if init is not None
-             else tuple(frozenset({c}) for c in all_contents))
-    if sorted(c for b in state for c in b) != list(all_contents):
-        raise ParameterError("init must partition the full catalog")
+    state = _catalog_partition(instance, init)
     if exhaustive_merges and instance.content_count > 6:
         raise ParameterError("exhaustive merge scan supported only up to 6 contents")
 
@@ -492,12 +538,8 @@ def nested_allocate(instance: ClusterInstance,
     seen = {_signature(state)}
     steps = [AllocationStep(0, "init", _signature(state), welfare)]
 
-    improved = True
-    while improved:
-        improved = False
-        for combo in _merge_candidates(state, exhaustive_merges):
-            merged = frozenset().union(*(state[i] for i in combo))
-            cand = _canonical([b for i, b in enumerate(state) if i not in combo] + [merged])
+    while True:
+        for op, cand in _neighbours(state, exhaustive_merges):
             cand_w = ev.welfare(cand)
             if cand_w > welfare:
                 sig = _signature(cand)
@@ -505,29 +547,10 @@ def nested_allocate(instance: ClusterInstance,
                     raise StabilityViolationError(f"partition revisited: {sig}")
                 state, welfare = cand, cand_w
                 seen.add(sig)
-                steps.append(AllocationStep(len(steps), "merge", sig, welfare))
-                improved = True
+                steps.append(AllocationStep(len(steps), op, sig, welfare))
                 break
-        if improved:
-            continue
-        for idx, block in enumerate(state):
-            for left, right in _bipartitions(block):
-                cand = _canonical([b for i, b in enumerate(state) if i != idx]
-                                  + [left, right])
-                cand_w = ev.welfare(cand)
-                if cand_w > welfare:
-                    sig = _signature(cand)
-                    if sig in seen:
-                        raise StabilityViolationError(f"partition revisited: {sig}")
-                    state, welfare = cand, cand_w
-                    seen.add(sig)
-                    steps.append(AllocationStep(len(steps), "split", sig, welfare))
-                    improved = True
-                    break
-            if improved:
-                break
-
-    return _finalize("nested", instance, state, ev, steps, t0)
+        else:
+            return _finalize("nested", instance, state, ev, steps, t0)
 
 
 def _finalize(name: str, instance: ClusterInstance, state: tuple,
@@ -554,9 +577,7 @@ def evaluate_fixed_partition(name: str, instance: ClusterInstance,
                              partition: Iterable[frozenset]) -> AllocationResult:
     """Welfare of a hand-picked RRU partition (no outer search)."""
     t0 = time.perf_counter()
-    state = _canonical(partition)
-    if sorted(c for b in state for c in b) != list(range(instance.content_count)):
-        raise ParameterError("partition must cover the full catalog")
+    state = _catalog_partition(instance, partition)
     ev = _PartitionEvaluator(instance)
     steps = [AllocationStep(0, "fixed", _signature(state), ev.welfare(state))]
     return _finalize(name, instance, state, ev, steps, t0)
@@ -694,20 +715,15 @@ def _acquisition_cost(contents: frozenset, instance: ClusterInstance) -> float:
     """Outer-game cost of running one RRU that carries ``contents``.
 
     All RRHs are presumed active at this stage (association has not run
-    yet).  Default accounting charges cache/backhaul power per object the
-    block actually serves; the literal variant charges the full cache and
-    catalog regardless, which decouples the cost from the block.
+    yet); cache and backhaul power follow :meth:`ClusterInstance.paid_objects`.
     """
     if not contents:
         return 0.0
     power = instance.power
-    base = instance.n_rrh * power.rrh_nominal
-    if instance.literal_power_accounting:
-        fetch = (instance.cache.size * power.cache_per_object
-                 + instance.catalog.count * power.backhaul)
-    else:
-        fetch = sum(instance.share_power(c) for c in contents)
-    return instance.cost_coeff * (base + fetch)
+    cached, fetched = instance.paid_objects(contents)
+    return instance.cost_coeff * (instance.n_rrh * power.rrh_nominal
+                                  + (cached * power.cache_per_object
+                                     + fetched * power.backhaul))
 
 
 def shapley_conflict_payoff(content: int, coalition: frozenset,
@@ -748,50 +764,22 @@ def suboptimal_allocate(instance: ClusterInstance,
     search so results are comparable.
     """
     t0 = time.perf_counter()
-    contents = list(range(instance.content_count))
-    state = (_canonical(init) if init is not None
-             else tuple(frozenset({c}) for c in contents))
-    if sorted(c for b in state for c in b) != contents:
-        raise ParameterError("init must partition the full catalog")
-
+    state = _catalog_partition(instance, init)
     table = shapley_values(instance, rru_count=len(state), mode=mode,
                            permutations=permutations, seed=seed)
-    blocks: dict[int, set] = {i: set(b) for i, b in enumerate(state)}
-    home = {c: i for i, b in blocks.items() for c in b}
-    steps = [AllocationStep(0, "init", _signature(_canonical(
-        [frozenset(b) for b in blocks.values()])), math.nan)]
+    steps = [AllocationStep(0, "init", _signature(state), math.nan)]
 
-    for _ in range(max_sweeps):
-        moved = False
-        for c in contents:
-            cur = home[c]
-            cur_rest = frozenset(blocks[cur]) - {c}
-            stay_own = (sum(float(np.abs(table.values[c] - table.values[o]).sum())
-                            for o in cur_rest)
-                        - _acquisition_cost(frozenset(blocks[cur]), instance))
-            for tgt in sorted(blocks):
-                if tgt == cur:
-                    continue
-                tgt_set = frozenset(blocks[tgt])
-                own_there = shapley_conflict_payoff(c, tgt_set, table, instance)
-                if own_there <= stay_own:
-                    continue
-                joint_now = (_conflict_utility(tgt_set, table, instance)
-                             + _conflict_utility(frozenset(blocks[cur]), table, instance))
-                joint_then = (_conflict_utility(tgt_set | {c}, table, instance)
-                              + _conflict_utility(cur_rest, table, instance))
-                if joint_then > joint_now:
-                    blocks[cur].discard(c)
-                    blocks[tgt].add(c)
-                    home[c] = tgt
-                    moved = True
-                    break
-        if not moved:
-            break
-    else:
-        raise ConvergenceError(f"no stable RRU partition within {max_sweeps} sweeps")
+    def wants(content, block, part):
+        return _wants_switch(
+            content, block, part,
+            lambda c, coalition, _: shapley_conflict_payoff(c, coalition, table, instance),
+            lambda coalition, _: _conflict_utility(coalition, table, instance))
 
-    final = _canonical([frozenset(b) for b in blocks.values() if b])
+    # emptied blocks stay as targets: a content may leave to go alone
+    blocks = _switch_until_stable(RrhPartition(dict(enumerate(state))),
+                                  range(instance.content_count), wants, max_sweeps)
+
+    final = _canonical(blocks.coalitions.values())
     ev = _PartitionEvaluator(instance)
     steps.append(AllocationStep(1, "final", _signature(final), ev.welfare(final)))
     return _finalize("suboptimal", instance, final, ev, steps, t0, shapley=table)

@@ -11,6 +11,7 @@ silently fall back to defaults.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -89,6 +90,11 @@ class Scenario:
     def __post_init__(self):
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+                raise ParameterError(f"{f.name} must be finite, got {value!r}")
 
     def _theta_vec(self, raw: tuple) -> np.ndarray:
         if len(raw) == 1:

@@ -155,6 +155,23 @@ def test_negative_seed_is_rejected(tmp_path):
     assert main(["--config", str(cfg), "allocate", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("geometry", "lambda_rrh", "nan"),
+    ("radio", "snr", "nan"),
+    ("qos", "theta_cluster", "nan"),
+    ("games", "cost_coeff", "nan"),
+    ("geometry", "cluster_radius", "inf"),
+    ("power", "backhaul", "nan"),
+])
+def test_non_finite_config_value_is_rejected(tmp_path, section, key, value):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "allocate", "--algorithm", "orthogonal",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_main_seed_override(tmp_path):
     cfg = tmp_path / "s.ini"
     cfg.write_text("[run]\nmc_trials = 20000\n[content]\ncount = 2\ncache_size = 2\n")

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
-from crancache.content import ContentCatalog, ClusterCache
+from crancache.content import ContentCatalog, ClusterCache, hit_ratio
 from crancache.effcap import (LN2, Quantizer, RadioParams,
                               a_beta, avg_eff_cap_cluster, avg_eff_cap_content,
                               caching_gain, eff_cap_user, l_func_general,
@@ -17,6 +17,7 @@ from crancache.effcap import _l_grid
 from crancache.errors import DomainError, ParameterError
 from crancache.games import random_instance
 from crancache.qos import QosProfile
+from crancache.scenario import Scenario
 
 from conftest import radio
 
@@ -252,6 +253,15 @@ def test_eff_cap_guards():
         eff_cap_user(0.1, 50.0, 0.0, radio(), q)
 
 
+def test_eff_cap_underflow_at_zero_distance_is_a_domain_error():
+    # at d = 0 every survival value is 1, so all mass folds onto the top
+    # interval, whose weight (1 + midpoint)^(-a) underflows to 0 at the
+    # delivery exponent; the log-moment has no finite capacity
+    s = Scenario()
+    with pytest.raises(DomainError, match="underflows"):
+        eff_cap_user(0.1, 0.0, 5e-6, s.radio(), s.quantizer())
+
+
 # -- nearest-holder outage --------------------------------------------------
 
 
@@ -372,14 +382,14 @@ def test_cluster_capacity_cache_extremes(quick_quantizer):
     cat, qos, split = _cluster_pieces()
     p = radio(mu=1e6)
     fc, fl = per_content_eff_caps(cat, qos, split, 5e-6, p, quick_quantizer)
-    none = avg_eff_cap_cluster(cat, ClusterCache(), qos, split, 5e-6, p, quick_quantizer)
-    full = avg_eff_cap_cluster(cat, ClusterCache(stored=frozenset(range(3))),
-                               qos, split, 5e-6, p, quick_quantizer)
+    none = avg_eff_cap_cluster(hit_ratio(ClusterCache(), cat), fc, fl)
+    full = avg_eff_cap_cluster(hit_ratio(ClusterCache(stored=frozenset(range(3))), cat),
+                               fc, fl)
     assert abs(none - fl.sum()) < 1e-9
     assert abs(full - fc.sum()) < 1e-9
     # growing the cache along the popularity prefix never hurts
-    caps = [avg_eff_cap_cluster(cat, ClusterCache(stored=frozenset(range(k))),
-                                qos, split, 5e-6, p, quick_quantizer)
+    caps = [avg_eff_cap_cluster(hit_ratio(ClusterCache(stored=frozenset(range(k))), cat),
+                                fc, fl)
             for k in range(4)]
     assert all(b >= a - 1e-12 for a, b in zip(caps, caps[1:]))
 
@@ -387,8 +397,10 @@ def test_cluster_capacity_cache_extremes(quick_quantizer):
 def test_caching_gain_sign_and_zero(quick_quantizer):
     cat, qos, split = _cluster_pieces()
     p = radio(mu=1e6)
-    cache = ClusterCache(stored=frozenset({0, 1}))
-    assert caching_gain(cat, cache, qos, split, 5e-6, p, quick_quantizer) > 0.0
+    p_hit = hit_ratio(ClusterCache(stored=frozenset({0, 1})), cat)
+    fc, fl = per_content_eff_caps(cat, qos, split, 5e-6, p, quick_quantizer)
+    assert caching_gain(p_hit, fc, fl) > 0.0
     flat = QosProfile.uniform(0.3, 0.3, 3)
-    assert caching_gain(cat, cache, flat, split, 5e-6, p, quick_quantizer) == 0.0
-    assert caching_gain(cat, ClusterCache(), qos, split, 5e-6, p, quick_quantizer) == 0.0
+    assert caching_gain(p_hit, *per_content_eff_caps(cat, flat, split, 5e-6, p,
+                                                     quick_quantizer)) == 0.0
+    assert caching_gain(hit_ratio(ClusterCache(), cat), fc, fl) == 0.0

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crancache import games
-from crancache.errors import (ConvergenceError, ParameterError)
+from crancache.cli import block_energy_efficiency
+from crancache.energy import eta_rru
+from crancache.errors import ConvergenceError, DomainError, ParameterError
 from crancache.geometry import NetworkRealization
 from crancache.games import (AllocationResult, ClusterInstance, RrhPartition,
                              ShapleyTable, check_nash_stable, coalition_eff_cap,
@@ -330,6 +333,67 @@ def test_suboptimal_runs_deterministically(inst):
     assert a.welfare == b.welfare
     covered = sorted(c for blk in a.rru_partition for c in blk)
     assert covered == list(range(inst.content_count))
+
+
+def test_suboptimal_outcome_admits_no_content_switch():
+    # the content game stops at a partition where no content wants to move
+    # to another block, emptied blocks (going alone) included
+    for seed in range(3):
+        inst = random_instance(seed, 6, 12)
+        res = suboptimal_allocate(inst, seed=seed, permutations=500)
+        n = inst.content_count
+        blocks = list(res.rru_partition) + [frozenset()] * (n - res.rru_count)
+        part = RrhPartition(dict(enumerate(blocks)))
+
+        def payoff(content, coalition, _block):
+            return shapley_conflict_payoff(content, coalition, res.shapley, inst)
+
+        def value(coalition, _block):
+            return games._conflict_utility(coalition, res.shapley, inst)
+
+        for content in range(n):
+            for target in range(n):
+                assert not games._wants_switch(content, target, part, payoff, value)
+
+
+def test_suboptimal_guards(inst):
+    with pytest.raises(ParameterError):
+        suboptimal_allocate(inst, init=[frozenset({0, 1})], permutations=500)
+    with pytest.raises(ConvergenceError):
+        suboptimal_allocate(inst, permutations=500, max_sweeps=0)
+
+
+def test_literal_power_accounting_charges_cache_and_catalog():
+    inst = random_instance(5, 6, 12, cache_size=2)
+    literal = replace(inst, literal_power_accounting=True)
+    power = inst.power
+    assert inst.paid_objects(frozenset({0, 3, 4})) == (1, 2)
+    full = literal.cost_coeff * (literal.n_rrh * power.rrh_nominal
+                                 + 2 * power.cache_per_object + 5 * power.backhaul)
+    for block in (frozenset({0}), frozenset({3}), frozenset(range(5))):
+        assert literal.paid_objects(block) == (2, 5)
+        assert games._acquisition_cost(block, literal) == pytest.approx(full, rel=1e-12)
+    assert games._acquisition_cost(frozenset({0}), inst) < full
+
+    res = orthogonal_allocate(literal)
+    etas = block_energy_efficiency(literal, res)
+    for block, eta in zip(res.rru_partition, etas):
+        members = res.rrh_partitions[block].members(min(block))
+        cap = coalition_eff_cap(members, min(block), literal, res.rru_count)
+        expected = eta_rru([cap], [len(members & res.active)], literal.n_rrh,
+                           2, 5, power)
+        assert eta == expected
+    assert etas != block_energy_efficiency(inst, orthogonal_allocate(inst))
+
+
+def test_user_on_top_of_an_rrh_is_a_domain_error(inst):
+    # a zero-length link has no finite log-moment capacity
+    r = inst.realization
+    user_xy = r.user_xy.copy()
+    user_xy[0] = r.rrh_xy[0]
+    moved = replace(inst, realization=replace(r, user_xy=user_xy))
+    with pytest.raises(DomainError, match="underflows"):
+        nested_allocate(moved)
 
 
 def test_bipartition_enumeration():
