@@ -12,8 +12,8 @@ from .content import (ClusterCache, ContentCatalog, hit_ratio, select_random_k,
                       select_top_k, zipf_popularity)
 from .effcap import (Quantizer, RadioParams, a_beta, avg_eff_cap_cluster,
                      avg_eff_cap_content, caching_gain, eff_cap_user,
-                     l_func_general, l_func_limited, outage_prob,
-                     per_content_eff_caps, required_spectral_efficiency, u_func)
+                     l_func_limited, outage_prob, per_content_eff_caps,
+                     required_spectral_efficiency, u_func)
 from .energy import PowerModel, eta_cluster, eta_rru, power_delta
 from .errors import (ConvergenceError, CoverageError, CrancacheError,
                      DomainError, InfeasibleBackhaulError, ParameterError,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .effcap import RadioParams
 from .errors import ParameterError
-from .geometry import DEFAULT_SIM_RADIUS, STREAM_FADING, NetworkRealization, substream
+from .geometry import DEFAULT_SIM_RADIUS, STREAM_FADING, substream
 
 # Sentinel SINR when the denominator vanishes (no interferers, no noise).
 SINR_CAP = 1e12
@@ -74,35 +74,6 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
         warnings.warn("trial with empty interference field and zero noise; "
                       f"SINR capped at {SINR_CAP:g}", stacklevel=2)
     return np.minimum(sinr, SINR_CAP)
-
-
-def simulate_sinr(realization: NetworkRealization, user_index: int,
-                  serving_index: int, params: RadioParams,
-                  fading_seed: int = 0) -> float:
-    """One SINR draw on a fixed realization with fresh fading.
-
-    All RRHs except the serving one interfere; fading comes from the
-    realization's master seed via the fading sub-stream, indexed by
-    ``fading_seed`` so repeated draws are independent yet replayable.
-    """
-    if not 0 <= user_index < realization.n_user:
-        raise ParameterError("user index out of range")
-    if not 0 <= serving_index < realization.n_rrh:
-        raise ParameterError("serving RRH index out of range")
-    beta = params.pathloss_exponent
-    rng = substream(realization.seed, STREAM_FADING, fading_seed)
-    h = rng.standard_exponential(realization.n_rrh)
-    ux, uy = realization.user_xy[user_index]
-    d = np.hypot(realization.rrh_xy[:, 0] - ux, realization.rrh_xy[:, 1] - uy)
-    power = params.snr * d ** (-beta) * h
-    signal = power[serving_index]
-    interference = power.sum() - signal
-    denom = interference + params.noise
-    if denom <= 0.0:
-        warnings.warn(f"no interference and zero noise; SINR capped at {SINR_CAP:g}",
-                      stacklevel=2)
-        return SINR_CAP
-    return float(min(signal / denom, SINR_CAP))
 
 
 def mc_eff_cap(theta: float, d_m: float, lambda_rrh: float, params: RadioParams,

@@ -19,6 +19,8 @@ from crancache.content import ContentCatalog
 from crancache.errors import ParameterError
 from crancache.scenario import Scenario
 
+from oracles import l_func_general
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -130,7 +132,7 @@ def test_criterion_06_closed_form_cross_checks():
             params = effcap.RadioParams(snr=1.0, pathloss_exponent=4.0, noise=0.0,
                                         bandwidth_hz=1000.0, slot_s=1e-3,
                                         spectral_efficiency=1.0)
-            gen = effcap.l_func_general(float(gamma), lam_l, 5e-6, params)
+            gen = l_func_general(float(gamma), lam_l, 5e-6, params)
             lim = effcap.l_func_limited(float(gamma), q, 4.0)
             worst = max(worst, abs(gen - lim))
     print(f"criterion 6: max |general - limited| over 20-point grid = {worst:.3g}")
@@ -194,6 +196,7 @@ def test_criterion_09_shapley_sampled_vs_exact():
     assert z_max < 3.0
 
 
+@pytest.mark.slow
 def test_criterion_10_algorithm_ranking(scenario):
     welfare = {alg: [] for alg in ALGORITHMS}
     runtime = {alg: [] for alg in ALGORITHMS}
@@ -223,6 +226,7 @@ def test_criterion_10_algorithm_ranking(scenario):
     assert times["suboptimal"] < times["nested"]
 
 
+@pytest.mark.slow
 def test_criterion_11_byte_identical_reruns(tmp_path):
     argsets = (
         ["analyze"],

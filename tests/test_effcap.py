@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,20 +10,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
+import crancache
 from crancache.content import ContentCatalog, ClusterCache, hit_ratio
 from crancache.effcap import (LN2, Quantizer, RadioParams,
                               a_beta, avg_eff_cap_cluster, avg_eff_cap_content,
-                              caching_gain, eff_cap_user, l_func_general,
-                              l_func_limited, outage_prob,
+                              caching_gain, eff_cap_user, l_func_limited,
+                              outage_prob,
                               per_content_eff_caps,
                               required_spectral_efficiency, u_func)
-from crancache.effcap import _l_grid
+from crancache.effcap import (_LINK_BLOCK, _folded_moment, _l_grid, _log_moments,
+                              _moment_weights, _sinr_coeffs)
 from crancache.errors import DomainError, ParameterError
 from crancache.games import random_instance
 from crancache.qos import QosProfile
 from crancache.scenario import Scenario
 
 from conftest import radio
+from oracles import l_func_general
 
 
 # -- geometry constant ------------------------------------------------------
@@ -260,6 +267,64 @@ def test_eff_cap_underflow_at_zero_distance_is_a_domain_error():
     s = Scenario()
     with pytest.raises(DomainError, match="underflows"):
         eff_cap_user(0.1, 0.0, 5e-6, s.radio(), s.quantizer())
+
+
+def _one_block_log_moments(d, c1, c2, beta, weights):
+    # the kernel before link blocking: every link in one survival block
+    d = np.asarray(d, dtype=float)[..., None]
+    d_sq, d_beta = d ** 2, d ** beta
+    return _folded_moment(lambda sl: np.exp(-d_sq * c1[sl] - d_beta * c2[sl]), weights)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_blocked_log_moments_match_one_block_oracle(noise):
+    # link blocking must not move a bit: block edges, short tail blocks and
+    # a lone last link (folded into the block before it) all sum the same
+    b = _LINK_BLOCK
+    q = Quantizer.geometric(20000, 1e6)
+    c1, c2 = _sinr_coeffs(q.boundaries, 5e-6, radio(noise=noise))
+    weights = _moment_weights(q, 3.0)
+    rng = np.random.default_rng(7)
+    for links in (1, 2, b - 1, b, b + 1, 2 * b + 1, 3 * b + 1):
+        d = rng.uniform(1.0, 800.0, size=(2, links))
+        for dd in (d[0], d, d[0, 0]):
+            got = _log_moments(dd, c1, c2, 4.0, weights)
+            assert got.shape == np.shape(dd)
+            assert np.array_equal(got, _one_block_log_moments(dd, c1, c2, 4.0, weights))
+
+
+def test_zero_length_link_in_last_block_is_a_domain_error():
+    q = Quantizer.geometric(4096, 1e6)
+    c1, c2 = _sinr_coeffs(q.boundaries, 5e-6, radio())
+    d = np.linspace(10.0, 500.0, 2 * _LINK_BLOCK + 3)
+    d[-1] = 0.0
+    with pytest.raises(DomainError, match="underflows"):
+        _log_moments(d, c1, c2, 4.0, _moment_weights(q, 200.0))
+
+
+_K_TABLE_DIGEST = """
+import hashlib
+from crancache.effcap import Quantizer
+from crancache.games import random_instance
+inst = random_instance(3, 11, 23, noise=0.2, quantizer=Quantizer.geometric(1 << 14, 1e6))
+table = inst._k_table(inst._log_moment_exponent(0, 2))
+print(hashlib.sha256(table.tobytes()).hexdigest())
+"""
+
+
+def test_k_table_bytes_do_not_depend_on_blas_threads():
+    # outputs are a function of (config, seed) alone; a gemv split across
+    # BLAS threads sums its rows in another order, so each child sets the
+    # thread count before numpy loads
+    src = str(Path(crancache.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _K_TABLE_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(run.stdout)
+    assert len(digests) == 1
 
 
 # -- nearest-holder outage --------------------------------------------------
