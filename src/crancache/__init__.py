@@ -24,13 +24,12 @@ from .games import (AllocationResult, ClusterInstance, RrhPartition,
                     hedonic_rrh_association, nested_allocate,
                     orthogonal_allocate, prune_sleep_rrhs, random_instance,
                     rrh_payoff, shapley_values, suboptimal_allocate)
-from .geometry import (DensityConfig, NetworkRealization, load_realization,
-                       nearest_serving_rrh, sample_network, sample_ppp,
-                       save_realization, substream, thin_by_content)
+from .geometry import (DensityConfig, NetworkRealization, sample_network,
+                       sample_ppp, substream, thin_by_content)
 from .qos import (QosProfile, delay_violation_prob, min_backhaul_rate,
                   theta_cloud_from_cluster)
 from .scenario import Scenario, load_scenario
-from .simkit import McEstimate, enumerate_partitions, mc_eff_cap, sample_sinr_batch
+from .simkit import McEstimate, mc_eff_cap, sample_sinr_batch
 
 __version__ = "0.1.0"
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import effcap, energy, games, simkit
 from .content import ContentCatalog
-from .errors import CrancacheError, ParameterError
+from .errors import CoverageError, CrancacheError, ParameterError
 from .geometry import sample_network, substream
 from .scenario import Scenario, load_scenario
 
@@ -64,11 +64,7 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
     for theta in thetas:
         row = [float(theta)]
         for beta in betas:
-            p = effcap.RadioParams(snr=user_params.snr, pathloss_exponent=beta,
-                                   noise=user_params.noise,
-                                   bandwidth_hz=user_params.bandwidth_hz,
-                                   slot_s=user_params.slot_s,
-                                   spectral_efficiency=user_params.spectral_efficiency)
+            p = replace(user_params, pathloss_exponent=beta)
             row.append(effcap.eff_cap_user(float(theta), scenario.user_distance,
                                            scenario.lambda_rrh, p, user_quant))
         rows.append(tuple(row))
@@ -186,8 +182,8 @@ def build_instance(scenario: Scenario) -> games.ClusterInstance:
     realization = sample_network(scenario.density(), scenario.cluster_radius,
                                  scenario.seed)
     if realization.n_rrh == 0 or realization.n_user == 0:
-        raise ParameterError("empty realization (no RRHs or no users); "
-                             "change the seed or raise the intensities")
+        raise CoverageError("empty realization (no RRHs or no users); "
+                            "change the seed or raise the intensities")
     return games.ClusterInstance(
         realization=realization, catalog=scenario.catalog(),
         cache=scenario.cache(), qos=scenario.qos(), params=scenario.radio(),
@@ -277,11 +273,13 @@ def run_sweep(scenario: Scenario, out_dir: str, instances: int,
     """Paired-seed comparison of allocation algorithms.
 
     Every algorithm sees the same realizations (common random numbers), so
-    per-seed welfare differences are directly meaningful.
+    per-seed welfare differences are directly meaningful.  Empty drops are
+    skipped for every algorithm alike; any other error ends the sweep.
     """
-    os.makedirs(out_dir, exist_ok=True)
     if instances < 1:
         raise ParameterError("need at least one instance")
+    if not algorithms:
+        raise ParameterError("no algorithm selected")
     for alg in algorithms:
         if alg not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {alg!r}")
@@ -293,25 +291,27 @@ def run_sweep(scenario: Scenario, out_dir: str, instances: int,
         sc = replace(scenario, seed=seed)
         try:
             instance = build_instance(sc)
-        except ParameterError:
-            continue  # empty drop; seed skipped for every algorithm alike
+        except CoverageError:
+            continue
         for alg in algorithms:
             result = run_algorithm(instance, alg, sc)
             welfare[alg].append(result.welfare)
             runtime[alg].append(result.runtime_s)
             rows.append((seed, alg, result.welfare, result.rru_count,
                          len(result.active), len(result.asleep)))
+    if not rows:
+        raise CoverageError(f"all {instances} drops were empty (no RRHs or no users); "
+                            "raise the intensities")
+    os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "sweep.csv"), scenario.header_lines(),
               ["seed", "algorithm", "welfare", "rru_count", "active", "asleep"],
               rows)
-    means = {alg: (float(np.mean(w)) if w else math.nan)
-             for alg, w in welfare.items()}
+    means = {alg: float(np.mean(w)) for alg, w in welfare.items()}
     for alg in algorithms:
         print(f"sweep: {alg:11s} mean_welfare={means[alg]:.6g} "
               f"mean_runtime={np.mean(runtime[alg]):.4g}s n={len(welfare[alg])}")
     return {"mean_welfare": means,
-            "mean_runtime": {alg: float(np.mean(r)) if r else math.nan
-                             for alg, r in runtime.items()}}
+            "mean_runtime": {alg: float(np.mean(r)) for alg, r in runtime.items()}}
 
 
 # -- entry point ------------------------------------------------------------

@@ -21,7 +21,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -119,9 +119,6 @@ class RadioParams:
     @property
     def tbar(self) -> float:
         return self.slot_s / LN2
-
-    def with_spectral_efficiency(self, mu: float) -> "RadioParams":
-        return replace(self, spectral_efficiency=mu)
 
 
 @dataclass(frozen=True)

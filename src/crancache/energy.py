@@ -14,27 +14,20 @@ from .errors import ParameterError
 class PowerModel:
     """Per-component power draw, watts.
 
-    ``rrh_nominal`` is the figure used by cluster-wide averages and by the
-    coalition cost terms; it defaults to the active draw.  A caching cost
-    at or above the backhaul cost makes caching pointless, so that
-    configuration warns.
+    A caching cost at or above the backhaul cost makes caching pointless,
+    so that configuration warns.
     """
 
     rrh_active: float = 104.0
     rrh_sleep: float = 56.0
     cache_per_object: float = 0.15
     backhaul: float = 10.0
-    rrh_nominal: float | None = None
 
     def __post_init__(self):
         if min(self.rrh_active, self.rrh_sleep, self.cache_per_object, self.backhaul) < 0:
             raise ParameterError("power figures must be non-negative")
         if self.rrh_sleep > self.rrh_active:
             raise ParameterError("sleep draw cannot exceed active draw")
-        if self.rrh_nominal is None:
-            object.__setattr__(self, "rrh_nominal", self.rrh_active)
-        elif self.rrh_nominal < 0:
-            raise ParameterError("nominal RRH power must be non-negative")
         if self.cache_per_object >= self.backhaul > 0:
             warnings.warn("caching an object costs at least as much as fetching it; "
                           "the cache cannot pay for itself", stacklevel=2)
@@ -45,7 +38,7 @@ def eta_cluster(mean_eff_cap: float, lambda_rrh: float, cluster_radius: float,
     """Cluster energy efficiency, bit/s/Hz per watt.
 
     Denominator: expected RRH draw over the cluster disk
-    (lambda_R * pi * r^2 * P_nominal) + caching power for the stored
+    (lambda_R * pi * r^2 * P_active) + caching power for the stored
     objects + backhaul power weighted by the miss probability.
     """
     if mean_eff_cap < 0:
@@ -54,7 +47,7 @@ def eta_cluster(mean_eff_cap: float, lambda_rrh: float, cluster_radius: float,
         raise ParameterError("RRH intensity and cluster radius must be positive")
     if cache_size < 0 or not 0 <= hit_ratio <= 1:
         raise ParameterError("cache size must be >= 0 and hit ratio in [0, 1]")
-    denom = (lambda_rrh * np.pi * cluster_radius ** 2 * power.rrh_nominal
+    denom = (lambda_rrh * np.pi * cluster_radius ** 2 * power.rrh_active
              + cache_size * power.cache_per_object
              + (1.0 - hit_ratio) * power.backhaul)
     return mean_eff_cap / denom

@@ -37,8 +37,7 @@ from .effcap import (LN2, Quantizer, RadioParams, _log_moments, _moment_weights,
                      _sinr_coeffs, required_spectral_efficiency)
 from .energy import PowerModel, eta_rru
 from .errors import ConvergenceError, ParameterError, StabilityViolationError
-from .geometry import (STREAM_GAME, DensityConfig, NetworkRealization,
-                       sample_network, substream)
+from .geometry import STREAM_GAME, NetworkRealization, substream
 from .qos import QosProfile
 
 MAX_SWEEPS = 10_000
@@ -195,7 +194,7 @@ def coalition_value(coalition: Iterable[int], content: int,
     if not cols:
         return 0.0
     cap = coalition_eff_cap(cols, content, instance, rru_count)
-    cost = instance.cost_coeff * (len(cols) * instance.power.rrh_nominal
+    cost = instance.cost_coeff * (len(cols) * instance.power.rrh_active
                                   + instance.share_power(content))
     return cap - cost
 
@@ -214,7 +213,7 @@ def rrh_payoff(rrh: int, coalition: Iterable[int], content: int,
     joined = tuple(sorted(cols + (rrh,)))
     gain = (coalition_eff_cap(joined, content, instance, rru_count)
             - coalition_eff_cap(cols, content, instance, rru_count))
-    cost = instance.cost_coeff * (instance.power.rrh_nominal
+    cost = instance.cost_coeff * (instance.power.rrh_active
                                   + instance.share_power(content) / len(joined))
     return gain - cost
 
@@ -310,16 +309,14 @@ def prefers(rrh: int, target_content: int, partition: RrhPartition,
 
 
 def greedy_init_partition(contents: Sequence[int], instance: ClusterInstance,
-                          rru_count: int | None = None,
-                          order: Sequence[int] | None = None) -> RrhPartition:
-    """Seed partition: RRHs in scan order each join their best coalition so far.
+                          rru_count: int | None = None) -> RrhPartition:
+    """Seed partition: RRHs in index order each join their best coalition so far.
 
     Ties go to the lowest content index.
     """
     contents = sorted(contents)
-    order = range(instance.n_rrh) if order is None else order
     coalitions: dict[int, frozenset] = {c: frozenset() for c in contents}
-    for rrh in order:
+    for rrh in range(instance.n_rrh):
         best, best_pay = None, -math.inf
         for c in contents:
             pay = rrh_payoff(rrh, coalitions[c], c, instance, rru_count)
@@ -331,28 +328,22 @@ def greedy_init_partition(contents: Sequence[int], instance: ClusterInstance,
 
 def hedonic_rrh_association(contents: Sequence[int], instance: ClusterInstance,
                             rru_count: int | None = None,
-                            init: RrhPartition | None = None,
-                            order: Sequence[int] | None = None,
                             max_sweeps: int = MAX_SWEEPS) -> RrhPartition:
     """Negotiate RRH coalitions for the contents sharing one RRU.
 
-    Sweeps RRHs in a fixed order; each moves to the first coalition (by
-    content index) it strictly prefers.  Stops at the first sweep with no
-    move, i.e. at a Nash-stable partition.  Every accepted move raises the
-    summed coalition value, so with the sweep cap as a safety net the loop
-    always terminates.
+    Starts from :func:`greedy_init_partition` and sweeps RRHs in index
+    order; each moves to the first coalition (by content index) it
+    strictly prefers.  Stops at the first sweep with no move, i.e. at a
+    Nash-stable partition.  Every accepted move raises the summed
+    coalition value, so with the sweep cap as a safety net the loop always
+    terminates.
     """
     contents = sorted(contents)
     if not contents:
         raise ParameterError("an RRU must carry at least one content")
-    partition = init if init is not None else greedy_init_partition(
-        contents, instance, rru_count, order)
-    if sorted(partition.coalitions) != contents:
-        raise ParameterError("init partition does not cover exactly the given contents")
-    scan = list(range(instance.n_rrh)) if order is None else list(order)
     # prefers is looked up at call time, so a wrapper bound on the module sees each call
     return _switch_until_stable(
-        partition, scan,
+        greedy_init_partition(contents, instance, rru_count), range(instance.n_rrh),
         lambda rrh, target, part: prefers(rrh, target, part, instance, rru_count),
         max_sweeps)
 
@@ -499,16 +490,11 @@ def _bipartitions(block: frozenset, exhaustive_cap: int = 12):
             yield block - {item}, frozenset({item})
 
 
-def _neighbours(state: tuple, exhaustive: bool):
-    """(op, candidate) pairs: every merge (pairs, or all groups of >= 2
-    blocks smallest first when exhaustive), then every split."""
-    n = len(state)
-    sizes = range(2, n + 1) if exhaustive else (2,)
-    for size in sizes:
-        for combo in itertools.combinations(range(n), size):
-            merged = frozenset().union(*(state[i] for i in combo))
-            yield "merge", _canonical(
-                [b for i, b in enumerate(state) if i not in combo] + [merged])
+def _neighbours(state: tuple):
+    """(op, candidate) pairs: every pairwise merge, then every split."""
+    for i, j in itertools.combinations(range(len(state)), 2):
+        yield "merge", _canonical(
+            [b for k, b in enumerate(state) if k not in (i, j)] + [state[i] | state[j]])
     for idx, block in enumerate(state):
         for left, right in _bipartitions(block):
             yield "split", _canonical(
@@ -516,8 +502,7 @@ def _neighbours(state: tuple, exhaustive: bool):
 
 
 def nested_allocate(instance: ClusterInstance,
-                    init: Iterable[frozenset] | None = None,
-                    exhaustive_merges: bool = False) -> AllocationResult:
+                    init: Iterable[frozenset] | None = None) -> AllocationResult:
     """Merge-and-split search over RRU partitions with nested RRH games.
 
     Starts from one block per content unless told otherwise.  A candidate
@@ -530,16 +515,13 @@ def nested_allocate(instance: ClusterInstance,
     """
     t0 = time.perf_counter()
     state = _catalog_partition(instance, init)
-    if exhaustive_merges and instance.content_count > 6:
-        raise ParameterError("exhaustive merge scan supported only up to 6 contents")
-
     ev = _PartitionEvaluator(instance)
     welfare = ev.welfare(state)
     seen = {_signature(state)}
     steps = [AllocationStep(0, "init", _signature(state), welfare)]
 
     while True:
-        for op, cand in _neighbours(state, exhaustive_merges):
+        for op, cand in _neighbours(state):
             cand_w = ev.welfare(cand)
             if cand_w > welfare:
                 sig = _signature(cand)
@@ -721,7 +703,7 @@ def _acquisition_cost(contents: frozenset, instance: ClusterInstance) -> float:
         return 0.0
     power = instance.power
     cached, fetched = instance.paid_objects(contents)
-    return instance.cost_coeff * (instance.n_rrh * power.rrh_nominal
+    return instance.cost_coeff * (instance.n_rrh * power.rrh_active
                                   + (cached * power.cache_per_object
                                      + fetched * power.backhaul))
 

@@ -15,12 +15,11 @@ same draws, independent of call order.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, ParameterError
+from .errors import ParameterError
 
 # Sub-stream names for the documented seed-derivation scheme.
 STREAM_RRH_POS = 0
@@ -34,8 +33,6 @@ STREAM_GAME = 5
 # at 2000 m it is several orders of magnitude below the serving signal for
 # every supported pathloss exponent.
 DEFAULT_SIM_RADIUS = 2000.0
-
-_FMT = "{:.9g}"  # canonical float formatting for realization files
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -140,85 +137,14 @@ def thin_by_content(points: np.ndarray, probabilities: np.ndarray,
     return rng.choice(p.size, size=len(points), p=p)
 
 
-def nearest_serving_rrh(user_xy, realization: NetworkRealization,
-                        content: int) -> tuple[int, float]:
-    """Index and distance of the nearest RRH holding ``content``.
-
-    Ties break toward the lowest RRH index.  Raises CoverageError when no
-    RRH in the realization holds the content; the caller decides whether
-    that is a coverage miss to count or a hard failure.
-    """
-    candidates = np.flatnonzero(realization.rrh_content == content)
-    if candidates.size == 0:
-        raise CoverageError(f"no RRH holds content {content}")
-    ux, uy = float(user_xy[0]), float(user_xy[1])
-    d = np.hypot(realization.rrh_xy[candidates, 0] - ux,
-                 realization.rrh_xy[candidates, 1] - uy)
-    k = int(np.argmin(d))  # first minimum = lowest index among candidates
-    return int(candidates[k]), float(d[k])
-
-
-def sample_network(density: DensityConfig, radius: float, seed: int,
-                   user_popularity: np.ndarray | None = None) -> NetworkRealization:
+def sample_network(density: DensityConfig, radius: float, seed: int) -> NetworkRealization:
     """Sample a full drop from the master seed using the documented streams.
 
-    RRH marks follow ``density.lambda_split``; user request marks follow
-    ``user_popularity`` when given, else the same split fractions.
+    RRH marks and user request marks both follow ``density.lambda_split``.
     """
     split_frac = density.lambda_split / density.lambda_rrh
     rrh_xy = sample_ppp(density.lambda_rrh, radius, substream(seed, STREAM_RRH_POS))
     rrh_content = thin_by_content(rrh_xy, split_frac, substream(seed, STREAM_RRH_MARK))
     user_xy = sample_ppp(density.lambda_user, radius, substream(seed, STREAM_USER_POS))
-    pop = split_frac if user_popularity is None else np.asarray(user_popularity, dtype=float)
-    user_content = thin_by_content(user_xy, pop, substream(seed, STREAM_USER_MARK))
-    return NetworkRealization(radius, rrh_xy, rrh_content, user_xy, user_content, seed)
-
-
-def save_realization(realization: NetworkRealization, path: str) -> None:
-    """Write a realization as line-oriented text (9 significant digits)."""
-    buf = io.StringIO()
-    buf.write("# network realization v1\n")
-    buf.write(f"radius {_FMT.format(realization.cluster_radius)}\n")
-    buf.write(f"seed {realization.seed}\n")
-    buf.write(f"rrh {realization.n_rrh}\n")
-    for (x, y), c in zip(realization.rrh_xy, realization.rrh_content):
-        buf.write(f"{_FMT.format(x)} {_FMT.format(y)} {int(c)}\n")
-    buf.write(f"user {realization.n_user}\n")
-    for (x, y), c in zip(realization.user_xy, realization.user_content):
-        buf.write(f"{_FMT.format(x)} {_FMT.format(y)} {int(c)}\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
-
-
-def load_realization(path: str) -> NetworkRealization:
-    """Parse a file written by :func:`save_realization`."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    it = iter(lines)
-
-    def expect(tag: str) -> str:
-        ln = next(it, None)
-        if ln is None or not ln.startswith(tag + " "):
-            raise ParameterError(f"malformed realization file: expected {tag!r}, got {ln!r}")
-        return ln.split(None, 1)[1]
-
-    def read_block(tag: str):
-        n = int(expect(tag))
-        xy = np.empty((n, 2))
-        marks = np.empty(n, dtype=int)
-        for i in range(n):
-            fx, fy, fc = next(it, "").split()
-            xy[i] = (float(fx), float(fy))
-            marks[i] = int(fc)
-        return xy, marks
-
-    try:
-        radius = float(expect("radius"))
-        seed = int(expect("seed"))
-        rrh_xy, rrh_content = read_block("rrh")
-        user_xy, user_content = read_block("user")
-    except ParameterError:
-        raise
-    except ValueError as exc:  # short point lines and non-numeric fields
-        raise ParameterError(f"malformed realization file: {exc}") from None
+    user_content = thin_by_content(user_xy, split_frac, substream(seed, STREAM_USER_MARK))
     return NetworkRealization(radius, rrh_xy, rrh_content, user_xy, user_content, seed)

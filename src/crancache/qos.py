@@ -70,7 +70,7 @@ def min_backhaul_rate(theta_cluster: float, theta_cloud: float, object_bits: flo
 
 @dataclass(frozen=True)
 class QosProfile:
-    """Per-content delay exponents plus the backhaul budget they assume.
+    """Per-content delay exponents.
 
     ``theta_cluster[l]`` / ``theta_cloud[l]`` are the exponents for content
     l delivered from the cache / the cloud.  Cloud exponents can never be
@@ -79,9 +79,6 @@ class QosProfile:
 
     theta_cluster: np.ndarray
     theta_cloud: np.ndarray
-    delay_budget: float
-    backhaul_rate: float
-    hops: int = DEFAULT_HOPS
 
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.theta_cluster, dtype=float))
@@ -92,17 +89,13 @@ class QosProfile:
             raise ParameterError("delay exponents must be strictly positive")
         if np.any(c < t - 1e-15):
             raise ParameterError("cloud exponent below cluster exponent")
-        if self.delay_budget <= 0 or self.backhaul_rate <= 0 or self.hops < 0:
-            raise ParameterError("budget, backhaul rate and hop count must be positive")
         object.__setattr__(self, "theta_cluster", t)
         object.__setattr__(self, "theta_cloud", c)
 
     @classmethod
-    def uniform(cls, theta_cluster: float, theta_cloud: float, count: int,
-                delay_budget: float = 1.0, backhaul_rate: float = 2.4e6,
-                hops: int = DEFAULT_HOPS) -> "QosProfile":
-        return cls(np.full(count, theta_cluster), np.full(count, theta_cloud),
-                   delay_budget, backhaul_rate, hops)
+    def uniform(cls, theta_cluster: float, theta_cloud: float,
+                count: int) -> "QosProfile":
+        return cls(np.full(count, theta_cluster), np.full(count, theta_cloud))
 
     @property
     def count(self) -> int:

@@ -22,6 +22,7 @@ from .energy import PowerModel
 from .errors import ParameterError
 from .geometry import DensityConfig, substream
 from .qos import QosProfile
+from .simkit import MIN_TRIALS
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -56,9 +57,6 @@ class Scenario:
     # qos
     theta_cluster: tuple = (0.1,)
     theta_cloud: tuple = (0.6,)
-    delay_budget: float = 1.0
-    backhaul_rate: float = 2.4e6
-    hops: int = 2
     # radio
     snr: float = 1.0
     noise: float = 0.0                 # 0 -> interference-limited
@@ -95,6 +93,19 @@ class Scenario:
             entries = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
                 raise ParameterError(f"{f.name} must be finite, got {value!r}")
+        if self.mc_trials < MIN_TRIALS:
+            raise ParameterError(f"mc_trials must be at least {MIN_TRIALS}, "
+                                 f"got {self.mc_trials}")
+        for name in ("cluster_radius", "sim_radius", "user_distance"):
+            if getattr(self, name) <= 0:
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("gamma_max", "user_gamma_max"):
+            if self.gamma_min >= getattr(self, name):
+                raise ParameterError(f"gamma_min {self.gamma_min!r} must lie below "
+                                     f"{name} {getattr(self, name)!r}")
+        if self.popularity and len(self.popularity) != self.content_count:
+            raise ParameterError(f"popularity has {len(self.popularity)} entries "
+                                 f"for {self.content_count} contents")
 
     def _theta_vec(self, raw: tuple) -> np.ndarray:
         if len(raw) == 1:
@@ -126,8 +137,7 @@ class Scenario:
 
     def qos(self) -> QosProfile:
         return QosProfile(self._theta_vec(self.theta_cluster),
-                          self._theta_vec(self.theta_cloud),
-                          self.delay_budget, self.backhaul_rate, self.hops)
+                          self._theta_vec(self.theta_cloud))
 
     def mu(self) -> float:
         return required_spectral_efficiency(self.content_count, self.object_size_bits,
@@ -208,8 +218,7 @@ _SCHEMA = {
                  "cluster_radius": float, "sim_radius": float},
     "content": {"count": int, "object_size_bits": float, "zipf_exponent": float,
                 "popularity": _floats, "cache_size": int, "cache_policy": str},
-    "qos": {"theta_cluster": _floats, "theta_cloud": _floats,
-            "delay_budget": float, "backhaul_rate": float, "hops": int},
+    "qos": {"theta_cluster": _floats, "theta_cloud": _floats},
     "radio": {"snr": float, "noise": float, "pathloss_exponent": float,
               "bandwidth_hz": float, "slot_s": float, "rru_count": int},
     "quantizer": {"mode": str, "intervals": int, "gamma_max": float,

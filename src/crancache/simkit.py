@@ -1,8 +1,7 @@
-"""Monte Carlo reference paths and small exhaustive-search utilities.
+"""Monte Carlo reference paths.
 
 Everything here exists to check the closed forms, not to be fast at scale:
-fresh interference fields per trial, exact SINR (no quantization), and
-brute-force partition enumeration for oracle comparisons.
+fresh interference fields per trial and exact SINR (no quantization).
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -102,32 +100,3 @@ def mc_eff_cap(theta: float, d_m: float, lambda_rrh: float, params: RadioParams,
     std_error = z_se / (z_mean * denom)
     return McEstimate(value=value, std_error=std_error, trials=trials,
                       capped_trials=int(np.count_nonzero(sinr >= SINR_CAP)))
-
-
-def enumerate_partitions(items, max_items: int = 12) -> Iterator[list[frozenset]]:
-    """All set partitions of ``items``, in a deterministic order.
-
-    Counts follow the Bell numbers, so the size is capped; use the games
-    module's local-search routines beyond that.
-    """
-    elems = list(items)
-    if len(elems) > max_items:
-        raise ParameterError(f"partition enumeration capped at {max_items} items")
-    if not elems:
-        yield []
-        return
-
-    def rec(rest: list, blocks: list[list]):
-        if not rest:
-            yield [frozenset(b) for b in blocks]
-            return
-        head, tail = rest[0], rest[1:]
-        for i in range(len(blocks)):
-            blocks[i].append(head)
-            yield from rec(tail, blocks)
-            blocks[i].pop()
-        blocks.append([head])
-        yield from rec(tail, blocks)
-        blocks.pop()
-
-    yield from rec(elems, [])

@@ -3,11 +3,13 @@
 Nothing in ``crancache`` calls these: each recomputes a quantity the
 library gets another way (adaptive quadrature where the library uses
 Gauss-Laguerre nodes, an explicit per-RRH SINR draw where it samples
-whole interference fields), so agreement is evidence for both.
+whole interference fields, every set partition where it runs a local
+search), so agreement is evidence for both.
 """
 
 import math
 import warnings
+from typing import Iterator
 
 import numpy as np
 from scipy import integrate
@@ -74,3 +76,32 @@ def simulate_sinr(realization: NetworkRealization, user_index: int,
                       stacklevel=2)
         return SINR_CAP
     return float(min(signal / denom, SINR_CAP))
+
+
+def enumerate_partitions(items, max_items: int = 12) -> Iterator[list[frozenset]]:
+    """All set partitions of ``items``, in a deterministic order.
+
+    The brute-force reference for the merge-and-split search.  Counts
+    follow the Bell numbers, so the size is capped.
+    """
+    elems = list(items)
+    if len(elems) > max_items:
+        raise ParameterError(f"partition enumeration capped at {max_items} items")
+    if not elems:
+        yield []
+        return
+
+    def rec(rest: list, blocks: list[list]):
+        if not rest:
+            yield [frozenset(b) for b in blocks]
+            return
+        head, tail = rest[0], rest[1:]
+        for i in range(len(blocks)):
+            blocks[i].append(head)
+            yield from rec(tail, blocks)
+            blocks[i].pop()
+        blocks.append([head])
+        yield from rec(tail, blocks)
+        blocks.pop()
+
+    yield from rec(elems, [])

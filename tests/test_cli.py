@@ -8,7 +8,7 @@ from crancache import effcap
 from crancache.cli import (ALGORITHMS, _parse, build_instance, main,
                            run_allocate, run_analyze, run_sweep, run_validate,
                            write_csv)
-from crancache.errors import ParameterError
+from crancache.errors import CoverageError, ParameterError
 from crancache.scenario import Scenario
 
 
@@ -81,7 +81,7 @@ def test_run_validate_and_negative_control(tmp_path, monkeypatch):
 
 def test_build_instance_rejects_empty_field():
     s = replace(Scenario(), lambda_rrh=1e-12, lambda_user=1e-12)
-    with pytest.raises(ParameterError):
+    with pytest.raises(CoverageError):
         build_instance(s)
 
 
@@ -127,6 +127,32 @@ def test_run_sweep_shares_seeds_across_algorithms(tmp_path):
         run_sweep(s, str(tmp_path), 1, algorithms=("bogus",))
 
 
+@pytest.mark.parametrize("config, flags", [
+    ("[geometry]\nlambda_user = 0\n", []),
+    ("[geometry]\nlambda_rrh = 1e-9\n", []),
+    ("", ["--algorithms", ","]),
+], ids=["no-users", "every-drop-empty", "no-algorithm"])
+def test_sweep_that_compares_nothing_exits_2(tmp_path, config, flags):
+    cfg = tmp_path / "s.ini"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "sweep", "--instances", "2", *flags,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_sweep_skips_only_empty_drops(tmp_path):
+    # at this intensity seeds 1 and 3 draw no RRH, seeds 2 and 4 draw one
+    sparse = replace(Scenario(), lambda_rrh=1e-7)
+    run_sweep(sparse, str(tmp_path), 4, algorithms=("orthogonal",))
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [r[0] for r in rows] == ["2", "4"]
+    # any other error ends the sweep
+    with pytest.raises(ParameterError, match="cache policy"):
+        run_sweep(replace(Scenario(), cache_policy="lru"), str(tmp_path), 2,
+                  algorithms=("orthogonal",))
+
+
 def test_parser_accepts_shared_options_on_both_sides():
     assert _parse(["--out", "x", "analyze"]).out == "x"
     assert _parse(["analyze", "--out", "y"]).out == "y"
@@ -162,6 +188,13 @@ def test_negative_seed_is_rejected(tmp_path):
     ("games", "cost_coeff", "nan"),
     ("geometry", "cluster_radius", "inf"),
     ("power", "backhaul", "nan"),
+    ("run", "mc_trials", "50"),
+    ("geometry", "cluster_radius", "0"),
+    ("geometry", "sim_radius", "-1"),
+    ("run", "user_distance", "-5"),
+    ("quantizer", "gamma_min", "1e5"),
+    ("run", "user_gamma_max", "1e-20"),
+    ("content", "popularity", "0.6,0.4"),
 ])
 def test_non_finite_config_value_is_rejected(tmp_path, section, key, value):
     cfg = tmp_path / "bad.ini"

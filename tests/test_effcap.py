@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,6 @@ def test_required_spectral_efficiency_reference():
 def test_radio_params_validation_and_tbar():
     p = radio()
     assert abs(p.tbar - 1e-3 / LN2) < 1e-18
-    assert p.with_spectral_efficiency(2.0).spectral_efficiency == 2.0
     with pytest.raises(DomainError):
         radio(beta=2.0)
     with pytest.raises(ParameterError):
@@ -185,7 +185,7 @@ def test_eff_cap_user_matches_k_table():
     inst = random_instance(42, 6, 12)
     for n in (1, 3):
         mu = inst.mu_for(n)
-        params = inst.params.with_spectral_efficiency(mu)
+        params = replace(inst.params, spectral_efficiency=mu)
         for content in range(inst.content_count):
             k = inst._k_table(inst._log_moment_exponent(content, n))
             theta = inst.theta_of(content)

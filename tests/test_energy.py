@@ -14,14 +14,6 @@ def test_power_model_defaults():
     assert p.rrh_sleep == 56.0
     assert p.cache_per_object == 0.15
     assert p.backhaul == 10.0
-    # nominal falls back to the active draw
-    assert p.rrh_nominal == 104.0
-
-
-def test_power_model_explicit_nominal():
-    p = PowerModel(rrh_nominal=80.0)
-    assert p.rrh_nominal == 80.0
-    assert p.rrh_active == 104.0
 
 
 def test_power_model_validation():
@@ -29,8 +21,6 @@ def test_power_model_validation():
         PowerModel(rrh_active=-1.0)
     with pytest.raises(ParameterError):
         PowerModel(rrh_sleep=105.0)   # sleeping above active draw
-    with pytest.raises(ParameterError):
-        PowerModel(rrh_nominal=-0.1)
 
 
 def test_power_model_warns_when_cache_cannot_pay():
@@ -43,7 +33,7 @@ def test_power_model_warns_when_cache_cannot_pay():
 
 
 def test_eta_cluster_reference_denominator():
-    # 5e-6 RRH/m^2 over a 1 km disk at 104 W nominal, 5 cached objects at
+    # 5e-6 RRH/m^2 over a 1 km disk at 104 W active, 5 cached objects at
     # 0.15 W, full hit ratio: denominator 5e-6*pi*1e6*104 + 0.75
     denom = 5e-6 * math.pi * 1e6 * 104.0 + 0.75
     assert abs(denom - 1634.3781798666926) < 1e-9

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from crancache.content import zipf_popularity
-from crancache.errors import CoverageError, ParameterError
+from crancache.errors import ParameterError
 from crancache.geometry import (STREAM_FADING, STREAM_RRH_POS, DensityConfig,
-                                NetworkRealization, load_realization,
-                                nearest_serving_rrh, sample_network,
-                                sample_ppp, save_realization, substream,
-                                thin_by_content)
+                                NetworkRealization, sample_network, sample_ppp,
+                                substream, thin_by_content)
 
 
 def test_substream_reproducible_and_path_sensitive():
@@ -64,33 +62,6 @@ def test_thinning_validation():
         thin_by_content(np.zeros((4, 2)), np.array([1.5, -0.5]), rng)
 
 
-def _two_rrh_realization():
-    return NetworkRealization(
-        cluster_radius=100.0,
-        rrh_xy=np.array([[10.0, 0.0], [-10.0, 0.0], [50.0, 0.0]]),
-        rrh_content=np.array([0, 0, 1]),
-        user_xy=np.array([[0.0, 0.0], [40.0, 0.0]]),
-        user_content=np.array([0, 1]),
-        seed=0)
-
-
-def test_nearest_rrh_selection_and_tie_break():
-    real = _two_rrh_realization()
-    # user at the origin sits exactly between RRH 0 and 1: lowest index wins
-    idx, dist = nearest_serving_rrh(real.user_xy[0], real, content=0)
-    assert idx == 0
-    assert abs(dist - 10.0) < 1e-12
-    idx, dist = nearest_serving_rrh(real.user_xy[1], real, content=1)
-    assert idx == 2
-    assert abs(dist - 10.0) < 1e-12
-
-
-def test_nearest_rrh_coverage_error():
-    real = _two_rrh_realization()
-    with pytest.raises(CoverageError):
-        nearest_serving_rrh(real.user_xy[0], real, content=4)
-
-
 def test_realization_validation():
     with pytest.raises(ParameterError):
         NetworkRealization(10.0, np.array([[50.0, 0.0]]), np.array([0]),
@@ -127,53 +98,6 @@ def test_sample_network_is_seed_deterministic():
     np.testing.assert_array_equal(a.rrh_content, b.rrh_content)
     np.testing.assert_array_equal(a.user_xy, b.user_xy)
     np.testing.assert_array_equal(a.user_content, b.user_content)
-
-
-def test_user_popularity_override_leaves_rrh_field_alone():
-    cfg = DensityConfig.from_popularity(5e-6, 5e-6, zipf_popularity(1.0, 5))
-    base = sample_network(cfg, 1000.0, seed=5)
-    skew = sample_network(cfg, 1000.0, seed=5,
-                          user_popularity=np.array([1.0, 0, 0, 0, 0]))
-    np.testing.assert_array_equal(base.rrh_xy, skew.rrh_xy)
-    np.testing.assert_array_equal(base.rrh_content, skew.rrh_content)
-    np.testing.assert_array_equal(base.user_xy, skew.user_xy)
-    assert np.all(skew.user_content == 0)
-
-
-def test_save_load_round_trip(tmp_path):
-    cfg = DensityConfig.from_popularity(5e-6, 5e-6, zipf_popularity(1.0, 5))
-    real = sample_network(cfg, 1000.0, seed=5)
-    p1 = tmp_path / "drop.txt"
-    p2 = tmp_path / "drop2.txt"
-    save_realization(real, str(p1))
-    loaded = load_realization(str(p1))
-    assert loaded.seed == real.seed
-    assert loaded.cluster_radius == real.cluster_radius
-    np.testing.assert_array_equal(loaded.rrh_content, real.rrh_content)
-    np.testing.assert_allclose(loaded.rrh_xy, real.rrh_xy, rtol=1e-8, atol=1e-6)
-    # a second save of the loaded object reproduces the file byte for byte
-    save_realization(loaded, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_load_rejects_malformed_file(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("radius 100\nwrong 5\n")
-    with pytest.raises(ParameterError):
-        load_realization(str(p))
-    # a saved realization cut in half, and a short or non-numeric point line
-    good = tmp_path / "good.txt"
-    cfg = DensityConfig.from_popularity(5e-6, 5e-6, zipf_popularity(1.0, 5))
-    save_realization(sample_network(cfg, 1000.0, seed=5), str(good))
-    lines = good.read_text().splitlines(keepends=True)
-    p.write_text("".join(lines[:len(lines) // 2]))
-    with pytest.raises(ParameterError, match="malformed realization file"):
-        load_realization(str(p))
-    for bad_point in ("1.5 2.5\n", "1.5 north 0\n"):
-        lines[4] = bad_point
-        p.write_text("".join(lines))
-        with pytest.raises(ParameterError, match="malformed realization file"):
-            load_realization(str(p))
 
 
 def test_fading_stream_distinct_from_position_stream():

@@ -74,18 +74,15 @@ def test_profile_construction_and_lookup():
     assert q.theta_for(1, cached=True) == 0.1
     assert q.theta_for(1, cached=False) == 0.6
     np.testing.assert_array_equal(q.theta_cluster, np.full(3, 0.1))
-    assert q.hops == 2
 
 
 def test_profile_validation():
     with pytest.raises(ParameterError):
-        QosProfile(np.array([0.1, 0.1]), np.array([0.6]), 1.0, 2.4e6)
+        QosProfile(np.array([0.1, 0.1]), np.array([0.6]))
     with pytest.raises(ParameterError):
-        QosProfile(np.array([0.0]), np.array([0.6]), 1.0, 2.4e6)
+        QosProfile(np.array([0.0]), np.array([0.6]))
     with pytest.raises(ParameterError):
-        QosProfile(np.array([0.6]), np.array([0.1]), 1.0, 2.4e6)   # cloud softer
-    with pytest.raises(ParameterError):
-        QosProfile(np.array([0.1]), np.array([0.6]), 0.0, 2.4e6)
+        QosProfile(np.array([0.6]), np.array([0.1]))   # cloud softer
     # equal exponents are allowed: the cloud may match the cache target
-    q = QosProfile(np.array([0.3]), np.array([0.3]), 1.0, 2.4e6)
+    q = QosProfile(np.array([0.3]), np.array([0.3]))
     assert q.theta_for(0, cached=False) == 0.3

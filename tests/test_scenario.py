@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from crancache.content import select_random_k
 from crancache.errors import ParameterError
 from crancache.geometry import substream
-from crancache.scenario import Scenario, load_scenario
+from crancache.scenario import _FIELD_MAP, _SCHEMA, Scenario, load_scenario
 
 
 def test_empty_text_gives_pure_defaults():
@@ -37,6 +39,15 @@ def test_parsing_with_renamed_keys():
     assert s.backhaul_w == 10.0
 
 
+def test_schema_keys_and_fields_match_one_to_one():
+    # a key with no field would end in a TypeError traceback, a field with
+    # no key could not be set from a config file
+    keys = [(section, key) for section, names in _SCHEMA.items() for key in names]
+    assert (sorted(_FIELD_MAP.get(k, k[1]) for k in keys)
+            == sorted(f.name for f in fields(Scenario)))
+    assert set(_FIELD_MAP) <= set(keys)
+
+
 def test_unknown_section_and_key_are_rejected():
     with pytest.raises(ParameterError):
         load_scenario(text="[contnet]\ncount = 3\n")
@@ -57,6 +68,9 @@ def test_popularity_override_and_validation():
     # must be sorted most-popular-first; caught while loading, not later
     with pytest.raises(ParameterError):
         load_scenario(text="[content]\ncount = 3\npopularity = 0.2 0.3 0.5\n")
+    # one weight per content; the count does not follow the vector
+    with pytest.raises(ParameterError, match="popularity has 3 entries for 5 contents"):
+        load_scenario(text="[content]\npopularity = 0.5 0.3 0.2\n")
 
 
 def test_theta_broadcast_and_length_check():

@@ -7,10 +7,9 @@ from scipy import stats
 from crancache.effcap import RadioParams, a_beta
 from crancache.errors import ParameterError
 from crancache.geometry import (STREAM_FADING, NetworkRealization, substream)
-from crancache.simkit import (MIN_TRIALS, SINR_CAP, enumerate_partitions,
-                              mc_eff_cap, sample_sinr_batch)
+from crancache.simkit import MIN_TRIALS, SINR_CAP, mc_eff_cap, sample_sinr_batch
 
-from oracles import simulate_sinr
+from oracles import enumerate_partitions, simulate_sinr
 
 
 def _params(beta=4.0, noise=0.0, mu=1.0):
