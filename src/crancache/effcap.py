@@ -204,36 +204,53 @@ def _moment_weights(quantizer: Quantizer, a: float) -> np.ndarray:
     return np.exp(-a * np.log1p(quantizer.midpoints))
 
 
-def _folded_moment(survival, weights: np.ndarray):
-    """Sum over quantizer intervals of probability mass times weight.
+def _folded_moment(survival, weights: list[np.ndarray]) -> list:
+    """Sum over quantizer intervals of probability mass times each weight vector.
 
     ``survival(sl)`` is the survival function at the boundaries in slice
     ``sl`` (last axis).  Masses are its differences, and the mass beyond
     gamma_max folds into the last interval so the masses sum to one.
     Boundaries are taken _BOUNDARY_CHUNK at a time, so the scratch array
     is rows x _BOUNDARY_CHUNK; :func:`_log_moments` passes at most a few
-    links (rows) per call.
+    links (rows) per call.  Each chunk's survival and masses are formed
+    once and summed against every weight vector by its own gemv, so a
+    vector's sum has the same operands, and bytes, as if it came alone.
     """
-    n = weights.size
-    g = 0.0
+    n = weights[0].size
+    gs = [0.0] * len(weights)
+    buffer = None
     for lo in range(0, n, _BOUNDARY_CHUNK):
         sl = slice(lo, min(lo + _BOUNDARY_CHUNK, n) + 1)
         surv = survival(sl)
-        g = g + (surv[..., :-1] - surv[..., 1:]) @ weights[lo:sl.stop - 1]
-    return g + surv[..., -1] * weights[-1]
+        if buffer is None:  # the first chunk is the widest
+            buffer = np.empty(surv.size)
+        mass = np.subtract(surv[..., :-1], surv[..., 1:],
+                           out=_view(buffer, surv.shape[:-1] + (sl.stop - lo - 1,)))
+        gs = [g + mass @ w[lo:sl.stop - 1] for g, w in zip(gs, weights)]
+    return [g + surv[..., -1] * w[-1] for g, w in zip(gs, weights)]
+
+
+def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """Contiguous array of ``shape`` over the front of a flat buffer.
+
+    Reusing one buffer saves a fresh, page-faulted allocation per chunk;
+    a contiguous view runs every ufunc and gemv on the same loop, and so
+    to the same bytes, as a fresh array would.
+    """
+    return buffer[:math.prod(shape)].reshape(shape)
 
 
 def _log_moments(d, c1: np.ndarray, c2: np.ndarray, beta: float,
-                 weights: np.ndarray):
-    """Quantized log-moment G(d) of the SINR law, shaped like the lengths d.
+                 weights: list[np.ndarray]) -> list[np.ndarray]:
+    """Quantized log-moments G(d) of the SINR law, one per weight vector,
+    each shaped like the lengths d.
 
     ``c1``, ``c2`` are :func:`_sinr_coeffs` on the quantizer boundaries and
-    ``weights`` is :func:`_moment_weights`.  Links go through
-    :func:`_folded_moment` _LINK_BLOCK at a time, so each survival chunk
-    stays in cache and each sum is a small gemv whose bytes do not depend
-    on the BLAS thread count.  A G that underflows to 0 (a link of length
-    ~0 puts all mass on the top interval, whose weight vanishes under a
-    strict exponent) has no finite capacity and raises DomainError.
+    ``weights`` holds :func:`_moment_weights` vectors, one per exponent.
+    Links go through :func:`_folded_moment` _LINK_BLOCK at a time, so each
+    survival chunk stays in cache and each sum is a small gemv whose bytes
+    do not depend on the BLAS thread count.  A G may underflow to 0; pass
+    the one a caller demands through :func:`_demand_moment`.
     """
     d = np.asarray(d, dtype=float)
     d_sq, d_beta = d ** 2, d ** beta
@@ -241,12 +258,37 @@ def _log_moments(d, c1: np.ndarray, c2: np.ndarray, beta: float,
     # numpy sums a 1-row block with a dot routine, not gemv, which rounds
     # differently; so a lone last link joins the block before it
     starts = list(range(0, max(n - 1, 1), _LINK_BLOCK))
-    g = np.empty(d.shape)
+    # without noise c2 is all 0.0 and x - bt*c2 == x bit for bit, so skip it;
+    # c2 = gamma*noise/snr grows along the boundaries, so its last entry tells
+    noisy = bool(c2[-1])
+    # survival buffer for the largest block (_LINK_BLOCK + 1 links) and chunk
+    buffer = np.empty(math.prod(d.shape[:-1]) * (_LINK_BLOCK + 1)
+                       * (min(_BOUNDARY_CHUNK, c1.size - 1) + 1))
+    gs = [np.empty(d.shape) for _ in weights]
     for lo, hi in zip(starts, starts[1:] + [n]):
         links = (..., slice(lo, hi)) if d.ndim else (...,)
-        sq, bt = d_sq[links][..., None], d_beta[links][..., None]
-        # negating the (block, 1) columns saves a pass over each survival chunk
-        g[links] = _folded_moment(lambda sl: np.exp(-sq * c1[sl] - bt * c2[sl]), weights)
+        # negating the (block, 1) column saves a pass over each survival chunk
+        neg_sq, bt = -d_sq[links][..., None], d_beta[links][..., None]
+
+        def survival(sl):
+            x = np.multiply(neg_sq, c1[sl],
+                            out=_view(buffer, neg_sq.shape[:-1] + (sl.stop - sl.start,)))
+            if noisy:
+                np.subtract(x, bt * c2[sl], out=x)
+            return np.exp(x, out=x)
+
+        for g, block in zip(gs, _folded_moment(survival, weights)):
+            g[links] = block
+    return gs
+
+
+def _demand_moment(g: np.ndarray) -> np.ndarray:
+    """``g`` itself, once every entry is a usable log-moment.
+
+    A G that underflows to 0 (a link of length ~0 puts all mass on the top
+    interval, whose weight vanishes under a strict exponent) has no finite
+    capacity and raises DomainError.
+    """
     if not np.all(g > 0.0):
         raise DomainError("log-moment underflows to 0 (link too short for the "
                           "delay exponent); effective capacity is not finite")
@@ -287,8 +329,9 @@ def eff_cap_user(theta: float, d_m: float, lambda_rrh: float,
         raise ParameterError("RRH intensity must be positive")
     c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params)
     a = params.spectral_efficiency * theta * params.bandwidth_hz * params.tbar
-    g_sum = float(_log_moments(d_m, c1, c2, params.pathloss_exponent,
-                               _moment_weights(quantizer, a)))
+    g, = _log_moments(d_m, c1, c2, params.pathloss_exponent,
+                      [_moment_weights(quantizer, a)])
+    g_sum = float(_demand_moment(g))
     return -math.log(g_sum) / (theta * params.bandwidth_hz * params.slot_s)
 
 
@@ -376,15 +419,16 @@ def avg_eff_cap_content(theta: float, popularity: float, lambda_l: float,
 
     if form == "quantized_moment":
         survival = 1.0 - _l_grid(quantizer.boundaries, lambda_l, lambda_rrh, params)
-        g_sum = float(_folded_moment(lambda sl: survival[sl], weights))
-        return popularity * (-math.log(g_sum) / denom)
+        g, = _folded_moment(lambda sl: survival[sl], [weights])
+        return popularity * (-math.log(float(g)) / denom)
 
     c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params, lambda_l)
     beta = params.pathloss_exponent
 
     def eff_cap_at(t: float) -> float:
         d = math.sqrt(t / (np.pi * lambda_l))
-        return -math.log(float(_log_moments(d, c1, c2, beta, weights))) / denom
+        g, = _log_moments(d, c1, c2, beta, [weights])
+        return -math.log(float(_demand_moment(g))) / denom
 
     val, _ = integrate.quad(lambda t: math.exp(-t) * eff_cap_at(t),
                             0.0, np.inf, epsabs=1e-9, epsrel=1e-8, limit=200)

@@ -33,15 +33,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .content import ClusterCache, ContentCatalog, hit_ratio
-from .effcap import (LN2, Quantizer, RadioParams, _log_moments, _moment_weights,
-                     _sinr_coeffs, required_spectral_efficiency)
+from .effcap import (LN2, Quantizer, RadioParams, _demand_moment, _log_moments,
+                     _moment_weights, _sinr_coeffs, required_spectral_efficiency)
 from .energy import PowerModel, eta_rru
-from .errors import ConvergenceError, ParameterError, StabilityViolationError
+from .errors import (ConvergenceError, DomainError, ParameterError,
+                     StabilityViolationError)
 from .geometry import STREAM_GAME, NetworkRealization, substream
 from .qos import QosProfile
 
 MAX_SWEEPS = 10_000
-SHAPLEY_EXACT_CAP = 10
 DEFAULT_COST_COEFF = 1e-4
 
 
@@ -142,15 +142,31 @@ class ClusterInstance:
         law for a link of the tabulated distance, so K -> log2(1+gamma)
         as the law degenerates.  Strictly decreasing in distance, which
         is what lets "nearest coalition member" read as a row-max.
+
+        Tables are built one exponent family per kernel pass: a miss
+        builds every exponent the instance can demand and has not cached
+        (each content's at every RRU count 1..L, plus ``a``), sharing each
+        survival chunk, with every table byte-identical to a build of its
+        own.  An exponent whose G underflows raises DomainError only when
+        it is demanded.
         """
-        tab = self._k_cache.get(a)
-        if tab is not None:
-            return tab
-        c1, c2 = _sinr_coeffs(self.quantizer.boundaries, self.lambda_rrh, self.params)
-        g = _log_moments(self._dist.ravel(), c1, c2, self.params.pathloss_exponent,
-                         _moment_weights(self.quantizer, a))
-        tab = (-np.log(g) / (a * LN2)).reshape(self._dist.shape)
-        self._k_cache[a] = tab
+        if a not in self._k_cache:
+            count = self.content_count
+            family = {self._log_moment_exponent(c, n)
+                      for c in range(count) for n in range(1, count + 1)}
+            family = sorted((family | {a}) - self._k_cache.keys())
+            c1, c2 = _sinr_coeffs(self.quantizer.boundaries, self.lambda_rrh, self.params)
+            gs = _log_moments(self._dist.ravel(), c1, c2, self.params.pathloss_exponent,
+                              [_moment_weights(self.quantizer, e) for e in family])
+            for e, g in zip(family, gs):
+                try:
+                    tab = -np.log(_demand_moment(g)) / (e * LN2)
+                    self._k_cache[e] = tab.reshape(self._dist.shape)
+                except DomainError as exc:
+                    self._k_cache[e] = exc
+        tab = self._k_cache[a]
+        if isinstance(tab, DomainError):
+            raise tab
         return tab
 
 
@@ -599,23 +615,17 @@ class ShapleyTable:
 
 def shapley_values(instance: ClusterInstance, rru_count: int | None = None,
                    mode: str = "auto", permutations: int = 10_000,
-                   seed: int = 0, exact_cap: int = SHAPLEY_EXACT_CAP) -> ShapleyTable:
+                   seed: int = 0) -> ShapleyTable:
     """Shapley decomposition of each content's coalition capacity.
 
-    ``exact`` enumerates all coalitions (capped at ``exact_cap`` RRHs,
-    beyond which the 2^D sweep stops being a desk-scale computation);
-    ``sampled`` averages marginals over random join orders and reports the
-    per-entry sampling standard error.  ``auto`` picks whichever applies.
-    Exact tables satisfy the efficiency identity: row sums equal the grand
-    coalition's capacity.
+    ``exact`` is the closed form of :func:`_shapley_exact`, for any number
+    of RRHs; ``sampled`` averages marginals over random join orders and
+    reports the per-entry sampling standard error, and is kept as a
+    cross-check of the closed form.  ``auto`` is ``exact``.  Exact tables
+    satisfy the efficiency identity: row sums equal the grand coalition's
+    capacity.
     """
-    d = instance.n_rrh
-    if mode == "auto":
-        mode = "exact" if d <= exact_cap else "sampled"
-    if mode == "exact":
-        if d > exact_cap:
-            raise ParameterError(
-                f"exact Shapley capped at {exact_cap} RRHs (got {d}); use sampled mode")
+    if mode in ("auto", "exact"):
         return _shapley_exact(instance, rru_count)
     if mode == "sampled":
         if permutations < 2:
@@ -624,41 +634,31 @@ def shapley_values(instance: ClusterInstance, rru_count: int | None = None,
     raise ParameterError(f"unknown Shapley mode {mode!r}")
 
 
-def _coalition_caps_by_mask(instance: ClusterInstance, content: int,
-                            rru_count: int | None) -> np.ndarray:
-    """Capacity of every RRH subset (bitmask-indexed) for one content."""
-    d = instance.n_rrh
-    users = instance.users_of(content)
-    caps = np.zeros(1 << d)
-    if users.size == 0:
-        return caps
-    a = instance._log_moment_exponent(content, rru_count)
-    k = instance._k_table(a)[users, :]
-    mu = instance.mu_for(rru_count)
-    best = np.zeros((1 << d, users.size))
-    for mask in range(1, 1 << d):
-        low = mask & -mask
-        rrh = low.bit_length() - 1
-        rest = mask ^ low
-        best[mask] = np.maximum(best[rest], k[:, rrh]) if rest else k[:, rrh]
-        caps[mask] = mu * best[mask].sum()
-    return caps
-
-
 def _shapley_exact(instance: ClusterInstance, rru_count: int | None) -> ShapleyTable:
+    """Closed-form Shapley values of the capacity game (Littlechild & Owen 1973).
+
+    A content's capacity is mu times a sum over its users of max-games
+    max_{r in R} K[user, r].  Sorting one user's row so that
+    x_(1) >= ... >= x_(D), with x_(D+1) = 0, the RRH holding x_(i) gets
+    sum_{j >= i} (x_(j) - x_(j+1)) / j; summing over users gives the row.
+    O(U * D log D), where enumerating coalitions is O(2^D).
+    """
     d = instance.n_rrh
-    weights = np.array([math.factorial(s) * math.factorial(d - s - 1) / math.factorial(d)
-                        for s in range(d)])
+    mu = instance.mu_for(rru_count)
     values = np.zeros((instance.content_count, d))
-    masks = np.arange(1 << d)
-    sizes = np.array([int(m).bit_count() for m in masks])
     for content in range(instance.content_count):
-        caps = _coalition_caps_by_mask(instance, content, rru_count)
-        for j in range(d):
-            without = masks[(masks >> j) & 1 == 0]
-            s = sizes[without]
-            values[content, j] = float(
-                np.sum(weights[s] * (caps[without | (1 << j)] - caps[without])))
+        users = instance.users_of(content)
+        if users.size == 0:
+            continue
+        k = instance._k_table(instance._log_moment_exponent(content, rru_count))[users]
+        order = np.argsort(-k, axis=1, kind="stable")
+        x = np.take_along_axis(k, order, axis=1)
+        steps = -np.diff(x, axis=1, append=0.0) / np.arange(1, d + 1)
+        # suffix sums; tied values add an exact 0, so twin RRHs stay equal
+        phi = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1]
+        by_rrh = np.empty_like(phi)
+        np.put_along_axis(by_rrh, order, phi, axis=1)
+        values[content] = mu * by_rrh.sum(axis=0)
     return ShapleyTable(values=values, mode="exact", rru_count=rru_count)
 
 

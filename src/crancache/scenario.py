@@ -96,13 +96,26 @@ class Scenario:
         if self.mc_trials < MIN_TRIALS:
             raise ParameterError(f"mc_trials must be at least {MIN_TRIALS}, "
                                  f"got {self.mc_trials}")
-        for name in ("cluster_radius", "sim_radius", "user_distance"):
+        for name in ("cluster_radius", "sim_radius", "user_distance", "gamma_min",
+                     "bandwidth_hz", "slot_s"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)!r}")
         for name in ("gamma_max", "user_gamma_max"):
             if self.gamma_min >= getattr(self, name):
                 raise ParameterError(f"gamma_min {self.gamma_min!r} must lie below "
                                      f"{name} {getattr(self, name)!r}")
+        for name, least in (("quant_intervals", 2), ("rru_count", 1),
+                            ("shapley_permutations", 2)):
+            if getattr(self, name) < least:
+                raise ParameterError(f"{name} must be at least {least}, "
+                                     f"got {getattr(self, name)!r}")
+        for name, label, known in (
+                ("quant_mode", "quantizer mode", ("geometric", "equal")),
+                ("cache_policy", "cache policy", ("top_k", "random_k")),
+                ("shapley_mode", "Shapley mode", ("auto", "exact", "sampled"))):
+            if getattr(self, name) not in known:
+                raise ParameterError(f"unknown {label} {getattr(self, name)!r}; "
+                                     f"pick from {', '.join(known)}")
         if self.popularity and len(self.popularity) != self.content_count:
             raise ParameterError(f"popularity has {len(self.popularity)} entries "
                                  f"for {self.content_count} contents")
@@ -127,12 +140,10 @@ class Scenario:
     def cache(self) -> ClusterCache:
         catalog = self.catalog()
         k = self.resolved_cache_size()
-        if self.cache_policy == "top_k":
-            stored = select_top_k(catalog, k)
-        elif self.cache_policy == "random_k":
+        if self.cache_policy == "random_k":
             stored = select_random_k(catalog, k, substream(self.seed, 7))
         else:
-            raise ParameterError(f"unknown cache policy {self.cache_policy!r}")
+            stored = select_top_k(catalog, k)
         return ClusterCache(stored=stored, power_per_object_w=self.cache_per_object_w)
 
     def qos(self) -> QosProfile:
@@ -150,12 +161,10 @@ class Scenario:
                            slot_s=self.slot_s, spectral_efficiency=self.mu())
 
     def quantizer(self) -> Quantizer:
-        if self.quant_mode == "geometric":
-            return Quantizer.geometric(self.quant_intervals, self.gamma_max,
-                                       self.gamma_min)
         if self.quant_mode == "equal":
             return Quantizer.equal_width(self.quant_intervals, self.gamma_max)
-        raise ParameterError(f"unknown quantizer mode {self.quant_mode!r}")
+        return Quantizer.geometric(self.quant_intervals, self.gamma_max,
+                                   self.gamma_min)
 
     def user_radio(self) -> RadioParams:
         """Radio constants for typical-user curves.

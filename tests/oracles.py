@@ -4,7 +4,9 @@ Nothing in ``crancache`` calls these: each recomputes a quantity the
 library gets another way (adaptive quadrature where the library uses
 Gauss-Laguerre nodes, an explicit per-RRH SINR draw where it samples
 whole interference fields, every set partition where it runs a local
-search), so agreement is evidence for both.
+search, every coalition where it uses the Shapley closed form, one
+exponent per kernel pass where it builds a family), so agreement is
+evidence for both.
 """
 
 import math
@@ -14,7 +16,8 @@ from typing import Iterator
 import numpy as np
 from scipy import integrate
 
-from crancache.effcap import RadioParams, _l_decay_coeff
+from crancache.effcap import (LN2, RadioParams, _l_decay_coeff, _log_moments,
+                              _moment_weights, _sinr_coeffs)
 from crancache.errors import ParameterError
 from crancache.geometry import STREAM_FADING, NetworkRealization, substream
 from crancache.simkit import SINR_CAP
@@ -105,3 +108,51 @@ def enumerate_partitions(items, max_items: int = 12) -> Iterator[list[frozenset]
         blocks.pop()
 
     yield from rec(elems, [])
+
+
+def k_table_single(instance, a: float) -> np.ndarray:
+    """K-table of one exponent, built by a kernel pass of its own.
+
+    The fused family pass of ``ClusterInstance._k_table`` must reproduce
+    this table byte for byte.
+    """
+    q = instance.quantizer
+    c1, c2 = _sinr_coeffs(q.boundaries, instance.lambda_rrh, instance.params)
+    g, = _log_moments(instance._dist.ravel(), c1, c2,
+                      instance.params.pathloss_exponent, [_moment_weights(q, a)])
+    return (-np.log(g) / (a * LN2)).reshape(instance._dist.shape)
+
+
+def shapley_by_enumeration(instance, rru_count=None) -> np.ndarray:
+    """(contents, rrhs) Shapley values from the capacity of every RRH subset.
+
+    phi_j = sum over S not holding j of |S|!(D-|S|-1)!/D! * (v(S+j) - v(S)),
+    with v evaluated on all 2^D bitmask-indexed coalitions, so D is capped.
+    """
+    d = instance.n_rrh
+    if d > 12:
+        raise ParameterError(f"coalition enumeration capped at 12 RRHs, got {d}")
+    weights = np.array([math.factorial(s) * math.factorial(d - s - 1) / math.factorial(d)
+                        for s in range(d)])
+    masks = np.arange(1 << d)
+    sizes = np.array([int(m).bit_count() for m in masks])
+    mu = instance.mu_for(rru_count)
+    values = np.zeros((instance.content_count, d))
+    for content in range(instance.content_count):
+        users = instance.users_of(content)
+        if users.size == 0:
+            continue
+        k = instance._k_table(instance._log_moment_exponent(content, rru_count))[users]
+        caps = np.zeros(1 << d)
+        best = np.zeros((1 << d, users.size))
+        for mask in range(1, 1 << d):
+            low = mask & -mask
+            rest = mask ^ low
+            rrh = low.bit_length() - 1
+            best[mask] = np.maximum(best[rest], k[:, rrh]) if rest else k[:, rrh]
+            caps[mask] = mu * best[mask].sum()
+        for j in range(d):
+            without = masks[(masks >> j) & 1 == 0]
+            values[content, j] = float(np.sum(weights[sizes[without]]
+                                              * (caps[without | (1 << j)] - caps[without])))
+    return values

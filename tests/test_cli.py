@@ -148,8 +148,8 @@ def test_sweep_skips_only_empty_drops(tmp_path):
     _, rows = _read_csv(tmp_path / "sweep.csv")
     assert [r[0] for r in rows] == ["2", "4"]
     # any other error ends the sweep
-    with pytest.raises(ParameterError, match="cache policy"):
-        run_sweep(replace(Scenario(), cache_policy="lru"), str(tmp_path), 2,
+    with pytest.raises(ParameterError, match="cache size"):
+        run_sweep(replace(Scenario(), cache_size=9), str(tmp_path), 2,
                   algorithms=("orthogonal",))
 
 
@@ -195,6 +195,16 @@ def test_negative_seed_is_rejected(tmp_path):
     ("quantizer", "gamma_min", "1e5"),
     ("run", "user_gamma_max", "1e-20"),
     ("content", "popularity", "0.6,0.4"),
+    ("quantizer", "intervals", "1"),
+    ("quantizer", "gamma_min", "0"),
+    ("quantizer", "gamma_min", "-1"),
+    ("quantizer", "mode", "cubic"),
+    ("radio", "rru_count", "0"),
+    ("radio", "bandwidth_hz", "0"),
+    ("radio", "slot_s", "-1e-3"),
+    ("games", "shapley_permutations", "1"),
+    ("games", "shapley_mode", "bogus"),
+    ("content", "cache_policy", "lru"),
 ])
 def test_non_finite_config_value_is_rejected(tmp_path, section, key, value):
     cfg = tmp_path / "bad.ini"

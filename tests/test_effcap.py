@@ -19,15 +19,15 @@ from crancache.effcap import (LN2, Quantizer, RadioParams,
                               outage_prob,
                               per_content_eff_caps,
                               required_spectral_efficiency, u_func)
-from crancache.effcap import (_LINK_BLOCK, _folded_moment, _l_grid, _log_moments,
-                              _moment_weights, _sinr_coeffs)
+from crancache.effcap import (_LINK_BLOCK, _demand_moment, _folded_moment, _l_grid,
+                              _log_moments, _moment_weights, _sinr_coeffs)
 from crancache.errors import DomainError, ParameterError
 from crancache.games import random_instance
 from crancache.qos import QosProfile
 from crancache.scenario import Scenario
 
 from conftest import radio
-from oracles import l_func_general
+from oracles import k_table_single, l_func_general
 
 
 # -- geometry constant ------------------------------------------------------
@@ -273,7 +273,8 @@ def _one_block_log_moments(d, c1, c2, beta, weights):
     # the kernel before link blocking: every link in one survival block
     d = np.asarray(d, dtype=float)[..., None]
     d_sq, d_beta = d ** 2, d ** beta
-    return _folded_moment(lambda sl: np.exp(-d_sq * c1[sl] - d_beta * c2[sl]), weights)
+    g, = _folded_moment(lambda sl: np.exp(-d_sq * c1[sl] - d_beta * c2[sl]), [weights])
+    return g
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.3])
@@ -288,7 +289,7 @@ def test_blocked_log_moments_match_one_block_oracle(noise):
     for links in (1, 2, b - 1, b, b + 1, 2 * b + 1, 3 * b + 1):
         d = rng.uniform(1.0, 800.0, size=(2, links))
         for dd in (d[0], d, d[0, 0]):
-            got = _log_moments(dd, c1, c2, 4.0, weights)
+            got, = _log_moments(dd, c1, c2, 4.0, [weights])
             assert got.shape == np.shape(dd)
             assert np.array_equal(got, _one_block_log_moments(dd, c1, c2, 4.0, weights))
 
@@ -298,8 +299,59 @@ def test_zero_length_link_in_last_block_is_a_domain_error():
     c1, c2 = _sinr_coeffs(q.boundaries, 5e-6, radio())
     d = np.linspace(10.0, 500.0, 2 * _LINK_BLOCK + 3)
     d[-1] = 0.0
+    g, = _log_moments(d, c1, c2, 4.0, [_moment_weights(q, 200.0)])
     with pytest.raises(DomainError, match="underflows"):
-        _log_moments(d, c1, c2, 4.0, _moment_weights(q, 200.0))
+        _demand_moment(g)
+
+
+def test_only_the_underflowing_exponent_raises():
+    # one pass over two exponents: the mild one is usable on every link,
+    # the strict one underflows on the zero-length link alone
+    q = Quantizer.geometric(4096, 1e6)
+    c1, c2 = _sinr_coeffs(q.boundaries, 5e-6, radio())
+    d = np.linspace(10.0, 500.0, _LINK_BLOCK + 3)
+    d[2] = 0.0
+    mild, strict = _log_moments(d, c1, c2, 4.0, [_moment_weights(q, 1.0),
+                                                 _moment_weights(q, 200.0)])
+    assert _demand_moment(mild) is mild
+    with pytest.raises(DomainError, match="underflows"):
+        _demand_moment(strict)
+    assert np.all(strict[d > 0.0] > 0.0)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.2])
+@pytest.mark.parametrize("intervals", [512, 1 << 14])
+@pytest.mark.parametrize("cache_size", [None, 2])
+def test_k_table_family_matches_single_exponent_builds(noise, intervals, cache_size):
+    # the fused pass shares each survival chunk across the exponents of
+    # the family but must leave every table's bytes as a lone build's
+    inst = random_instance(5, 9, 21, cache_size=cache_size, noise=noise,
+                           quantizer=Quantizer.geometric(intervals, 1e6))
+    count = inst.content_count
+    family = {inst._log_moment_exponent(c, n)
+              for c in range(count) for n in range(1, count + 1)}
+    assert len(family) == (count if cache_size is None else 2 * count)
+    first = min(family)
+    inst._k_table(first)
+    assert set(inst._k_cache) == family
+    for a in family:
+        assert np.array_equal(inst._k_table(a), k_table_single(inst, a))
+    # an exponent outside the family is built alone on its own miss
+    stray = 0.5 * first
+    assert np.array_equal(inst._k_table(stray), k_table_single(inst, stray))
+    assert set(inst._k_cache) == family | {stray}
+
+
+def test_k_table_underflow_surfaces_only_on_demand():
+    # user 0 sits on RRH 0: the delivery exponents underflow on that link,
+    # a mild exponent built in the same pass does not
+    inst = random_instance(42, 6, 12)
+    inst._dist[0, 0] = 0.0
+    mild = 1e-3
+    assert np.array_equal(inst._k_table(mild), k_table_single(inst, mild))
+    for a in inst._k_cache.keys() - {mild}:
+        with pytest.raises(DomainError, match="underflows"):
+            inst._k_table(a)
 
 
 _K_TABLE_DIGEST = """

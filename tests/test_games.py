@@ -19,6 +19,8 @@ from crancache.games import (AllocationResult, ClusterInstance, RrhPartition,
                              shapley_conflict_payoff, shapley_values,
                              suboptimal_allocate)
 
+from oracles import shapley_by_enumeration
+
 
 @pytest.fixture(scope="module")
 def inst():
@@ -235,15 +237,33 @@ def test_shapley_exact_symmetry_for_twin_rrhs():
         catalog=base.catalog, cache=base.cache, qos=base.qos, params=base.params,
         power=base.power, lambda_rrh=base.lambda_rrh, quantizer=base.quantizer)
     table = shapley_values(twin, mode="exact")
-    assert np.allclose(table.values[:, 0], table.values[:, 1], rtol=1e-12, atol=0.0)
+    assert np.array_equal(table.values[:, 0], table.values[:, 1])
+
+
+@pytest.mark.parametrize("seed, n_rrh, n_users, cache_size", [
+    (0, 1, 4, None), (1, 2, 7, None), (2, 5, 12, 2), (3, 8, 15, None), (4, 10, 25, 3),
+])
+def test_shapley_closed_form_matches_enumeration(seed, n_rrh, n_users, cache_size):
+    inst = random_instance(seed, n_rrh, n_users, cache_size=cache_size)
+    for rru_count in (None, 2):
+        table = shapley_values(inst, rru_count=rru_count, mode="exact")
+        expect = shapley_by_enumeration(inst, rru_count)
+        assert np.allclose(table.values, expect, rtol=1e-12, atol=0.0)
+
+
+def test_shapley_efficiency_beyond_enumeration():
+    # 30 RRHs: 2^30 coalitions, out of reach of enumeration
+    inst = random_instance(11, 30, 60)
+    table = shapley_values(inst, mode="exact")
+    assert table.mode == "exact"
+    assert np.all(table.values >= 0.0)
+    for content in range(inst.content_count):
+        grand = coalition_eff_cap(range(inst.n_rrh), content, inst)
+        assert table.values[content].sum() == pytest.approx(grand, rel=1e-12)
 
 
 def test_shapley_mode_selection_and_guards(inst):
     assert shapley_values(inst, mode="auto").mode == "exact"
-    big = shapley_values(inst, mode="auto", exact_cap=3)
-    assert big.mode == "sampled"
-    with pytest.raises(ParameterError):
-        shapley_values(inst, mode="exact", exact_cap=3)
     with pytest.raises(ParameterError):
         shapley_values(inst, mode="sampled", permutations=1)
     with pytest.raises(ParameterError):
