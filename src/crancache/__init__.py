@@ -19,11 +19,11 @@ from .errors import (ConvergenceError, CoverageError, CrancacheError,
                      DomainError, InfeasibleBackhaulError, ParameterError,
                      StabilityViolationError)
 from .games import (AllocationResult, ClusterInstance, RrhPartition,
-                    ShapleyTable, check_nash_stable, coalition_eff_cap,
-                    coalition_value, full_reuse_allocate,
-                    hedonic_rrh_association, nested_allocate,
-                    orthogonal_allocate, prune_sleep_rrhs, random_instance,
-                    rrh_payoff, shapley_values, suboptimal_allocate)
+                    check_nash_stable, coalition_eff_cap, coalition_value,
+                    full_reuse_allocate, hedonic_rrh_association,
+                    nested_allocate, orthogonal_allocate, prune_sleep_rrhs,
+                    random_instance, rrh_payoff, shapley_values,
+                    suboptimal_allocate)
 from .geometry import (DensityConfig, NetworkRealization, sample_network,
                        sample_ppp, substream, thin_by_content)
 from .qos import (QosProfile, delay_violation_prob, min_backhaul_rate,

@@ -194,12 +194,16 @@ def build_instance(scenario: Scenario) -> games.ClusterInstance:
 
 def run_algorithm(instance: games.ClusterInstance, algorithm: str,
                   scenario: Scenario) -> games.AllocationResult:
+    """Run one allocation algorithm on a built instance.
+
+    No algorithm reads ``scenario``: the instance carries every setting.
+    The parameter stays because ``perfbench/workloads.py``'s
+    ``AllocationCapture`` wraps this function by its signature.
+    """
     if algorithm == "nested":
         return games.nested_allocate(instance)
     if algorithm == "suboptimal":
-        return games.suboptimal_allocate(instance, mode=scenario.shapley_mode,
-                                         permutations=scenario.shapley_permutations,
-                                         seed=scenario.seed)
+        return games.suboptimal_allocate(instance)
     if algorithm == "orthogonal":
         return games.orthogonal_allocate(instance)
     if algorithm == "full_reuse":

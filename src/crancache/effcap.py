@@ -436,9 +436,12 @@ def avg_eff_cap_content(theta: float, popularity: float, lambda_l: float,
 
 
 def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: float,
-                         params: RadioParams, quantizer: Quantizer,
-                         form: str = "distance_avg") -> tuple[np.ndarray, np.ndarray]:
+                         params: RadioParams,
+                         quantizer: Quantizer) -> tuple[np.ndarray, np.ndarray]:
     """Per-content capacity vectors at the cache exponent and the cloud exponent.
+
+    Each entry is the default ``distance_avg`` form of
+    :func:`avg_eff_cap_content`.
 
     Returns (from_cache, from_cloud); entry l already carries the P_l
     weighting.  Neither depends on what the cache actually holds, so the
@@ -453,10 +456,10 @@ def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: flo
         p_l = float(catalog.popularity[l])
         from_cache[l] = avg_eff_cap_content(float(qos.theta_cluster[l]), p_l,
                                             float(split[l]), lambda_rrh, params,
-                                            quantizer, form)
+                                            quantizer)
         from_cloud[l] = avg_eff_cap_content(float(qos.theta_cloud[l]), p_l,
                                             float(split[l]), lambda_rrh, params,
-                                            quantizer, form)
+                                            quantizer)
     return from_cache, from_cloud
 
 

@@ -19,7 +19,7 @@ utilities, each at the spectral-efficiency requirement of the candidate
 RRU count) strictly increases, so it cannot revisit a partition.
 
 All negotiation orders are fixed (ascending index) and every tie refuses
-the move, so results are deterministic functions of (instance, seed).
+the move, so results are deterministic functions of the instance.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .qos import QosProfile
 
 MAX_SWEEPS = 10_000
 DEFAULT_COST_COEFF = 1e-4
+SPLIT_ENUMERATION_CAP = 12   # largest block whose every bipartition is tried
 
 
 @dataclass(eq=False)
@@ -184,12 +185,12 @@ def coalition_eff_cap(coalition: Iterable[int], content: int,
     cached = instance._cap_cache.get(key)
     if cached is not None:
         return cached
+    if cols and (cols[0] < 0 or cols[-1] >= instance.n_rrh):
+        raise ParameterError("coalition member outside the realization")
     users = instance.users_of(content)
     if not cols or users.size == 0:
         instance._cap_cache[key] = 0.0
         return 0.0
-    if cols[0] < 0 or cols[-1] >= instance.n_rrh:
-        raise ParameterError("coalition member outside the realization")
     a = instance._log_moment_exponent(content, rru_count)
     k = instance._k_table(a)
     value = instance.mu_for(rru_count) * float(k[np.ix_(users, cols)].max(axis=1).sum())
@@ -411,11 +412,13 @@ def _signature(partition: tuple[frozenset, ...]) -> str:
     return "|".join(",".join(str(c) for c in sorted(b)) for b in partition)
 
 
+def _one_block_per_content(instance: ClusterInstance) -> tuple[frozenset, ...]:
+    return tuple(frozenset({c}) for c in range(instance.content_count))
+
+
 def _catalog_partition(instance: ClusterInstance,
-                       blocks: Iterable[frozenset] | None) -> tuple[frozenset, ...]:
-    """Canonical RRU partition of the catalog; one block per content if None."""
-    if blocks is None:
-        return tuple(frozenset({c}) for c in range(instance.content_count))
+                       blocks: Iterable[frozenset]) -> tuple[frozenset, ...]:
+    """Canonical RRU partition of the catalog."""
     state = _canonical(blocks)
     if sorted(c for b in state for c in b) != list(range(instance.content_count)):
         raise ParameterError("RRU blocks must partition the full catalog")
@@ -453,7 +456,7 @@ class AllocationResult:
     asleep: frozenset
     steps: list
     runtime_s: float
-    shapley: "ShapleyTable | None" = None
+    shapley: np.ndarray | None = None   # (contents, rrhs), suboptimal only
 
     @property
     def rru_count(self) -> int:
@@ -483,16 +486,17 @@ class _PartitionEvaluator:
         return sum(self.block(b, n)[0] for b in partition)
 
 
-def _bipartitions(block: frozenset, exhaustive_cap: int = 12):
+def _bipartitions(block: frozenset):
     """Proper two-way splits of a block, deterministically ordered.
 
-    All splits when the block is small; single peel-offs beyond the cap.
+    All splits up to :data:`SPLIT_ENUMERATION_CAP` contents; single
+    peel-offs beyond it.
     """
     items = sorted(block)
     m = len(items)
     if m < 2:
         return
-    if m <= exhaustive_cap:
+    if m <= SPLIT_ENUMERATION_CAP:
         first, rest = items[0], items[1:]
         for mask in range(1 << (m - 1)):
             left = {first}
@@ -517,20 +521,19 @@ def _neighbours(state: tuple):
                 [b for i, b in enumerate(state) if i != idx] + [left, right])
 
 
-def nested_allocate(instance: ClusterInstance,
-                    init: Iterable[frozenset] | None = None) -> AllocationResult:
+def nested_allocate(instance: ClusterInstance) -> AllocationResult:
     """Merge-and-split search over RRU partitions with nested RRH games.
 
-    Starts from one block per content unless told otherwise.  A candidate
-    merge or split is accepted only when the welfare of the whole candidate
-    partition (every block re-evaluated at the candidate's RRU count, since
-    the per-block rate requirement depends on how many blocks exist)
-    strictly exceeds the current welfare.  Welfare therefore increases at
+    Starts from one block per content.  A candidate merge or split is
+    accepted only when the welfare of the whole candidate partition (every
+    block re-evaluated at the candidate's RRU count, since the per-block
+    rate requirement depends on how many blocks exist) strictly exceeds the
+    current welfare.  Welfare therefore increases at
     every step, no partition can recur, and the loop ends at a partition
     stable against all scanned merges and splits.
     """
     t0 = time.perf_counter()
-    state = _catalog_partition(instance, init)
+    state = _one_block_per_content(instance)
     ev = _PartitionEvaluator(instance)
     welfare = ev.welfare(state)
     seen = {_signature(state)}
@@ -553,7 +556,7 @@ def nested_allocate(instance: ClusterInstance,
 
 def _finalize(name: str, instance: ClusterInstance, state: tuple,
               ev: _PartitionEvaluator, steps: list, t0: float,
-              shapley: "ShapleyTable | None" = None) -> AllocationResult:
+              shapley: np.ndarray | None = None) -> AllocationResult:
     n = len(state)
     rrh_parts = {}
     active: set[int] = set()
@@ -583,9 +586,8 @@ def evaluate_fixed_partition(name: str, instance: ClusterInstance,
 
 def orthogonal_allocate(instance: ClusterInstance) -> AllocationResult:
     """One content per RRU; the no-sharing baseline."""
-    return evaluate_fixed_partition(
-        "orthogonal", instance,
-        [frozenset({c}) for c in range(instance.content_count)])
+    return evaluate_fixed_partition("orthogonal", instance,
+                                    _one_block_per_content(instance))
 
 
 def full_reuse_allocate(instance: ClusterInstance) -> AllocationResult:
@@ -597,51 +599,17 @@ def full_reuse_allocate(instance: ClusterInstance) -> AllocationResult:
 # -- Shapley machinery -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShapleyTable:
-    """Per-(content, RRH) Shapley values of the capacity game.
+def shapley_values(instance: ClusterInstance,
+                   rru_count: int | None = None) -> np.ndarray:
+    """(contents, rrhs) Shapley values of each content's capacity game.
 
-    Row i gives each RRH's average marginal capacity contribution to
-    content i over join orders.  ``std_errors`` is present only for the
-    sampled mode.
-    """
-
-    values: np.ndarray                 # (contents, rrhs)
-    mode: str
-    rru_count: int | None
-    permutations: int | None = None
-    std_errors: np.ndarray | None = None
-
-
-def shapley_values(instance: ClusterInstance, rru_count: int | None = None,
-                   mode: str = "auto", permutations: int = 10_000,
-                   seed: int = 0) -> ShapleyTable:
-    """Shapley decomposition of each content's coalition capacity.
-
-    ``exact`` is the closed form of :func:`_shapley_exact`, for any number
-    of RRHs; ``sampled`` averages marginals over random join orders and
-    reports the per-entry sampling standard error, and is kept as a
-    cross-check of the closed form.  ``auto`` is ``exact``.  Exact tables
-    satisfy the efficiency identity: row sums equal the grand coalition's
-    capacity.
-    """
-    if mode in ("auto", "exact"):
-        return _shapley_exact(instance, rru_count)
-    if mode == "sampled":
-        if permutations < 2:
-            raise ParameterError("need at least 2 permutations")
-        return _shapley_sampled(instance, rru_count, permutations, seed)
-    raise ParameterError(f"unknown Shapley mode {mode!r}")
-
-
-def _shapley_exact(instance: ClusterInstance, rru_count: int | None) -> ShapleyTable:
-    """Closed-form Shapley values of the capacity game (Littlechild & Owen 1973).
-
-    A content's capacity is mu times a sum over its users of max-games
+    Closed form of Littlechild & Owen (1973), for any number of RRHs.  A
+    content's capacity is mu times a sum over its users of max-games
     max_{r in R} K[user, r].  Sorting one user's row so that
     x_(1) >= ... >= x_(D), with x_(D+1) = 0, the RRH holding x_(i) gets
     sum_{j >= i} (x_(j) - x_(j+1)) / j; summing over users gives the row.
-    O(U * D log D), where enumerating coalitions is O(2^D).
+    O(U * D log D), where enumerating coalitions is O(2^D).  Row sums
+    equal the grand coalition's capacity (efficiency).
     """
     d = instance.n_rrh
     mu = instance.mu_for(rru_count)
@@ -659,38 +627,7 @@ def _shapley_exact(instance: ClusterInstance, rru_count: int | None) -> ShapleyT
         by_rrh = np.empty_like(phi)
         np.put_along_axis(by_rrh, order, phi, axis=1)
         values[content] = mu * by_rrh.sum(axis=0)
-    return ShapleyTable(values=values, mode="exact", rru_count=rru_count)
-
-
-def _shapley_sampled(instance: ClusterInstance, rru_count: int | None,
-                     permutations: int, seed: int,
-                     batch: int = 2048) -> ShapleyTable:
-    d = instance.n_rrh
-    rng = substream(seed, STREAM_GAME, 0)
-    mu = instance.mu_for(rru_count)
-    sums = np.zeros((instance.content_count, d))
-    sq_sums = np.zeros((instance.content_count, d))
-    for lo in range(0, permutations, batch):
-        p = min(batch, permutations - lo)
-        perms = np.argsort(rng.random((p, d)), axis=1)
-        for content in range(instance.content_count):
-            users = instance.users_of(content)
-            if users.size == 0:
-                continue
-            k = instance._k_table(instance._log_moment_exponent(content, rru_count))
-            # capacity after each join is a running row-max over the permutation
-            acc = np.maximum.accumulate(k[users][:, perms], axis=2)
-            caps = mu * acc.sum(axis=0)                      # (p, d)
-            marginals = np.diff(caps, axis=1, prepend=0.0)
-            by_rrh = np.empty_like(marginals)
-            np.put_along_axis(by_rrh, perms, marginals, axis=1)
-            sums[content] += by_rrh.sum(axis=0)
-            sq_sums[content] += (by_rrh ** 2).sum(axis=0)
-    mean = sums / permutations
-    var = np.maximum(sq_sums / permutations - mean ** 2, 0.0)
-    se = np.sqrt(var / permutations)
-    return ShapleyTable(values=mean, mode="sampled", rru_count=rru_count,
-                        permutations=permutations, std_errors=se)
+    return values
 
 
 def _acquisition_cost(contents: frozenset, instance: ClusterInstance) -> float:
@@ -709,53 +646,50 @@ def _acquisition_cost(contents: frozenset, instance: ClusterInstance) -> float:
 
 
 def shapley_conflict_payoff(content: int, coalition: frozenset,
-                            table: ShapleyTable, instance: ClusterInstance) -> float:
+                            shapley: np.ndarray, instance: ClusterInstance) -> float:
     """Payoff of a content for sharing an RRU with ``coalition``.
 
-    Sum over members of the L1 distance between Shapley rows (dissimilar
-    RRH preferences make good roommates), minus the block's acquisition
-    cost evaluated on the post-join coalition.
+    Sum over members of the L1 distance between rows of the
+    :func:`shapley_values` array ``shapley`` (dissimilar RRH preferences
+    make good roommates), minus the block's acquisition cost evaluated on
+    the post-join coalition.
     """
     if content in coalition:
         raise ParameterError("payoff is defined for a joining content, not a member")
-    conflict = sum(float(np.abs(table.values[content] - table.values[other]).sum())
+    conflict = sum(float(np.abs(shapley[content] - shapley[other]).sum())
                    for other in sorted(coalition))
     return conflict - _acquisition_cost(coalition | {content}, instance)
 
 
-def _conflict_utility(coalition: frozenset, table: ShapleyTable,
+def _conflict_utility(coalition: frozenset, shapley: np.ndarray,
                       instance: ClusterInstance) -> float:
     if not coalition:
         return 0.0
-    return sum(shapley_conflict_payoff(c, coalition - {c}, table, instance)
+    return sum(shapley_conflict_payoff(c, coalition - {c}, shapley, instance)
                for c in sorted(coalition))
 
 
 def suboptimal_allocate(instance: ClusterInstance,
-                        init: Iterable[frozenset] | None = None,
-                        mode: str = "auto", permutations: int = 10_000,
-                        seed: int = 0,
                         max_sweeps: int = MAX_SWEEPS) -> AllocationResult:
     """RRU allocation from Shapley conflicts instead of nested evaluation.
 
-    Step 1: Shapley table per content (at the starting RRU count's rate
-    requirement).  Step 2: contents negotiate RRU membership hedonically
-    under the conflict payoff, same two-condition preference as the RRH
-    game.  Step 3: the inner RRH game and idle pruning run once on the
+    Starts from one block per content.  Step 1: Shapley values per
+    content (at the starting RRU count's rate requirement).  Step 2:
+    contents negotiate RRU membership hedonically under the conflict
+    payoff, same two-condition preference as the RRH game.  Step 3: the inner RRH game and idle pruning run once on the
     final partition.  Reported welfare uses the same utility as the nested
     search so results are comparable.
     """
     t0 = time.perf_counter()
-    state = _catalog_partition(instance, init)
-    table = shapley_values(instance, rru_count=len(state), mode=mode,
-                           permutations=permutations, seed=seed)
+    state = _one_block_per_content(instance)
+    shapley = shapley_values(instance, rru_count=len(state))
     steps = [AllocationStep(0, "init", _signature(state), math.nan)]
 
     def wants(content, block, part):
         return _wants_switch(
             content, block, part,
-            lambda c, coalition, _: shapley_conflict_payoff(c, coalition, table, instance),
-            lambda coalition, _: _conflict_utility(coalition, table, instance))
+            lambda c, coalition, _: shapley_conflict_payoff(c, coalition, shapley, instance),
+            lambda coalition, _: _conflict_utility(coalition, shapley, instance))
 
     # emptied blocks stay as targets: a content may leave to go alone
     blocks = _switch_until_stable(RrhPartition(dict(enumerate(state))),
@@ -764,7 +698,7 @@ def suboptimal_allocate(instance: ClusterInstance,
     final = _canonical(blocks.coalitions.values())
     ev = _PartitionEvaluator(instance)
     steps.append(AllocationStep(1, "final", _signature(final), ev.welfare(final)))
-    return _finalize("suboptimal", instance, final, ev, steps, t0, shapley=table)
+    return _finalize("suboptimal", instance, final, ev, steps, t0, shapley=shapley)
 
 
 # -- instance generation ----------------------------------------------------

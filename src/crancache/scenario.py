@@ -76,8 +76,6 @@ class Scenario:
     backhaul_w: float = 10.0
     # games
     cost_coeff: float = 1e-4
-    shapley_mode: str = "auto"
-    shapley_permutations: int = 10_000
     literal_power_accounting: bool = False
     # run
     seed: int = 1
@@ -104,21 +102,26 @@ class Scenario:
             if self.gamma_min >= getattr(self, name):
                 raise ParameterError(f"gamma_min {self.gamma_min!r} must lie below "
                                      f"{name} {getattr(self, name)!r}")
-        for name, least in (("quant_intervals", 2), ("rru_count", 1),
-                            ("shapley_permutations", 2)):
+        for name, least in (("quant_intervals", 2), ("rru_count", 1)):
             if getattr(self, name) < least:
                 raise ParameterError(f"{name} must be at least {least}, "
                                      f"got {getattr(self, name)!r}")
         for name, label, known in (
                 ("quant_mode", "quantizer mode", ("geometric", "equal")),
-                ("cache_policy", "cache policy", ("top_k", "random_k")),
-                ("shapley_mode", "Shapley mode", ("auto", "exact", "sampled"))):
+                ("cache_policy", "cache policy", ("top_k", "random_k"))):
             if getattr(self, name) not in known:
                 raise ParameterError(f"unknown {label} {getattr(self, name)!r}; "
                                      f"pick from {', '.join(known)}")
         if self.popularity and len(self.popularity) != self.content_count:
             raise ParameterError(f"popularity has {len(self.popularity)} entries "
                                  f"for {self.content_count} contents")
+        if self.cost_coeff < 0:
+            raise ParameterError(f"cost_coeff must be non-negative, got {self.cost_coeff!r}")
+        # the builders range-check the radio, power and density fields; the
+        # quantizers are not built here, since each allocates its whole grid
+        self.radio()
+        self.power()
+        self.density()
 
     def _theta_vec(self, raw: tuple) -> np.ndarray:
         if len(raw) == 1:
@@ -234,8 +237,7 @@ _SCHEMA = {
                   "gamma_min": float},
     "power": {"rrh_active": float, "rrh_sleep": float, "cache_per_object": float,
               "backhaul": float},
-    "games": {"cost_coeff": float, "shapley_mode": str,
-              "shapley_permutations": int, "literal_power_accounting": _bool},
+    "games": {"cost_coeff": float, "literal_power_accounting": _bool},
     "run": {"seed": int, "mc_trials": int, "user_distance": float,
             "user_gamma_max": float},
 }
@@ -281,7 +283,6 @@ def load_scenario(path: str | None = None, text: str | None = None) -> Scenario:
             except ValueError as exc:
                 raise ParameterError(f"bad value for [{section}] {key}: {raw!r}") from exc
     scenario = Scenario(**values)
-    scenario.catalog()   # surface popularity/size errors at load time
-    scenario.cache()
+    scenario.cache()     # surface cache-size and theta-length errors at load time
     scenario.qos()
     return scenario

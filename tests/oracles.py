@@ -6,7 +6,9 @@ Gauss-Laguerre nodes, an explicit per-RRH SINR draw where it samples
 whole interference fields, every set partition where it runs a local
 search, every coalition where it uses the Shapley closed form, one
 exponent per kernel pass where it builds a family), so agreement is
-evidence for both.
+evidence for both.  ``shapley_by_sampling`` is the Monte Carlo estimate
+of the Shapley values over random join orders, with per-entry standard
+errors, for RRH counts beyond the reach of enumeration.
 """
 
 import math
@@ -19,7 +21,8 @@ from scipy import integrate
 from crancache.effcap import (LN2, RadioParams, _l_decay_coeff, _log_moments,
                               _moment_weights, _sinr_coeffs)
 from crancache.errors import ParameterError
-from crancache.geometry import STREAM_FADING, NetworkRealization, substream
+from crancache.geometry import (STREAM_FADING, STREAM_GAME, NetworkRealization,
+                                substream)
 from crancache.simkit import SINR_CAP
 
 
@@ -156,3 +159,36 @@ def shapley_by_enumeration(instance, rru_count=None) -> np.ndarray:
             values[content, j] = float(np.sum(weights[sizes[without]]
                                               * (caps[without | (1 << j)] - caps[without])))
     return values
+
+
+def shapley_by_sampling(instance, rru_count, permutations: int, seed: int,
+                        batch: int = 2048) -> tuple[np.ndarray, np.ndarray]:
+    """(values, std_errors), each (contents, rrhs): Shapley values averaged
+    over ``permutations`` random join orders, drawn in batches from the
+    game sub-stream of ``seed``, with the per-entry sampling standard error.
+    """
+    d = instance.n_rrh
+    rng = substream(seed, STREAM_GAME, 0)
+    mu = instance.mu_for(rru_count)
+    sums = np.zeros((instance.content_count, d))
+    sq_sums = np.zeros((instance.content_count, d))
+    for lo in range(0, permutations, batch):
+        p = min(batch, permutations - lo)
+        perms = np.argsort(rng.random((p, d)), axis=1)
+        for content in range(instance.content_count):
+            users = instance.users_of(content)
+            if users.size == 0:
+                continue
+            k = instance._k_table(instance._log_moment_exponent(content, rru_count))
+            # capacity after each join is a running row-max over the permutation
+            acc = np.maximum.accumulate(k[users][:, perms], axis=2)
+            caps = mu * acc.sum(axis=0)                      # (p, d)
+            marginals = np.diff(caps, axis=1, prepend=0.0)
+            by_rrh = np.empty_like(marginals)
+            np.put_along_axis(by_rrh, perms, marginals, axis=1)
+            sums[content] += by_rrh.sum(axis=0)
+            sq_sums[content] += (by_rrh ** 2).sum(axis=0)
+    mean = sums / permutations
+    var = np.maximum(sq_sums / permutations - mean ** 2, 0.0)
+    se = np.sqrt(var / permutations)
+    return mean, se

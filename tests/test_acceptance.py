@@ -16,10 +16,10 @@ import pytest
 from crancache import effcap, energy, games, qos, simkit
 from crancache.cli import (ALGORITHMS, build_instance, main, run_algorithm)
 from crancache.content import ContentCatalog
-from crancache.errors import ParameterError
+from crancache.errors import CoverageError
 from crancache.scenario import Scenario
 
-from oracles import enumerate_partitions, l_func_general
+from oracles import enumerate_partitions, l_func_general, shapley_by_sampling
 
 
 @pytest.fixture(scope="module")
@@ -182,13 +182,12 @@ def test_criterion_08_merge_split_stability_and_gap():
 
 def test_criterion_09_shapley_sampled_vs_exact():
     inst = games.random_instance(42, 6, 12)
-    exact = games.shapley_values(inst, mode="exact")
+    exact = games.shapley_values(inst)
     for content in range(inst.content_count):
         grand = games.coalition_eff_cap(range(inst.n_rrh), content, inst)
-        assert exact.values[content].sum() == pytest.approx(grand, rel=1e-9, abs=1e-9)
-    samp = games.shapley_values(inst, mode="sampled", permutations=10_000, seed=3)
-    diff = np.abs(samp.values - exact.values)
-    se = samp.std_errors
+        assert exact[content].sum() == pytest.approx(grand, rel=1e-9, abs=1e-9)
+    samp, se = shapley_by_sampling(inst, None, permutations=10_000, seed=3)
+    diff = np.abs(samp - exact)
     assert np.all(diff[se == 0.0] == 0.0)
     z_max = float((diff[se > 0.0] / se[se > 0.0]).max())
     print(f"criterion 9: efficiency identity holds; max sampled deviation "
@@ -206,7 +205,7 @@ def test_criterion_10_algorithm_ranking(scenario):
         seed += 1
         try:
             build_instance(sc)
-        except ParameterError:
+        except CoverageError:
             continue  # empty draw skipped for every algorithm alike
         used += 1
         for alg in ALGORITHMS:

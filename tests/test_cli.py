@@ -205,6 +205,14 @@ def test_negative_seed_is_rejected(tmp_path):
     ("games", "shapley_permutations", "1"),
     ("games", "shapley_mode", "bogus"),
     ("content", "cache_policy", "lru"),
+    ("radio", "snr", "0"),
+    ("radio", "noise", "-1"),
+    ("radio", "pathloss_exponent", "2"),
+    ("power", "rrh_active", "-1"),
+    ("power", "rrh_sleep", "200"),
+    ("games", "cost_coeff", "-1"),
+    ("geometry", "lambda_rrh", "-1"),
+    ("geometry", "lambda_user", "-1"),
 ])
 def test_non_finite_config_value_is_rejected(tmp_path, section, key, value):
     cfg = tmp_path / "bad.ini"

@@ -238,6 +238,50 @@ def test_eff_cap_bounded_by_grid_ceiling():
     assert v <= 1.0 * math.log2(1.0 + 100.0) + 1e-9
 
 
+_PROPERTY_GRID = Quantizer.geometric(512)
+
+
+def _k_of_lengths(d, a, noise):
+    """K = -ln G / (a ln 2) from the kernel's log-moments, one per link length.
+
+    G >= (1 + gamma_max)^(-a) > 1e-240 for a <= 50, so these inputs never
+    reach the underflow DomainError.
+    """
+    q = _PROPERTY_GRID
+    c1, c2 = _sinr_coeffs(q.boundaries, 5e-6, radio(noise=noise))
+    g, = _log_moments(np.asarray(d, dtype=float), c1, c2, 4.0, [_moment_weights(q, a)])
+    return -np.log(_demand_moment(g)) / (a * LN2)
+
+
+def _k_slack(k, a):
+    """1e-12 relative, plus 8 ulp of G: where G is near 1 (long noisy links,
+    small a) its rounding alone moves K by up to ~3 eps / (a ln 2)."""
+    return 1e-12 * k + 8.0 * np.finfo(float).eps / (a * LN2)
+
+
+_LENGTHS = st.floats(min_value=0.5, max_value=2000.0)
+_EXPONENTS = st.floats(min_value=1e-3, max_value=12.5)   # a * stretch <= 50
+_STRETCHES = st.floats(min_value=1.0, max_value=4.0)
+_NOISES = st.sampled_from([0.0, 0.3])
+
+
+@given(_LENGTHS, _STRETCHES, _EXPONENTS, _NOISES)
+def test_k_non_increasing_in_link_length_and_below_the_grid_ceiling(d, stretch, a, noise):
+    # a longer link shifts the SINR law down, and (1 + gamma)^(-a) falls in gamma
+    near, far = _k_of_lengths([d, d * stretch], a, noise)
+    assert far <= near + _k_slack(near, a)
+    # G >= (1 + last midpoint)^(-a), since the masses sum to one
+    assert near <= math.log2(1.0 + _PROPERTY_GRID.gamma_max) * (1.0 + 1e-12)
+
+
+@given(_LENGTHS, _EXPONENTS, _STRETCHES, _NOISES)
+def test_k_non_increasing_in_the_exponent(d, a, stretch, noise):
+    # 2^-K is the power mean of order a of 1/(1 + gamma), non-decreasing in a
+    loose, = _k_of_lengths([d], a, noise)
+    strict, = _k_of_lengths([d], a * stretch, noise)
+    assert strict <= loose + _k_slack(loose, a)
+
+
 def test_eff_cap_quantizer_refinement_converges():
     coarse = eff_cap_user(0.1, 50.0, 5e-6, radio(), Quantizer.geometric(1 << 12, 1e12))
     fine = eff_cap_user(0.1, 50.0, 5e-6, radio(), Quantizer.geometric(1 << 17, 1e12))

@@ -10,7 +10,7 @@ from crancache.energy import eta_rru
 from crancache.errors import ConvergenceError, DomainError, ParameterError
 from crancache.geometry import NetworkRealization
 from crancache.games import (AllocationResult, ClusterInstance, RrhPartition,
-                             ShapleyTable, check_nash_stable, coalition_eff_cap,
+                             check_nash_stable, coalition_eff_cap,
                              coalition_value, evaluate_fixed_partition,
                              full_reuse_allocate, greedy_init_partition,
                              hedonic_rrh_association, nested_allocate,
@@ -19,7 +19,7 @@ from crancache.games import (AllocationResult, ClusterInstance, RrhPartition,
                              shapley_conflict_payoff, shapley_values,
                              suboptimal_allocate)
 
-from oracles import shapley_by_enumeration
+from oracles import shapley_by_enumeration, shapley_by_sampling
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +57,16 @@ def test_coalition_eff_cap_degenerate_cases(inst):
         coalition_eff_cap([0, 6], 0, inst)
     with pytest.raises(ParameterError):
         coalition_eff_cap([-1, 0], 0, inst)
+
+
+def test_member_range_checked_before_the_no_requester_shortcut(inst):
+    # content 2 has no requesters, which used to return 0 for any member
+    assert inst.users_of(2).size == 0
+    with pytest.raises(ParameterError, match="outside the realization"):
+        coalition_eff_cap([99], 2, inst)
+    with pytest.raises(ParameterError, match="outside the realization"):
+        rrh_payoff(99, [], 2, inst)
+    assert (2, None, (99,)) not in inst._cap_cache
 
 
 def test_coalition_eff_cap_monotone_in_members(inst):
@@ -214,14 +224,14 @@ def test_rru_utility_clamps_at_zero():
 
 
 def test_shapley_exact_efficiency(inst):
-    table = shapley_values(inst, mode="exact")
-    assert table.mode == "exact"
+    values = shapley_values(inst)
+    assert values.shape == (inst.content_count, inst.n_rrh)
     for content in range(inst.content_count):
         grand = coalition_eff_cap(range(inst.n_rrh), content, inst)
         if grand == 0.0:
-            assert np.all(table.values[content] == 0.0)
+            assert np.all(values[content] == 0.0)
         else:
-            assert table.values[content].sum() == pytest.approx(grand, rel=1e-12)
+            assert values[content].sum() == pytest.approx(grand, rel=1e-12)
 
 
 def test_shapley_exact_symmetry_for_twin_rrhs():
@@ -236,8 +246,8 @@ def test_shapley_exact_symmetry_for_twin_rrhs():
                                        r.user_xy, r.user_content, r.seed),
         catalog=base.catalog, cache=base.cache, qos=base.qos, params=base.params,
         power=base.power, lambda_rrh=base.lambda_rrh, quantizer=base.quantizer)
-    table = shapley_values(twin, mode="exact")
-    assert np.array_equal(table.values[:, 0], table.values[:, 1])
+    values = shapley_values(twin)
+    assert np.array_equal(values[:, 0], values[:, 1])
 
 
 @pytest.mark.parametrize("seed, n_rrh, n_users, cache_size", [
@@ -246,59 +256,46 @@ def test_shapley_exact_symmetry_for_twin_rrhs():
 def test_shapley_closed_form_matches_enumeration(seed, n_rrh, n_users, cache_size):
     inst = random_instance(seed, n_rrh, n_users, cache_size=cache_size)
     for rru_count in (None, 2):
-        table = shapley_values(inst, rru_count=rru_count, mode="exact")
         expect = shapley_by_enumeration(inst, rru_count)
-        assert np.allclose(table.values, expect, rtol=1e-12, atol=0.0)
+        assert np.allclose(shapley_values(inst, rru_count), expect, rtol=1e-12, atol=0.0)
 
 
 def test_shapley_efficiency_beyond_enumeration():
     # 30 RRHs: 2^30 coalitions, out of reach of enumeration
     inst = random_instance(11, 30, 60)
-    table = shapley_values(inst, mode="exact")
-    assert table.mode == "exact"
-    assert np.all(table.values >= 0.0)
+    values = shapley_values(inst)
+    assert np.all(values >= 0.0)
     for content in range(inst.content_count):
         grand = coalition_eff_cap(range(inst.n_rrh), content, inst)
-        assert table.values[content].sum() == pytest.approx(grand, rel=1e-12)
-
-
-def test_shapley_mode_selection_and_guards(inst):
-    assert shapley_values(inst, mode="auto").mode == "exact"
-    with pytest.raises(ParameterError):
-        shapley_values(inst, mode="sampled", permutations=1)
-    with pytest.raises(ParameterError):
-        shapley_values(inst, mode="bogus")
+        assert values[content].sum() == pytest.approx(grand, rel=1e-12)
 
 
 def test_shapley_sampled_agrees_with_exact(inst):
-    exact = shapley_values(inst, mode="exact")
-    samp = shapley_values(inst, mode="sampled", permutations=10_000, seed=3)
-    assert samp.permutations == 10_000
-    diff = np.abs(samp.values - exact.values)
-    se = samp.std_errors
+    exact = shapley_values(inst)
+    samp, se = shapley_by_sampling(inst, None, permutations=10_000, seed=3)
+    diff = np.abs(samp - exact)
     assert np.all(diff[se == 0.0] == 0.0)
     assert np.all(diff[se > 0.0] < 3.0 * se[se > 0.0])
 
 
 def test_shapley_sampled_deterministic(inst):
-    a = shapley_values(inst, mode="sampled", permutations=500, seed=3)
-    b = shapley_values(inst, mode="sampled", permutations=500, seed=3)
-    assert np.array_equal(a.values, b.values)
-    c = shapley_values(inst, mode="sampled", permutations=500, seed=4)
-    assert not np.array_equal(a.values, c.values)
+    a, _ = shapley_by_sampling(inst, None, permutations=500, seed=3)
+    b, _ = shapley_by_sampling(inst, None, permutations=500, seed=3)
+    assert np.array_equal(a, b)
+    c, _ = shapley_by_sampling(inst, None, permutations=500, seed=4)
+    assert not np.array_equal(a, c)
 
 
 def test_conflict_payoff_hand_check(inst):
     values = np.array([[1.0, 0.0, 2.0, 0.0, 0.0, 0.0],
                        [0.0, 1.0, 2.0, 0.0, 0.0, 0.0],
                        [4.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
-    table = ShapleyTable(values=values, mode="exact", rru_count=None)
-    got = shapley_conflict_payoff(0, frozenset({1, 2}), table, inst)
+    got = shapley_conflict_payoff(0, frozenset({1, 2}), values, inst)
     # L1(row0, row1) = 2, L1(row0, row2) = 5; cost on the 3-content block
     cost = games._acquisition_cost(frozenset({0, 1, 2}), inst)
     assert got == pytest.approx(7.0 - cost, rel=1e-15)
     with pytest.raises(ParameterError):
-        shapley_conflict_payoff(1, frozenset({1, 2}), table, inst)
+        shapley_conflict_payoff(1, frozenset({1, 2}), values, inst)
 
 
 def test_nested_welfare_climbs_without_repeats(inst):
@@ -319,13 +316,6 @@ def test_nested_beats_orthogonal_start(inst):
     assert res.welfare >= orthogonal_allocate(inst).welfare
 
 
-def test_nested_custom_init_and_guards(inst):
-    res = nested_allocate(inst, init=[frozenset({0, 1}), frozenset({2, 3, 4})])
-    assert res.steps[0].partition == "0,1|2,3,4"
-    with pytest.raises(ParameterError):
-        nested_allocate(inst, init=[frozenset({0, 1})])
-
-
 def test_fixed_partition_baselines(inst):
     orth = orthogonal_allocate(inst)
     full = full_reuse_allocate(inst)
@@ -337,12 +327,12 @@ def test_fixed_partition_baselines(inst):
 
 
 def test_suboptimal_runs_deterministically(inst):
-    a = suboptimal_allocate(inst, seed=0)
-    b = suboptimal_allocate(inst, seed=0)
+    a = suboptimal_allocate(inst)
+    b = suboptimal_allocate(inst)
     assert a.algorithm == "suboptimal"
     assert a.steps[0].op == "init" and math.isnan(a.steps[0].welfare)
     assert a.steps[-1].op == "final"
-    assert a.shapley is not None
+    assert np.array_equal(a.shapley, shapley_values(inst, inst.content_count))
     assert [s.partition for s in a.steps] == [s.partition for s in b.steps]
     assert a.welfare == b.welfare
     covered = sorted(c for blk in a.rru_partition for c in blk)
@@ -354,7 +344,7 @@ def test_suboptimal_outcome_admits_no_content_switch():
     # to another block, emptied blocks (going alone) included
     for seed in range(3):
         inst = random_instance(seed, 6, 12)
-        res = suboptimal_allocate(inst, seed=seed, permutations=500)
+        res = suboptimal_allocate(inst)
         n = inst.content_count
         blocks = list(res.rru_partition) + [frozenset()] * (n - res.rru_count)
         part = RrhPartition(dict(enumerate(blocks)))
@@ -371,10 +361,8 @@ def test_suboptimal_outcome_admits_no_content_switch():
 
 
 def test_suboptimal_guards(inst):
-    with pytest.raises(ParameterError):
-        suboptimal_allocate(inst, init=[frozenset({0, 1})], permutations=500)
     with pytest.raises(ConvergenceError):
-        suboptimal_allocate(inst, permutations=500, max_sweeps=0)
+        suboptimal_allocate(inst, max_sweeps=0)
 
 
 def test_literal_power_accounting_charges_cache_and_catalog():
@@ -420,7 +408,7 @@ def test_bipartition_enumeration():
         assert not left & right
     assert len(set(frozenset((l, r)) for l, r in splits)) == len(splits)
     assert list(games._bipartitions(frozenset({0}))) == []
-    big = frozenset(range(13))
+    big = frozenset(range(games.SPLIT_ENUMERATION_CAP + 1))
     peels = list(games._bipartitions(big))
-    assert len(peels) == 13
+    assert len(peels) == len(big)
     assert all(len(r) == 1 for _, r in peels)
