@@ -230,9 +230,9 @@ def block_energy_efficiency(instance: games.ClusterInstance,
 
 
 def run_allocate(scenario: Scenario, algorithm: str, out_dir: str) -> games.AllocationResult:
-    os.makedirs(out_dir, exist_ok=True)
     instance = build_instance(scenario)
     result = run_algorithm(instance, algorithm, scenario)
+    os.makedirs(out_dir, exist_ok=True)
     header = scenario.header_lines() + [f"# algorithm = {result.algorithm}"]
 
     rows = []

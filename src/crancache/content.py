@@ -78,16 +78,12 @@ class ClusterCache:
 
     A request for a stored object is served from the cache (hit); anything
     else is fetched over the backhaul from the cloud, which stores the full
-    catalog.  ``power_per_object_w`` is the caching power charged per
-    stored object.
+    catalog.
     """
 
     stored: frozenset[int] = field(default_factory=frozenset)
-    power_per_object_w: float = 0.15
 
     def __post_init__(self):
-        if self.power_per_object_w < 0:
-            raise ParameterError("caching power must be non-negative")
         if any(i < 0 for i in self.stored):
             raise ParameterError("stored indices must be non-negative")
 

@@ -32,10 +32,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .content import ClusterCache, ContentCatalog, hit_ratio
+from .content import ClusterCache, ContentCatalog
 from .effcap import (LN2, Quantizer, RadioParams, _demand_moment, _log_moments,
                      _moment_weights, _sinr_coeffs, required_spectral_efficiency)
-from .energy import PowerModel, eta_rru
+from .energy import PowerModel
 from .errors import (ConvergenceError, DomainError, ParameterError,
                      StabilityViolationError)
 from .geometry import STREAM_GAME, NetworkRealization, substream
@@ -54,7 +54,7 @@ class ClusterInstance:
     ``lambda_rrh`` is the intensity used by the analytic per-link capacity;
     utilities treat coalition members as serving RRH candidates and the
     whole field as interference, so the instance never re-derives
-    intensities from the drawn point count unless told to.
+    intensities from the drawn point count.
     """
 
     realization: NetworkRealization
@@ -104,9 +104,7 @@ class ClusterInstance:
     def users_of(self, content: int) -> np.ndarray:
         return self._users_by_content[content]
 
-    def mu_for(self, rru_count: int | None) -> float:
-        if rru_count is None:
-            return self.params.spectral_efficiency
+    def mu_for(self, rru_count: int) -> float:
         return required_spectral_efficiency(self.catalog.count,
                                             self.catalog.object_size_bits,
                                             rru_count, self.params.bandwidth_hz,
@@ -132,104 +130,107 @@ class ClusterInstance:
         cached = sum(1 for c in contents if self.cache.holds(c))
         return cached, len(contents) - cached
 
-    def _log_moment_exponent(self, content: int, rru_count: int | None) -> float:
+    def _log_moment_exponent(self, content: int, rru_count: int) -> float:
         return (self.mu_for(rru_count) * self.theta_of(content)
                 * self.params.bandwidth_hz * self.params.tbar)
 
-    def _k_table(self, a: float) -> np.ndarray:
-        """Normalized log-moment map K(a)[user, rrh]; capacity is mu * K.
+    def _k_table(self, content: int, rru_count: int) -> np.ndarray:
+        """Normalized log-moment map K[user, rrh]; capacity is mu * K.
 
         K = -ln G / (a ln 2) with G the quantized log-moment of the SINR
-        law for a link of the tabulated distance, so K -> log2(1+gamma)
-        as the law degenerates.  Strictly decreasing in distance, which
-        is what lets "nearest coalition member" read as a row-max.
+        law at the content's exponent a for ``rru_count`` RRUs, so K ->
+        log2(1+gamma) as the law degenerates.  Strictly decreasing in
+        distance, which is what lets "nearest coalition member" read as a
+        row-max.
 
-        Tables are built one exponent family per kernel pass: a miss
-        builds every exponent the instance can demand and has not cached
-        (each content's at every RRU count 1..L, plus ``a``), sharing each
-        survival chunk, with every table byte-identical to a build of its
-        own.  An exponent whose G underflows raises DomainError only when
-        it is demanded.
+        The first demand builds the whole family (every content at every
+        RRU count 1..L) in one kernel pass that shares each survival chunk,
+        with every table byte-identical to a build of its own.  A table
+        whose G underflows raises DomainError only when it is demanded.
         """
-        if a not in self._k_cache:
-            count = self.content_count
-            family = {self._log_moment_exponent(c, n)
-                      for c in range(count) for n in range(1, count + 1)}
-            family = sorted((family | {a}) - self._k_cache.keys())
+        count = self.content_count
+        if not 1 <= rru_count <= count:
+            raise ParameterError(f"RRU count {rru_count} outside [1, {count}]")
+        if not self._k_cache:
+            exponents = {(c, n): self._log_moment_exponent(c, n)
+                         for c in range(count) for n in range(1, count + 1)}
+            family = sorted(set(exponents.values()))
             c1, c2 = _sinr_coeffs(self.quantizer.boundaries, self.lambda_rrh, self.params)
             gs = _log_moments(self._dist.ravel(), c1, c2, self.params.pathloss_exponent,
                               [_moment_weights(self.quantizer, e) for e in family])
+            tables = {}
             for e, g in zip(family, gs):
                 try:
-                    tab = -np.log(_demand_moment(g)) / (e * LN2)
-                    self._k_cache[e] = tab.reshape(self._dist.shape)
+                    tables[e] = (-np.log(_demand_moment(g)) / (e * LN2)).reshape(
+                        self._dist.shape)
                 except DomainError as exc:
-                    self._k_cache[e] = exc
-        tab = self._k_cache[a]
+                    tables[e] = exc
+            self._k_cache = {key: tables[e] for key, e in exponents.items()}
+        tab = self._k_cache[content, rru_count]
         if isinstance(tab, DomainError):
             raise tab
         return tab
 
 
 def coalition_eff_cap(coalition: Iterable[int], content: int,
-                      instance: ClusterInstance,
-                      rru_count: int | None = None) -> float:
-    """Summed effective capacity the coalition delivers for one content.
+                      instance: ClusterInstance, rru_count: int) -> float:
+    """Summed effective capacity the coalition delivers for one content
+    in a partition of ``rru_count`` RRUs.
 
     Each requester of the content is served by its nearest coalition
     member; users of other contents and users with no member in reach
     contribute nothing.  Empty coalition: 0.
     """
-    cols = tuple(sorted(coalition))
-    key = (content, rru_count, cols)
+    members = frozenset(coalition)
+    key = (content, rru_count, members)
     cached = instance._cap_cache.get(key)
     if cached is not None:
         return cached
-    if cols and (cols[0] < 0 or cols[-1] >= instance.n_rrh):
+    if members and (min(members) < 0 or max(members) >= instance.n_rrh):
         raise ParameterError("coalition member outside the realization")
     users = instance.users_of(content)
-    if not cols or users.size == 0:
+    if not members or users.size == 0:
         instance._cap_cache[key] = 0.0
         return 0.0
-    a = instance._log_moment_exponent(content, rru_count)
-    k = instance._k_table(a)
-    value = instance.mu_for(rru_count) * float(k[np.ix_(users, cols)].max(axis=1).sum())
+    k = instance._k_table(content, rru_count)
+    # a row max is exact, so the member order cannot move a bit
+    value = instance.mu_for(rru_count) * float(
+        k[np.ix_(users, list(members))].max(axis=1).sum())
     instance._cap_cache[key] = value
     return value
 
 
 def coalition_value(coalition: Iterable[int], content: int,
-                    instance: ClusterInstance,
-                    rru_count: int | None = None) -> float:
+                    instance: ClusterInstance, rru_count: int) -> float:
     """Coalition worth: delivered capacity minus the members' power bill.
 
     v(R) = cap(R) - c0 * (|R| * P_rrh + P_share); the object-acquisition
     power P_share is paid once per coalition and split among members, so
     in total it appears once.  v(empty) = 0.
     """
-    cols = tuple(sorted(coalition))
-    if not cols:
+    members = frozenset(coalition)
+    if not members:
         return 0.0
-    cap = coalition_eff_cap(cols, content, instance, rru_count)
-    cost = instance.cost_coeff * (len(cols) * instance.power.rrh_active
+    cap = coalition_eff_cap(members, content, instance, rru_count)
+    cost = instance.cost_coeff * (len(members) * instance.power.rrh_active
                                   + instance.share_power(content))
     return cap - cost
 
 
 def rrh_payoff(rrh: int, coalition: Iterable[int], content: int,
-               instance: ClusterInstance, rru_count: int | None = None) -> float:
+               instance: ClusterInstance, rru_count: int) -> float:
     """Payoff RRH ``rrh`` gets for joining ``coalition`` on this content.
 
     Marginal capacity minus c0 * (own RRH power + equal share of the
     object-acquisition power); the share is computed at the size after
     joining.
     """
-    cols = tuple(sorted(coalition))
-    if rrh in cols:
+    members = frozenset(coalition)
+    if rrh in members:
         raise ParameterError("payoff is defined for a joining RRH, not a member")
-    joined = tuple(sorted(cols + (rrh,)))
+    joined = members | {rrh}
     gain = (coalition_eff_cap(joined, content, instance, rru_count)
-            - coalition_eff_cap(cols, content, instance, rru_count))
+            - coalition_eff_cap(members, content, instance, rru_count))
     cost = instance.cost_coeff * (instance.power.rrh_active
                                   + instance.share_power(content) / len(joined))
     return gain - cost
@@ -267,8 +268,7 @@ class RrhPartition:
         new[target] = new[target] | {player}
         return RrhPartition(new)
 
-    def total_value(self, instance: ClusterInstance,
-                    rru_count: int | None = None) -> float:
+    def total_value(self, instance: ClusterInstance, rru_count: int) -> float:
         return sum(coalition_value(m, c, instance, rru_count)
                    for c, m in self.coalitions.items())
 
@@ -314,7 +314,7 @@ def _switch_until_stable(partition: RrhPartition, players: Sequence[int],
 
 
 def prefers(rrh: int, target_content: int, partition: RrhPartition,
-            instance: ClusterInstance, rru_count: int | None = None) -> bool:
+            instance: ClusterInstance, rru_count: int) -> bool:
     """Whether the RRH strictly wants to defect to the target coalition.
 
     :func:`_wants_switch` with RRH payoffs and coalition values.
@@ -326,7 +326,7 @@ def prefers(rrh: int, target_content: int, partition: RrhPartition,
 
 
 def greedy_init_partition(contents: Sequence[int], instance: ClusterInstance,
-                          rru_count: int | None = None) -> RrhPartition:
+                          rru_count: int) -> RrhPartition:
     """Seed partition: RRHs in index order each join their best coalition so far.
 
     Ties go to the lowest content index.
@@ -344,7 +344,7 @@ def greedy_init_partition(contents: Sequence[int], instance: ClusterInstance,
 
 
 def hedonic_rrh_association(contents: Sequence[int], instance: ClusterInstance,
-                            rru_count: int | None = None,
+                            rru_count: int,
                             max_sweeps: int = MAX_SWEEPS) -> RrhPartition:
     """Negotiate RRH coalitions for the contents sharing one RRU.
 
@@ -366,7 +366,7 @@ def hedonic_rrh_association(contents: Sequence[int], instance: ClusterInstance,
 
 
 def check_nash_stable(partition: RrhPartition, instance: ClusterInstance,
-                      rru_count: int | None = None):
+                      rru_count: int):
     """Exhaustive deviation check; returns (stable, witness).
 
     The witness is the first (rrh, target_content) move some RRH strictly
@@ -599,8 +599,7 @@ def full_reuse_allocate(instance: ClusterInstance) -> AllocationResult:
 # -- Shapley machinery -----------------------------------------------------
 
 
-def shapley_values(instance: ClusterInstance,
-                   rru_count: int | None = None) -> np.ndarray:
+def shapley_values(instance: ClusterInstance, rru_count: int) -> np.ndarray:
     """(contents, rrhs) Shapley values of each content's capacity game.
 
     Closed form of Littlechild & Owen (1973), for any number of RRHs.  A
@@ -618,7 +617,7 @@ def shapley_values(instance: ClusterInstance,
         users = instance.users_of(content)
         if users.size == 0:
             continue
-        k = instance._k_table(instance._log_moment_exponent(content, rru_count))[users]
+        k = instance._k_table(content, rru_count)[users]
         order = np.argsort(-k, axis=1, kind="stable")
         x = np.take_along_axis(k, order, axis=1)
         steps = -np.diff(x, axis=1, append=0.0) / np.arange(1, d + 1)
@@ -738,8 +737,7 @@ def random_instance(seed: int, n_rrh: int, n_users: int, content_count: int = 5,
 
     k = content_count if cache_size is None else cache_size
     power = power if power is not None else PowerModel()
-    cache = ClusterCache(stored=frozenset(range(k)),
-                         power_per_object_w=power.cache_per_object)
+    cache = ClusterCache(stored=frozenset(range(k)))
     qos = QosProfile.uniform(theta_cluster, theta_cloud, content_count)
     mu = required_spectral_efficiency(content_count, object_bits, content_count,
                                       bandwidth_hz, slot_s)

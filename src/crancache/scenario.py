@@ -147,7 +147,7 @@ class Scenario:
             stored = select_random_k(catalog, k, substream(self.seed, 7))
         else:
             stored = select_top_k(catalog, k)
-        return ClusterCache(stored=stored, power_per_object_w=self.cache_per_object_w)
+        return ClusterCache(stored=stored)
 
     def qos(self) -> QosProfile:
         return QosProfile(self._theta_vec(self.theta_cluster),

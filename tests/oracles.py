@@ -126,7 +126,7 @@ def k_table_single(instance, a: float) -> np.ndarray:
     return (-np.log(g) / (a * LN2)).reshape(instance._dist.shape)
 
 
-def shapley_by_enumeration(instance, rru_count=None) -> np.ndarray:
+def shapley_by_enumeration(instance, rru_count: int) -> np.ndarray:
     """(contents, rrhs) Shapley values from the capacity of every RRH subset.
 
     phi_j = sum over S not holding j of |S|!(D-|S|-1)!/D! * (v(S+j) - v(S)),
@@ -145,7 +145,7 @@ def shapley_by_enumeration(instance, rru_count=None) -> np.ndarray:
         users = instance.users_of(content)
         if users.size == 0:
             continue
-        k = instance._k_table(instance._log_moment_exponent(content, rru_count))[users]
+        k = instance._k_table(content, rru_count)[users]
         caps = np.zeros(1 << d)
         best = np.zeros((1 << d, users.size))
         for mask in range(1, 1 << d):
@@ -161,7 +161,7 @@ def shapley_by_enumeration(instance, rru_count=None) -> np.ndarray:
     return values
 
 
-def shapley_by_sampling(instance, rru_count, permutations: int, seed: int,
+def shapley_by_sampling(instance, rru_count: int, permutations: int, seed: int,
                         batch: int = 2048) -> tuple[np.ndarray, np.ndarray]:
     """(values, std_errors), each (contents, rrhs): Shapley values averaged
     over ``permutations`` random join orders, drawn in batches from the
@@ -179,7 +179,7 @@ def shapley_by_sampling(instance, rru_count, permutations: int, seed: int,
             users = instance.users_of(content)
             if users.size == 0:
                 continue
-            k = instance._k_table(instance._log_moment_exponent(content, rru_count))
+            k = instance._k_table(content, rru_count)
             # capacity after each join is a running row-max over the permutation
             acc = np.maximum.accumulate(k[users][:, perms], axis=2)
             caps = mu * acc.sum(axis=0)                      # (p, d)

@@ -148,8 +148,9 @@ def test_criterion_07_rrh_game_always_stabilizes():
     for i in range(100):
         inst = games.random_instance(9000 + i, 2 + i % 5, 3 + i % 8,
                                      content_count=1 + i % 3)
-        part = games.hedonic_rrh_association(range(inst.content_count), inst)
-        stable, witness = games.check_nash_stable(part, inst)
+        n = inst.content_count
+        part = games.hedonic_rrh_association(range(n), inst, n)
+        stable, witness = games.check_nash_stable(part, inst, n)
         assert stable, f"instance {i}: deviation {witness}"
     elapsed = time.perf_counter() - t0
     print(f"criterion 7: 100/100 Nash-stable, no convergence failures, "
@@ -182,11 +183,12 @@ def test_criterion_08_merge_split_stability_and_gap():
 
 def test_criterion_09_shapley_sampled_vs_exact():
     inst = games.random_instance(42, 6, 12)
-    exact = games.shapley_values(inst)
-    for content in range(inst.content_count):
-        grand = games.coalition_eff_cap(range(inst.n_rrh), content, inst)
+    n = inst.content_count
+    exact = games.shapley_values(inst, n)
+    for content in range(n):
+        grand = games.coalition_eff_cap(range(inst.n_rrh), content, inst, n)
         assert exact[content].sum() == pytest.approx(grand, rel=1e-9, abs=1e-9)
-    samp, se = shapley_by_sampling(inst, None, permutations=10_000, seed=3)
+    samp, se = shapley_by_sampling(inst, n, permutations=10_000, seed=3)
     diff = np.abs(samp - exact)
     assert np.all(diff[se == 0.0] == 0.0)
     z_max = float((diff[se > 0.0] / se[se > 0.0]).max())

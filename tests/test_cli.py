@@ -141,6 +141,18 @@ def test_sweep_that_compares_nothing_exits_2(tmp_path, config, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [
+    "[geometry]\nlambda_user = 0\n",
+    "[geometry]\nlambda_rrh = 1e-12\nlambda_user = 1e-12\n",
+], ids=["no-users", "empty-drop"])
+def test_allocate_that_cannot_run_leaves_no_out_dir(tmp_path, config):
+    cfg = tmp_path / "s.ini"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "allocate", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_sweep_skips_only_empty_drops(tmp_path):
     # at this intensity seeds 1 and 3 draw no RRH, seeds 2 and 4 draw one
     sparse = replace(Scenario(), lambda_rrh=1e-7)

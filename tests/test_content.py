@@ -83,8 +83,6 @@ def test_cluster_cache_basics():
     assert ClusterCache().size == 0
     with pytest.raises(ParameterError):
         ClusterCache(stored=frozenset({-1}))
-    with pytest.raises(ParameterError):
-        ClusterCache(power_per_object_w=-0.1)
 
 
 def test_hit_ratio_top_two_unit_zipf():

@@ -187,7 +187,7 @@ def test_eff_cap_user_matches_k_table():
         mu = inst.mu_for(n)
         params = replace(inst.params, spectral_efficiency=mu)
         for content in range(inst.content_count):
-            k = inst._k_table(inst._log_moment_exponent(content, n))
+            k = inst._k_table(content, n)
             theta = inst.theta_of(content)
             for (u, r), d in np.ndenumerate(inst._dist):
                 got = eff_cap_user(theta, d, inst.lambda_rrh, params, inst.quantizer)
@@ -375,27 +375,27 @@ def test_k_table_family_matches_single_exponent_builds(noise, intervals, cache_s
     family = {inst._log_moment_exponent(c, n)
               for c in range(count) for n in range(1, count + 1)}
     assert len(family) == (count if cache_size is None else 2 * count)
-    first = min(family)
-    inst._k_table(first)
-    assert set(inst._k_cache) == family
-    for a in family:
-        assert np.array_equal(inst._k_table(a), k_table_single(inst, a))
-    # an exponent outside the family is built alone on its own miss
-    stray = 0.5 * first
-    assert np.array_equal(inst._k_table(stray), k_table_single(inst, stray))
-    assert set(inst._k_cache) == family | {stray}
+    inst._k_table(0, 1)
+    keys = {(c, n) for c in range(count) for n in range(1, count + 1)}
+    assert set(inst._k_cache) == keys
+    for c, n in keys:
+        assert np.array_equal(inst._k_table(c, n),
+                              k_table_single(inst, inst._log_moment_exponent(c, n)))
 
 
 def test_k_table_underflow_surfaces_only_on_demand():
-    # user 0 sits on RRH 0: the delivery exponents underflow on that link,
-    # a mild exponent built in the same pass does not
-    inst = random_instance(42, 6, 12)
+    # user 0 sits on RRH 0: at this delay exponent the tables of RRU
+    # counts 1 and 2 (a = 144, 72) underflow on that link, while those of
+    # counts 3-5, built in the same pass, do not
+    inst = random_instance(42, 6, 12, theta_cluster=2e-5)
     inst._dist[0, 0] = 0.0
-    mild = 1e-3
-    assert np.array_equal(inst._k_table(mild), k_table_single(inst, mild))
-    for a in inst._k_cache.keys() - {mild}:
-        with pytest.raises(DomainError, match="underflows"):
-            inst._k_table(a)
+    for c in range(inst.content_count):
+        for n in (1, 2):
+            with pytest.raises(DomainError, match="underflows"):
+                inst._k_table(c, n)
+        for n in (3, 4, 5):
+            a = inst._log_moment_exponent(c, n)
+            assert np.array_equal(inst._k_table(c, n), k_table_single(inst, a))
 
 
 _K_TABLE_DIGEST = """
@@ -403,7 +403,7 @@ import hashlib
 from crancache.effcap import Quantizer
 from crancache.games import random_instance
 inst = random_instance(3, 11, 23, noise=0.2, quantizer=Quantizer.geometric(1 << 14, 1e6))
-table = inst._k_table(inst._log_moment_exponent(0, 2))
+table = inst._k_table(0, 2)
 print(hashlib.sha256(table.tobytes()).hexdigest())
 """
 

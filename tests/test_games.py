@@ -49,62 +49,77 @@ def test_random_instance_guards():
 
 
 def test_coalition_eff_cap_degenerate_cases(inst):
-    assert coalition_eff_cap([], 0, inst) == 0.0
+    n = inst.content_count
+    assert coalition_eff_cap([], 0, inst, n) == 0.0
     # content 2 has no requesters in this draw
     assert inst.users_of(2).size == 0
-    assert coalition_eff_cap([0, 1], 2, inst) == 0.0
+    assert coalition_eff_cap([0, 1], 2, inst, n) == 0.0
     with pytest.raises(ParameterError):
-        coalition_eff_cap([0, 6], 0, inst)
+        coalition_eff_cap([0, 6], 0, inst, n)
     with pytest.raises(ParameterError):
-        coalition_eff_cap([-1, 0], 0, inst)
+        coalition_eff_cap([-1, 0], 0, inst, n)
 
 
 def test_member_range_checked_before_the_no_requester_shortcut(inst):
     # content 2 has no requesters, which used to return 0 for any member
+    n = inst.content_count
     assert inst.users_of(2).size == 0
     with pytest.raises(ParameterError, match="outside the realization"):
-        coalition_eff_cap([99], 2, inst)
+        coalition_eff_cap([99], 2, inst, n)
     with pytest.raises(ParameterError, match="outside the realization"):
-        rrh_payoff(99, [], 2, inst)
-    assert (2, None, (99,)) not in inst._cap_cache
+        rrh_payoff(99, [], 2, inst, n)
+    assert (2, n, frozenset({99})) not in inst._cap_cache
+
+
+def test_rru_count_outside_the_catalog_is_rejected(inst):
+    # a partition of L contents has 1..L blocks; no other count prices a game
+    for n in (0, inst.content_count + 1):
+        with pytest.raises(ParameterError):
+            coalition_eff_cap([0, 1], 0, inst, n)
+        with pytest.raises(ParameterError):
+            shapley_values(inst, n)
 
 
 def test_coalition_eff_cap_monotone_in_members(inst):
     # nearest-member service: adding an RRH can only shorten distances
-    for content in range(inst.content_count):
-        solo = coalition_eff_cap([1], content, inst)
-        pair = coalition_eff_cap([1, 4], content, inst)
-        full = coalition_eff_cap(range(6), content, inst)
+    n = inst.content_count
+    for content in range(n):
+        solo = coalition_eff_cap([1], content, inst, n)
+        pair = coalition_eff_cap([1, 4], content, inst, n)
+        full = coalition_eff_cap(range(6), content, inst, n)
         assert solo <= pair <= full
 
 
 def test_coalition_eff_cap_order_insensitive_and_cached(inst):
-    a = coalition_eff_cap([3, 0, 5], 1, inst)
-    b = coalition_eff_cap([5, 3, 0], 1, inst)
+    n = inst.content_count
+    a = coalition_eff_cap([3, 0, 5], 1, inst, n)
+    b = coalition_eff_cap([5, 3, 0], 1, inst, n)
     assert a == b
-    assert (1, None, (0, 3, 5)) in inst._cap_cache
+    assert (1, n, frozenset({0, 3, 5})) in inst._cap_cache
 
 
 def test_coalition_value_decomposition(inst):
+    n = inst.content_count
     cols = [0, 2, 4]
     for content in (0, 1):
-        cap = coalition_eff_cap(cols, content, inst)
+        cap = coalition_eff_cap(cols, content, inst, n)
         expect = cap - inst.cost_coeff * (3 * inst.power.rrh_active
                                           + inst.share_power(content))
-        assert coalition_value(cols, content, inst) == pytest.approx(expect, rel=1e-15)
-    assert coalition_value([], 0, inst) == 0.0
+        assert coalition_value(cols, content, inst, n) == pytest.approx(expect, rel=1e-15)
+    assert coalition_value([], 0, inst, n) == 0.0
 
 
 def test_rrh_payoff_marginal_identity(inst):
+    n = inst.content_count
     base = [1, 3]
     for content in (0, 1, 4):
-        gain = (coalition_eff_cap([0, 1, 3], content, inst)
-                - coalition_eff_cap(base, content, inst))
+        gain = (coalition_eff_cap([0, 1, 3], content, inst, n)
+                - coalition_eff_cap(base, content, inst, n))
         cost = inst.cost_coeff * (inst.power.rrh_active + inst.share_power(content) / 3)
-        assert rrh_payoff(0, base, content, inst) == pytest.approx(gain - cost, rel=1e-12,
-                                                                   abs=1e-15)
+        assert rrh_payoff(0, base, content, inst, n) == pytest.approx(gain - cost, rel=1e-12,
+                                                                      abs=1e-15)
     with pytest.raises(ParameterError):
-        rrh_payoff(1, base, 0, inst)
+        rrh_payoff(1, base, 0, inst, n)
 
 
 def test_rrh_partition_plumbing():
@@ -122,14 +137,16 @@ def test_rrh_partition_plumbing():
 
 
 def test_prefers_refuses_staying_put(inst):
-    part = greedy_init_partition(range(inst.content_count), inst)
+    n = inst.content_count
+    part = greedy_init_partition(range(n), inst, n)
     for rrh in range(inst.n_rrh):
-        assert not prefers(rrh, part.content_of(rrh), part, inst)
+        assert not prefers(rrh, part.content_of(rrh), part, inst, n)
 
 
 def test_greedy_init_covers_all_rrhs(inst):
-    part = greedy_init_partition(range(inst.content_count), inst)
-    assert sorted(part.coalitions) == list(range(inst.content_count))
+    n = inst.content_count
+    part = greedy_init_partition(range(n), inst, n)
+    assert sorted(part.coalitions) == list(range(n))
     placed = sorted(r for m in part.coalitions.values() for r in m)
     assert placed == list(range(inst.n_rrh))
 
@@ -138,61 +155,65 @@ def test_manual_negotiation_is_a_potential_climb(inst):
     # replay the negotiation by hand: every accepted move must strictly
     # raise the summed coalition value, and the fixed scan order must land
     # on exactly the partition the routine returns
-    contents = list(range(inst.content_count))
-    part = greedy_init_partition(contents, inst)
+    n = inst.content_count
+    contents = list(range(n))
+    part = greedy_init_partition(contents, inst, n)
     for _ in range(200):
         moved = False
         for rrh in range(inst.n_rrh):
             for target in contents:
-                if prefers(rrh, target, part, inst):
-                    before = part.total_value(inst)
+                if prefers(rrh, target, part, inst, n):
+                    before = part.total_value(inst, n)
                     part = part.moved(rrh, target)
-                    assert part.total_value(inst) > before
+                    assert part.total_value(inst, n) > before
                     moved = True
                     break
         if not moved:
             break
-    assert part == hedonic_rrh_association(contents, inst)
+    assert part == hedonic_rrh_association(contents, inst, n)
 
 
 def test_hedonic_outcome_is_nash_stable():
     for seed in range(100, 110):
         inst = random_instance(seed, 5, 10, content_count=3)
-        part = hedonic_rrh_association(range(3), inst)
-        stable, witness = check_nash_stable(part, inst)
+        part = hedonic_rrh_association(range(3), inst, 3)
+        stable, witness = check_nash_stable(part, inst, 3)
         assert stable and witness is None
         placed = sorted(r for m in part.coalitions.values() for r in m)
         assert placed == list(range(5))
 
 
 def test_hedonic_guards(inst):
+    n = inst.content_count
     with pytest.raises(ConvergenceError):
-        hedonic_rrh_association(range(inst.content_count), inst, max_sweeps=0)
+        hedonic_rrh_association(range(n), inst, n, max_sweeps=0)
     with pytest.raises(ParameterError):
-        hedonic_rrh_association([], inst)
+        hedonic_rrh_association([], inst, n)
 
 
 def test_check_nash_stable_reports_valid_witness(inst):
     # dump every RRH on content 0 and leave the busy contents empty;
     # somebody must want out, and the witness must be an actual deviation
-    coalitions = {c: frozenset() for c in range(inst.content_count)}
+    n = inst.content_count
+    coalitions = {c: frozenset() for c in range(n)}
     coalitions[0] = frozenset(range(inst.n_rrh))
     part = RrhPartition(coalitions)
-    stable, witness = check_nash_stable(part, inst)
+    stable, witness = check_nash_stable(part, inst, n)
     assert not stable
     rrh, target = witness
-    assert prefers(rrh, target, part, inst)
+    assert prefers(rrh, target, part, inst, n)
 
 
 def test_prune_keeps_every_served_user_covered(inst):
-    part = hedonic_rrh_association(range(inst.content_count), inst)
+    n = inst.content_count
+    part = hedonic_rrh_association(range(n), inst, n)
     active, asleep = prune_sleep_rrhs(part, inst)
     assert active | asleep == frozenset(range(inst.n_rrh))
     assert not active & asleep
     for content, members in part.coalitions.items():
         kept = members & active
-        assert coalition_eff_cap(kept, content, inst) == \
-            coalition_eff_cap(members, content, inst)
+        assert coalition_eff_cap(kept, content, inst, n) == \
+            coalition_eff_cap(members, content, inst, n)
 
 
 def test_rru_utility_forms_agree(inst):
@@ -224,10 +245,11 @@ def test_rru_utility_clamps_at_zero():
 
 
 def test_shapley_exact_efficiency(inst):
-    values = shapley_values(inst)
-    assert values.shape == (inst.content_count, inst.n_rrh)
-    for content in range(inst.content_count):
-        grand = coalition_eff_cap(range(inst.n_rrh), content, inst)
+    n = inst.content_count
+    values = shapley_values(inst, n)
+    assert values.shape == (n, inst.n_rrh)
+    for content in range(n):
+        grand = coalition_eff_cap(range(inst.n_rrh), content, inst, n)
         if grand == 0.0:
             assert np.all(values[content] == 0.0)
         else:
@@ -246,7 +268,7 @@ def test_shapley_exact_symmetry_for_twin_rrhs():
                                        r.user_xy, r.user_content, r.seed),
         catalog=base.catalog, cache=base.cache, qos=base.qos, params=base.params,
         power=base.power, lambda_rrh=base.lambda_rrh, quantizer=base.quantizer)
-    values = shapley_values(twin)
+    values = shapley_values(twin, twin.content_count)
     assert np.array_equal(values[:, 0], values[:, 1])
 
 
@@ -255,7 +277,7 @@ def test_shapley_exact_symmetry_for_twin_rrhs():
 ])
 def test_shapley_closed_form_matches_enumeration(seed, n_rrh, n_users, cache_size):
     inst = random_instance(seed, n_rrh, n_users, cache_size=cache_size)
-    for rru_count in (None, 2):
+    for rru_count in (inst.content_count, 2):
         expect = shapley_by_enumeration(inst, rru_count)
         assert np.allclose(shapley_values(inst, rru_count), expect, rtol=1e-12, atol=0.0)
 
@@ -263,26 +285,29 @@ def test_shapley_closed_form_matches_enumeration(seed, n_rrh, n_users, cache_siz
 def test_shapley_efficiency_beyond_enumeration():
     # 30 RRHs: 2^30 coalitions, out of reach of enumeration
     inst = random_instance(11, 30, 60)
-    values = shapley_values(inst)
+    n = inst.content_count
+    values = shapley_values(inst, n)
     assert np.all(values >= 0.0)
-    for content in range(inst.content_count):
-        grand = coalition_eff_cap(range(inst.n_rrh), content, inst)
+    for content in range(n):
+        grand = coalition_eff_cap(range(inst.n_rrh), content, inst, n)
         assert values[content].sum() == pytest.approx(grand, rel=1e-12)
 
 
 def test_shapley_sampled_agrees_with_exact(inst):
-    exact = shapley_values(inst)
-    samp, se = shapley_by_sampling(inst, None, permutations=10_000, seed=3)
+    n = inst.content_count
+    exact = shapley_values(inst, n)
+    samp, se = shapley_by_sampling(inst, n, permutations=10_000, seed=3)
     diff = np.abs(samp - exact)
     assert np.all(diff[se == 0.0] == 0.0)
     assert np.all(diff[se > 0.0] < 3.0 * se[se > 0.0])
 
 
 def test_shapley_sampled_deterministic(inst):
-    a, _ = shapley_by_sampling(inst, None, permutations=500, seed=3)
-    b, _ = shapley_by_sampling(inst, None, permutations=500, seed=3)
+    n = inst.content_count
+    a, _ = shapley_by_sampling(inst, n, permutations=500, seed=3)
+    b, _ = shapley_by_sampling(inst, n, permutations=500, seed=3)
     assert np.array_equal(a, b)
-    c, _ = shapley_by_sampling(inst, None, permutations=500, seed=4)
+    c, _ = shapley_by_sampling(inst, n, permutations=500, seed=4)
     assert not np.array_equal(a, c)
 
 

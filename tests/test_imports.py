@@ -1,0 +1,42 @@
+"""Every name a module imports is used in that module.
+
+No linter ships with the project, so this parses each ``crancache``
+module (the package ``__init__``, which re-exports, aside) and flags
+imported names that no expression of the module reads.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import crancache
+
+MODULES = sorted(p for p in Path(crancache.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # "import a.b" binds "a"
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_detector_flags_an_unused_name():
+    assert unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == [
+        "line 1: os", "line 2: tau"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []
