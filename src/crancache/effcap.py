@@ -386,6 +386,39 @@ def _l_grid(boundaries: np.ndarray, lambda_l: float, lambda_rrh: float,
     return 1.0 - vals
 
 
+def _check_content(thetas, popularity: float, lambda_l: float, lambda_rrh: float):
+    """ParameterError unless every exponent, the popularity and lambda_l are usable."""
+    if any(theta <= 0 for theta in thetas) or not 0 <= popularity <= 1:
+        raise ParameterError("need theta > 0 and popularity in [0, 1]")
+    if not 0 < lambda_l <= lambda_rrh:
+        raise ParameterError("need 0 < lambda_l <= lambda_rrh")
+
+
+def _distance_avg_caps(thetas, lambda_l: float, lambda_rrh: float,
+                       params: RadioParams, quantizer: Quantizer) -> list[float]:
+    """Distance-averaged effective capacity of one content at each exponent.
+
+    One ``quad`` per exponent; the exponents share the survival law and
+    nearly all nodes t, so each distinct node gets one memoised
+    :func:`_log_moments` pass for the whole weight family (every G has the
+    bytes of a lone pass).
+    """
+    c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params, lambda_l)
+    weights = [_moment_weights(quantizer, params.spectral_efficiency * theta
+                               * params.bandwidth_hz * params.tbar) for theta in thetas]
+    moments = {}
+
+    def integrand(t: float, i: int) -> float:
+        if t not in moments:
+            moments[t] = _log_moments(math.sqrt(t / (np.pi * lambda_l)), c1, c2,
+                                      params.pathloss_exponent, weights)
+        denom = thetas[i] * params.bandwidth_hz * params.slot_s
+        return math.exp(-t) * (-math.log(float(_demand_moment(moments[t][i]))) / denom)
+
+    return [integrate.quad(integrand, 0.0, np.inf, args=(i,), epsabs=1e-9,
+                           epsrel=1e-8, limit=200)[0] for i in range(len(thetas))]
+
+
 def avg_eff_cap_content(theta: float, popularity: float, lambda_l: float,
                         lambda_rrh: float, params: RadioParams, quantizer: Quantizer,
                         form: str = "distance_avg") -> float:
@@ -399,40 +432,26 @@ def avg_eff_cap_content(theta: float, popularity: float, lambda_l: float,
 
     * ``"distance_avg"`` (default): average the per-distance effective
       capacity over the nearest-holder distance law
-      f(d) = 2*pi*lambda_l*d*exp(-pi*lambda_l*d^2).
+      f(d) = 2*pi*lambda_l*d*exp(-pi*lambda_l*d^2), by one
+      :func:`_distance_avg_caps` integral.
     * ``"quantized_moment"``: build the unconditional SINR law from the
       nearest-holder outage curve, then map its log-moment once.  Reported
       alongside the default by the validation command; the two coincide as
       the SINR law degenerates and otherwise bracket the service rate.
     """
-    if theta <= 0 or not 0 <= popularity <= 1:
-        raise ParameterError("need theta > 0 and popularity in [0, 1]")
-    if not 0 < lambda_l <= lambda_rrh:
-        raise ParameterError("need 0 < lambda_l <= lambda_rrh")
+    _check_content((theta,), popularity, lambda_l, lambda_rrh)
     if form not in ("distance_avg", "quantized_moment"):
         raise ParameterError(f"unknown estimator form {form!r}")
     if popularity == 0.0:
         return 0.0
+    if form == "distance_avg":
+        return popularity * _distance_avg_caps((theta,), lambda_l, lambda_rrh,
+                                               params, quantizer)[0]
     a = params.spectral_efficiency * theta * params.bandwidth_hz * params.tbar
-    weights = _moment_weights(quantizer, a)
+    survival = 1.0 - _l_grid(quantizer.boundaries, lambda_l, lambda_rrh, params)
+    g, = _folded_moment(lambda sl: survival[sl], [_moment_weights(quantizer, a)])
     denom = theta * params.bandwidth_hz * params.slot_s
-
-    if form == "quantized_moment":
-        survival = 1.0 - _l_grid(quantizer.boundaries, lambda_l, lambda_rrh, params)
-        g, = _folded_moment(lambda sl: survival[sl], [weights])
-        return popularity * (-math.log(float(g)) / denom)
-
-    c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params, lambda_l)
-    beta = params.pathloss_exponent
-
-    def eff_cap_at(t: float) -> float:
-        d = math.sqrt(t / (np.pi * lambda_l))
-        g, = _log_moments(d, c1, c2, beta, [weights])
-        return -math.log(float(_demand_moment(g))) / denom
-
-    val, _ = integrate.quad(lambda t: math.exp(-t) * eff_cap_at(t),
-                            0.0, np.inf, epsabs=1e-9, epsrel=1e-8, limit=200)
-    return popularity * val
+    return popularity * (-math.log(float(g)) / denom)
 
 
 def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: float,
@@ -440,8 +459,11 @@ def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: flo
                          quantizer: Quantizer) -> tuple[np.ndarray, np.ndarray]:
     """Per-content capacity vectors at the cache exponent and the cloud exponent.
 
-    Each entry is the default ``distance_avg`` form of
-    :func:`avg_eff_cap_content`.
+    Entry l is the default ``distance_avg`` form of
+    :func:`avg_eff_cap_content`, bytes included.  Both exponents of a
+    content come from one :func:`_distance_avg_caps` call, so they share
+    one kernel pass per quadrature node, and contents with the same
+    (theta_cluster, theta_cloud, lambda_l) share the call itself.
 
     Returns (from_cache, from_cloud); entry l already carries the P_l
     weighting.  Neither depends on what the cache actually holds, so the
@@ -452,14 +474,19 @@ def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: flo
         raise ParameterError("catalog, QoS profile and density split must align")
     from_cache = np.empty(catalog.count)
     from_cloud = np.empty(catalog.count)
+    caps = {}
     for l in range(catalog.count):
         p_l = float(catalog.popularity[l])
-        from_cache[l] = avg_eff_cap_content(float(qos.theta_cluster[l]), p_l,
-                                            float(split[l]), lambda_rrh, params,
-                                            quantizer)
-        from_cloud[l] = avg_eff_cap_content(float(qos.theta_cloud[l]), p_l,
-                                            float(split[l]), lambda_rrh, params,
-                                            quantizer)
+        thetas = (float(qos.theta_cluster[l]), float(qos.theta_cloud[l]))
+        lambda_l = float(split[l])
+        _check_content(thetas, p_l, lambda_l, lambda_rrh)
+        if p_l == 0.0:
+            from_cache[l] = from_cloud[l] = 0.0
+            continue
+        if (thetas, lambda_l) not in caps:
+            caps[thetas, lambda_l] = _distance_avg_caps(thetas, lambda_l, lambda_rrh,
+                                                        params, quantizer)
+        from_cache[l], from_cloud[l] = (p_l * cap for cap in caps[thetas, lambda_l])
     return from_cache, from_cloud
 
 

@@ -149,6 +149,8 @@ class ClusterInstance:
         whose G underflows raises DomainError only when it is demanded.
         """
         count = self.content_count
+        if not 0 <= content < count:
+            raise ParameterError(f"content {content} outside [0, {count})")
         if not 1 <= rru_count <= count:
             raise ParameterError(f"RRU count {rru_count} outside [1, {count}]")
         if not self._k_cache:
@@ -188,6 +190,8 @@ def coalition_eff_cap(coalition: Iterable[int], content: int,
         return cached
     if members and (min(members) < 0 or max(members) >= instance.n_rrh):
         raise ParameterError("coalition member outside the realization")
+    if not 0 <= content < instance.content_count:
+        raise ParameterError(f"content {content} outside [0, {instance.content_count})")
     users = instance.users_of(content)
     if not members or users.size == 0:
         instance._cap_cache[key] = 0.0

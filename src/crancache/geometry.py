@@ -54,8 +54,8 @@ class DensityConfig:
     lambda_split: np.ndarray
 
     def __post_init__(self):
-        if self.lambda_rrh <= 0 or self.lambda_user < 0:
-            raise ParameterError("densities must be positive (lambda_rrh) / non-negative (lambda_user)")
+        if self.lambda_rrh <= 0 or self.lambda_user <= 0:
+            raise ParameterError("densities lambda_rrh and lambda_user must be positive")
         split = np.asarray(self.lambda_split, dtype=float)
         if split.ndim != 1 or split.size == 0 or np.any(split < 0):
             raise ParameterError("lambda_split must be a non-empty vector of non-negative intensities")

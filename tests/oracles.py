@@ -5,10 +5,11 @@ library gets another way (adaptive quadrature where the library uses
 Gauss-Laguerre nodes, an explicit per-RRH SINR draw where it samples
 whole interference fields, every set partition where it runs a local
 search, every coalition where it uses the Shapley closed form, one
-exponent per kernel pass where it builds a family), so agreement is
-evidence for both.  ``shapley_by_sampling`` is the Monte Carlo estimate
-of the Shapley values over random join orders, with per-entry standard
-errors, for RRH counts beyond the reach of enumeration.
+exponent per kernel pass where it builds a family or shares quadrature
+nodes), so agreement is evidence for both.  ``shapley_by_sampling`` is
+the Monte Carlo estimate of the Shapley values over random join orders,
+with per-entry standard errors, for RRH counts beyond the reach of
+enumeration.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 from scipy import integrate
 
 from crancache.effcap import (LN2, RadioParams, _l_decay_coeff, _log_moments,
-                              _moment_weights, _sinr_coeffs)
+                              _moment_weights, _sinr_coeffs, avg_eff_cap_content)
 from crancache.errors import ParameterError
 from crancache.geometry import (STREAM_FADING, STREAM_GAME, NetworkRealization,
                                 substream)
@@ -124,6 +125,25 @@ def k_table_single(instance, a: float) -> np.ndarray:
     g, = _log_moments(instance._dist.ravel(), c1, c2,
                       instance.params.pathloss_exponent, [_moment_weights(q, a)])
     return (-np.log(g) / (a * LN2)).reshape(instance._dist.shape)
+
+
+def per_content_eff_caps_one_by_one(catalog, qos, lambda_split, lambda_rrh: float,
+                                    params: RadioParams, quantizer):
+    """(from_cache, from_cloud) from one lone ``avg_eff_cap_content``
+    integral per content and exponent, each with kernel passes of its own.
+
+    ``per_content_eff_caps`` shares passes across exponents and identical
+    contents, and must reproduce these vectors byte for byte.
+    """
+    from_cache = np.empty(catalog.count)
+    from_cloud = np.empty(catalog.count)
+    for l in range(catalog.count):
+        p_l, lambda_l = float(catalog.popularity[l]), float(lambda_split[l])
+        from_cache[l] = avg_eff_cap_content(float(qos.theta_cluster[l]), p_l, lambda_l,
+                                            lambda_rrh, params, quantizer)
+        from_cloud[l] = avg_eff_cap_content(float(qos.theta_cloud[l]), p_l, lambda_l,
+                                            lambda_rrh, params, quantizer)
+    return from_cache, from_cloud
 
 
 def shapley_by_enumeration(instance, rru_count: int) -> np.ndarray:

@@ -225,6 +225,7 @@ def test_negative_seed_is_rejected(tmp_path):
     ("games", "cost_coeff", "-1"),
     ("geometry", "lambda_rrh", "-1"),
     ("geometry", "lambda_user", "-1"),
+    ("geometry", "lambda_user", "0"),
 ])
 def test_non_finite_config_value_is_rejected(tmp_path, section, key, value):
     cfg = tmp_path / "bad.ini"

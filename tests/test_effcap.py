@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import crancache
+from crancache import effcap
 from crancache.content import ContentCatalog, ClusterCache, hit_ratio
 from crancache.effcap import (LN2, Quantizer, RadioParams,
                               a_beta, avg_eff_cap_cluster, avg_eff_cap_content,
@@ -27,7 +28,7 @@ from crancache.qos import QosProfile
 from crancache.scenario import Scenario
 
 from conftest import radio
-from oracles import k_table_single, l_func_general
+from oracles import k_table_single, l_func_general, per_content_eff_caps_one_by_one
 
 
 # -- geometry constant ------------------------------------------------------
@@ -565,3 +566,58 @@ def test_caching_gain_sign_and_zero(quick_quantizer):
     assert caching_gain(p_hit, *per_content_eff_caps(cat, flat, split, 5e-6, p,
                                                      quick_quantizer)) == 0.0
     assert caching_gain(hit_ratio(ClusterCache(), cat), fc, fl) == 0.0
+
+
+def _catalogs():
+    zipf0 = ContentCatalog.zipf(1e6, 0.0, 5)
+    ranked = ContentCatalog.zipf(1e6, 1.0, 4)
+    flat = ContentCatalog.zipf(1e6, 0.5, 3)
+    with_zero = ContentCatalog(1e6, np.array([0.6, 0.4, 0.0]))
+    return {
+        # five identical contents: one integral pair serves them all
+        "zipf0": (zipf0, QosProfile.uniform(0.1, 0.6, 5), 5e-6 * zipf0.popularity),
+        "theta-vectors": (ranked, QosProfile(np.array([0.05, 0.1, 0.2, 0.4]),
+                                             np.array([0.3, 0.5, 0.7, 0.9])),
+                          5e-6 * ranked.popularity),
+        "flat": (flat, QosProfile.uniform(0.3, 0.3, 3), 5e-6 * flat.popularity),
+        # the zero-popularity content still has holders, so its guard passes
+        "zero-popularity": (with_zero, QosProfile.uniform(0.1, 0.6, 3),
+                            np.full(3, 5e-6 / 3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_catalogs()))
+def test_per_content_caps_match_lone_integrals_bytewise(quick_quantizer, name):
+    cat, qos, split = _catalogs()[name]
+    p = radio(mu=1e6)
+    got = per_content_eff_caps(cat, qos, split, 5e-6, p, quick_quantizer)
+    want = per_content_eff_caps_one_by_one(cat, qos, split, 5e-6, p, quick_quantizer)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    if name == "zero-popularity":
+        assert got[0][2] == got[1][2] == 0.0
+
+
+def test_per_content_caps_share_kernel_passes(quick_quantizer, monkeypatch):
+    # one pass per distinct quadrature node, whichever exponent or identical
+    # content asks for it; counted, so no timing is involved
+    real, calls = effcap._log_moments, []
+    monkeypatch.setattr(effcap, "_log_moments",
+                        lambda *args: calls.append(None) or real(*args))
+
+    def passes(run) -> int:
+        calls.clear()
+        run()
+        return len(calls)
+
+    cat = ContentCatalog.zipf(1e6, 0.0, 5)
+    split = 5e-6 * cat.popularity
+    p = radio(mu=1e6)
+    lone = {theta: passes(lambda: avg_eff_cap_content(
+                theta, float(cat.popularity[0]), float(split[0]), 5e-6, p, quick_quantizer))
+            for theta in (0.1, 0.6)}
+    both = passes(lambda: per_content_eff_caps(cat, QosProfile.uniform(0.1, 0.6, 5),
+                                               split, 5e-6, p, quick_quantizer))
+    assert max(lone.values()) <= both <= lone[0.1] + lone[0.6]
+    assert passes(lambda: per_content_eff_caps(cat, QosProfile.uniform(0.1, 0.1, 5),
+                                               split, 5e-6, p, quick_quantizer)) == lone[0.1]

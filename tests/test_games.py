@@ -71,6 +71,21 @@ def test_member_range_checked_before_the_no_requester_shortcut(inst):
     assert (2, n, frozenset({99})) not in inst._cap_cache
 
 
+def test_content_outside_the_catalog_is_rejected(inst):
+    # users_of(-1) and theta_of(-1) would index from the end, so the range
+    # check must come before the empty-coalition and no-requester shortcuts
+    n = inst.content_count
+    for content in (-1, n):
+        for coalition in ([0], []):
+            with pytest.raises(ParameterError, match="content"):
+                coalition_eff_cap(coalition, content, inst, n)
+        with pytest.raises(ParameterError, match="content"):
+            rrh_payoff(0, [1], content, inst, n)
+        with pytest.raises(ParameterError, match="content"):
+            inst._k_table(content, n)
+        assert (content, n, frozenset({0})) not in inst._cap_cache
+
+
 def test_rru_count_outside_the_catalog_is_rejected(inst):
     # a partition of L contents has 1..L blocks; no other count prices a game
     for n in (0, inst.content_count + 1):

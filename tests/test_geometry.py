@@ -85,6 +85,8 @@ def test_density_validation():
     with pytest.raises(ParameterError):
         DensityConfig(0.0, 5e-6, np.array([1.0]))
     with pytest.raises(ParameterError):
+        DensityConfig(5e-6, 0.0, np.array([1.0]))
+    with pytest.raises(ParameterError):
         DensityConfig(5e-6, 5e-6, np.array([0.0, 0.0]))
     with pytest.raises(ParameterError):
         DensityConfig(5e-6, 5e-6, np.array([-1.0, 2.0]))
