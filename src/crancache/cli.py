@@ -334,10 +334,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="override the master seed")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="output directory (default: out)")
-    common.add_argument("--paper-exact", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="use the equal-width reference SINR grid "
-                             "(10^6 intervals; slow)")
     parser = argparse.ArgumentParser(
         prog="crancache", parents=[common],
         description="Cluster content caching: capacity analysis, Monte Carlo "
@@ -359,8 +355,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
-    seeded = argparse.Namespace(config=None, seed=None, out="out",
-                                paper_exact=False)
+    seeded = argparse.Namespace(config=None, seed=None, out="out")
     return _parser().parse_args(argv, namespace=seeded)
 
 
@@ -370,8 +365,6 @@ def main(argv: list[str] | None = None) -> int:
         scenario = load_scenario(args.config) if args.config else Scenario()
         if args.seed is not None:
             scenario = replace(scenario, seed=args.seed)
-        if args.paper_exact:
-            scenario = scenario.paper_exact()
         if args.command == "analyze":
             run_analyze(scenario, args.out)
         elif args.command == "validate":

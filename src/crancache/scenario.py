@@ -65,7 +65,6 @@ class Scenario:
     slot_s: float = 1e-3
     rru_count: int = 5                 # reference block count fixing mu
     # quantizer
-    quant_mode: str = "geometric"
     quant_intervals: int = 1 << 16
     gamma_max: float = 5e4
     gamma_min: float = 1e-12
@@ -106,12 +105,9 @@ class Scenario:
             if getattr(self, name) < least:
                 raise ParameterError(f"{name} must be at least {least}, "
                                      f"got {getattr(self, name)!r}")
-        for name, label, known in (
-                ("quant_mode", "quantizer mode", ("geometric", "equal")),
-                ("cache_policy", "cache policy", ("top_k", "random_k"))):
-            if getattr(self, name) not in known:
-                raise ParameterError(f"unknown {label} {getattr(self, name)!r}; "
-                                     f"pick from {', '.join(known)}")
+        if self.cache_policy not in ("top_k", "random_k"):
+            raise ParameterError(f"unknown cache policy {self.cache_policy!r}; "
+                                 "pick from top_k, random_k")
         if self.popularity and len(self.popularity) != self.content_count:
             raise ParameterError(f"popularity has {len(self.popularity)} entries "
                                  f"for {self.content_count} contents")
@@ -164,8 +160,6 @@ class Scenario:
                            slot_s=self.slot_s, spectral_efficiency=self.mu())
 
     def quantizer(self) -> Quantizer:
-        if self.quant_mode == "equal":
-            return Quantizer.equal_width(self.quant_intervals, self.gamma_max)
         return Quantizer.geometric(self.quant_intervals, self.gamma_max,
                                    self.gamma_min)
 
@@ -187,12 +181,10 @@ class Scenario:
         At unit normalization the moment still feels SINR values far above
         the cluster grid's reach (at pathloss exponent 8 and 50 m, half the
         mass sits beyond 5e4), so the per-user grid extends to
-        ``user_gamma_max``.  Equal-width mode keeps the reference grid.
+        ``user_gamma_max``.
         """
-        if self.quant_mode == "geometric":
-            return Quantizer.geometric(self.quant_intervals, self.user_gamma_max,
-                                       self.gamma_min)
-        return self.quantizer()
+        return Quantizer.geometric(self.quant_intervals, self.user_gamma_max,
+                                   self.gamma_min)
 
     def power(self) -> PowerModel:
         return PowerModel(rrh_active=self.rrh_active_w, rrh_sleep=self.rrh_sleep_w,
@@ -202,10 +194,6 @@ class Scenario:
     def density(self) -> DensityConfig:
         return DensityConfig.from_popularity(self.lambda_rrh, self.lambda_user,
                                              self.catalog().popularity)
-
-    def paper_exact(self) -> "Scenario":
-        """Switch to the equal-width reference grid (slow, coarse near 0)."""
-        return replace(self, quant_mode="equal", quant_intervals=10 ** 6)
 
     def header_lines(self) -> list[str]:
         """Resolved parameter set as '#' comment lines for CSV embedding."""
@@ -233,7 +221,7 @@ _SCHEMA = {
     "qos": {"theta_cluster": _floats, "theta_cloud": _floats},
     "radio": {"snr": float, "noise": float, "pathloss_exponent": float,
               "bandwidth_hz": float, "slot_s": float, "rru_count": int},
-    "quantizer": {"mode": str, "intervals": int, "gamma_max": float,
+    "quantizer": {"intervals": int, "gamma_max": float,
                   "gamma_min": float},
     "power": {"rrh_active": float, "rrh_sleep": float, "cache_per_object": float,
               "backhaul": float},
@@ -245,7 +233,6 @@ _SCHEMA = {
 # (section, key) -> Scenario field name, where they differ
 _FIELD_MAP = {
     ("content", "count"): "content_count",
-    ("quantizer", "mode"): "quant_mode",
     ("quantizer", "intervals"): "quant_intervals",
     ("power", "rrh_active"): "rrh_active_w",
     ("power", "rrh_sleep"): "rrh_sleep_w",

@@ -2,14 +2,15 @@
 
 Nothing in ``crancache`` calls these: each recomputes a quantity the
 library gets another way (adaptive quadrature where the library uses
-Gauss-Laguerre nodes, an explicit per-RRH SINR draw where it samples
-whole interference fields, every set partition where it runs a local
-search, every coalition where it uses the Shapley closed form, one
-exponent per kernel pass where it builds a family or shares quadrature
-nodes), so agreement is evidence for both.  ``shapley_by_sampling`` is
-the Monte Carlo estimate of the Shapley values over random join orders,
-with per-entry standard errors, for RRH counts beyond the reach of
-enumeration.
+Gauss-Laguerre nodes or its fixed distance rule, an equal-width SINR
+grid where it uses a geometric one, an explicit per-RRH SINR draw where
+it samples whole interference fields, every set partition where it runs
+a local search, every coalition where it uses the Shapley closed form,
+one exponent per kernel pass where it builds a family or shares one
+pass across exponents and contents), so agreement is evidence for both.
+``shapley_by_sampling`` is the Monte Carlo estimate of the Shapley
+values over random join orders, with per-entry standard errors, for RRH
+counts beyond the reach of enumeration.
 """
 
 import math
@@ -19,8 +20,9 @@ from typing import Iterator
 import numpy as np
 from scipy import integrate
 
-from crancache.effcap import (LN2, RadioParams, _l_decay_coeff, _log_moments,
-                              _moment_weights, _sinr_coeffs, avg_eff_cap_content)
+from crancache.effcap import (LN2, Quantizer, RadioParams, _l_decay_coeff,
+                              _log_moments, _moment_weights, _sinr_coeffs,
+                              avg_eff_cap_content)
 from crancache.errors import ParameterError
 from crancache.geometry import (STREAM_FADING, STREAM_GAME, NetworkRealization,
                                 substream)
@@ -54,6 +56,39 @@ def l_func_general(gamma: float, lambda_l: float, lambda_rrh: float,
         d_cut = min(d_cut, (math.log(1e15) / noise_rate) ** (1.0 / beta))
     val, _ = integrate.quad(integrand, 0.0, d_cut, epsabs=0.0, epsrel=1e-8, limit=200)
     return 1.0 - val
+
+
+def equal_width_quantizer() -> Quantizer:
+    """10^6 equal intervals on [0, 5e4]: an SINR grid independent of the
+    library's log-spaced one, and fine enough at moderate exponents."""
+    return Quantizer(np.linspace(0.0, 5e4, 10 ** 6 + 1))
+
+
+def distance_avg_cap_quad(theta: float, lambda_l: float, lambda_rrh: float,
+                          params: RadioParams, quantizer: Quantizer) -> float:
+    """Nearest-holder distance average of the effective capacity by
+    adaptive quadrature.
+
+    int_0^inf e^(-t) C(t) dt with t = pi*lambda_l*d^2, taken in u = ln t
+    over [-30, 4] with a breakpoint at every integer u and relative
+    tolerance 1e-12; each C(t) comes from a kernel pass of its own.  The
+    library's fixed rule covers the same range, so this checks its node
+    placement, not the truncation.
+    """
+    c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params, lambda_l)
+    a = params.spectral_efficiency * theta * params.bandwidth_hz * params.tbar
+    weights = [_moment_weights(quantizer, a)]
+    denom = theta * params.bandwidth_hz * params.slot_s
+
+    def integrand(u):
+        t = math.exp(u)
+        g, = _log_moments(math.sqrt(t / (np.pi * lambda_l)), c1, c2,
+                          params.pathloss_exponent, weights)
+        return t * math.exp(-t) * -math.log(float(g)) / denom
+
+    val, _ = integrate.quad(integrand, -30.0, 4.0, points=range(-29, 4), epsabs=0.0,
+                            epsrel=1e-12, limit=400)
+    return val
 
 
 def simulate_sinr(realization: NetworkRealization, user_index: int,

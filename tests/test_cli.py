@@ -169,11 +169,34 @@ def test_parser_accepts_shared_options_on_both_sides():
     assert _parse(["--out", "x", "analyze"]).out == "x"
     assert _parse(["analyze", "--out", "y"]).out == "y"
     args = _parse(["analyze"])
-    assert args.out == "out" and args.seed is None and not args.paper_exact
+    assert args.out == "out" and args.seed is None
     assert _parse(["allocate"]).algorithm == "nested"
     assert _parse(["sweep", "--instances", "7"]).instances == 7
-    args = _parse(["--seed", "9", "validate", "--paper-exact"])
-    assert args.seed == 9 and args.paper_exact
+    assert _parse(["--seed", "9", "validate"]).seed == 9
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_removed_reference_grid_flag_is_unknown(tmp_path, capsys, before):
+    out = tmp_path / "o"
+    argv = ["analyze", "--out", str(out)]
+    argv = ["--paper-exact"] + argv if before else argv + ["--paper-exact"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --paper-exact" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dense_strict_content_integral_underflow_exits_2(tmp_path, capsys):
+    # at lambda_rrh = 1e-2 the distance nodes below ~8 um are links whose
+    # log-moment underflows at these exponents (a limit of the
+    # survival-difference kernel, not of the distance rule)
+    cfg = tmp_path / "dense.ini"
+    cfg.write_text("[geometry]\nlambda_rrh = 1e-2\n[qos]\ntheta_cluster = 20\n"
+                   "theta_cloud = 50\n[content]\ncount = 1\n[radio]\nrru_count = 1\n")
+    assert main(["--config", str(cfg), "analyze", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: log-moment underflows") and "Traceback" not in err
 
 
 def test_main_exit_codes(tmp_path):

@@ -28,7 +28,8 @@ from crancache.qos import QosProfile
 from crancache.scenario import Scenario
 
 from conftest import radio
-from oracles import k_table_single, l_func_general, per_content_eff_caps_one_by_one
+from oracles import (distance_avg_cap_quad, equal_width_quantizer, k_table_single,
+                     l_func_general, per_content_eff_caps_one_by_one)
 
 
 # -- geometry constant ------------------------------------------------------
@@ -122,11 +123,6 @@ def test_quantizer_geometric_shape():
     assert np.all(np.diff(q.boundaries) > 0)
     np.testing.assert_allclose(q.midpoints,
                                0.5 * (q.boundaries[:-1] + q.boundaries[1:]))
-
-
-def test_quantizer_equal_width_shape():
-    q = Quantizer.equal_width(10, 5.0)
-    np.testing.assert_allclose(q.boundaries, np.linspace(0.0, 5.0, 11))
 
 
 def test_quantizer_validation():
@@ -291,7 +287,7 @@ def test_eff_cap_quantizer_refinement_converges():
 
 def test_eff_cap_equal_width_grid_agrees_at_moderate_exponent():
     geo = eff_cap_user(0.6, 50.0, 5e-6, radio(), Quantizer.geometric(1 << 16, 5e4))
-    eq = eff_cap_user(0.6, 50.0, 5e-6, radio(), Quantizer.equal_width(10 ** 6, 5e4))
+    eq = eff_cap_user(0.6, 50.0, 5e-6, radio(), equal_width_quantizer())
     assert abs(geo - eq) / geo < 5e-3
 
 
@@ -493,6 +489,32 @@ def test_content_capacity_scales_with_popularity(quick_quantizer):
     assert avg_eff_cap_content(0.1, 0.0, 1e-6, 5e-6, p, quick_quantizer) == 0.0
 
 
+@pytest.mark.parametrize("lambda_l", [1.37e-7, 1e-6])
+@pytest.mark.parametrize("theta", [0.1, 0.6])
+def test_content_capacity_resolves_mass_at_tiny_distances(quick_quantizer, lambda_l,
+                                                          theta):
+    # steep pathloss and a noise floor put the capacity mass at
+    # t = pi*lambda_l*d^2 < 1e-4, far below where the mean distance sits;
+    # the integral must still find it there
+    p = radio(beta=8.0, noise=1.0, mu=1e6)
+    got = avg_eff_cap_content(theta, 1.0, lambda_l, 5e-6, p, quick_quantizer)
+    want = distance_avg_cap_quad(theta, lambda_l, 5e-6, p, quick_quantizer)
+    assert abs(got - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("zipf", [0.0, 0.5, 1.0, 2.0])
+def test_content_capacity_matches_adaptive_quadrature(scenario, quick_quantizer, zipf):
+    catalog = ContentCatalog.zipf(scenario.object_size_bits, zipf, scenario.content_count)
+    p = scenario.radio()
+    for lambda_l in set((scenario.lambda_rrh * catalog.popularity).tolist()):
+        for theta in (scenario.theta_cluster[0], scenario.theta_cloud[0]):
+            got = avg_eff_cap_content(theta, 1.0, lambda_l, scenario.lambda_rrh, p,
+                                      quick_quantizer)
+            want = distance_avg_cap_quad(theta, lambda_l, scenario.lambda_rrh, p,
+                                         quick_quantizer)
+            assert abs(got - want) <= 1e-11 * want
+
+
 def test_content_capacity_estimator_ordering(quick_quantizer):
     # averaging the capacity over the distance law can only beat mapping
     # the averaged SINR law (convexity of -log)
@@ -599,8 +621,8 @@ def test_per_content_caps_match_lone_integrals_bytewise(quick_quantizer, name):
 
 
 def test_per_content_caps_share_kernel_passes(quick_quantizer, monkeypatch):
-    # one pass per distinct quadrature node, whichever exponent or identical
-    # content asks for it; counted, so no timing is involved
+    # one pass over the distance nodes per content integral, shared by both
+    # exponents and by identical contents; counted, so no timing is involved
     real, calls = effcap._log_moments, []
     monkeypatch.setattr(effcap, "_log_moments",
                         lambda *args: calls.append(None) or real(*args))
@@ -610,14 +632,16 @@ def test_per_content_caps_share_kernel_passes(quick_quantizer, monkeypatch):
         run()
         return len(calls)
 
+    p = radio(mu=1e6)
     cat = ContentCatalog.zipf(1e6, 0.0, 5)
     split = 5e-6 * cat.popularity
-    p = radio(mu=1e6)
-    lone = {theta: passes(lambda: avg_eff_cap_content(
-                theta, float(cat.popularity[0]), float(split[0]), 5e-6, p, quick_quantizer))
-            for theta in (0.1, 0.6)}
-    both = passes(lambda: per_content_eff_caps(cat, QosProfile.uniform(0.1, 0.6, 5),
-                                               split, 5e-6, p, quick_quantizer))
-    assert max(lone.values()) <= both <= lone[0.1] + lone[0.6]
-    assert passes(lambda: per_content_eff_caps(cat, QosProfile.uniform(0.1, 0.1, 5),
-                                               split, 5e-6, p, quick_quantizer)) == lone[0.1]
+    for theta in (0.1, 0.6):
+        assert passes(lambda: avg_eff_cap_content(theta, float(cat.popularity[0]),
+                                                  float(split[0]), 5e-6, p,
+                                                  quick_quantizer)) == 1
+    assert passes(lambda: per_content_eff_caps(cat, QosProfile.uniform(0.1, 0.6, 5),
+                                               split, 5e-6, p, quick_quantizer)) == 1
+    ranked = ContentCatalog.zipf(1e6, 1.0, 4)
+    assert passes(lambda: per_content_eff_caps(ranked, QosProfile.uniform(0.1, 0.6, 4),
+                                               5e-6 * ranked.popularity, 5e-6, p,
+                                               quick_quantizer)) == 4

@@ -6,6 +6,9 @@ imported names that no expression of the module reads.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,15 @@ def test_detector_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # the tests use scipy.integrate as an oracle; the program needs none of it
+    src = str(Path(crancache.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c",
+                          "import sys, crancache.cli; "
+                          "print('scipy.integrate' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"

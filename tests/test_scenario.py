@@ -19,7 +19,6 @@ def test_parsing_with_renamed_keys():
         count = 3
         zipf_exponent = 0.5
         [quantizer]
-        mode = equal
         intervals = 1000
         [power]
         rrh_active = 90
@@ -29,7 +28,6 @@ def test_parsing_with_renamed_keys():
     """)
     assert s.content_count == 3
     assert s.zipf_exponent == 0.5
-    assert s.quant_mode == "equal"
     assert s.quant_intervals == 1000
     assert s.rrh_active_w == 90.0
     assert s.rrh_sleep_w == 40.0
@@ -125,18 +123,6 @@ def test_quantizer_modes():
     assert q.boundaries[-1] == pytest.approx(5e4)
     wide = s.user_quantizer()
     assert wide.boundaries[-1] == pytest.approx(1e12)
-    eq = Scenario(quant_mode="equal", quant_intervals=256)
-    assert eq.user_quantizer().boundaries[-1] == pytest.approx(5e4)
-    with pytest.raises(ParameterError):
-        Scenario(quant_mode="log").quantizer()
-
-
-def test_reference_grid_switch():
-    s = Scenario().paper_exact()
-    assert s.quant_mode == "equal"
-    assert s.quant_intervals == 10 ** 6
-    # everything else untouched
-    assert s.seed == Scenario().seed
 
 
 def test_density_split_matches_popularity():
