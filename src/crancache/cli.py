@@ -50,7 +50,6 @@ def write_csv(path: str, header_lines: list[str], columns: list[str],
 def run_analyze(scenario: Scenario, out_dir: str) -> dict:
     """Analytic curves: per-user capacity, cluster capacity and energy
     efficiency versus cache size.  Returns the headline numbers."""
-    os.makedirs(out_dir, exist_ok=True)
     header = scenario.header_lines()
     quant = scenario.quantizer()
     params = scenario.radio()
@@ -60,16 +59,14 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
     # per-user effective capacity across delay exponents and pathloss slopes
     thetas = np.geomspace(1e-3, 1.0, 25)
     betas = (4.0, 6.0, 8.0)
-    rows = []
+    user_rows = []
     for theta in thetas:
         row = [float(theta)]
         for beta in betas:
             p = replace(user_params, pathloss_exponent=beta)
             row.append(effcap.eff_cap_user(float(theta), scenario.user_distance,
                                            scenario.lambda_rrh, p, user_quant))
-        rows.append(tuple(row))
-    write_csv(os.path.join(out_dir, "effcap_vs_theta.csv"), header,
-              ["theta_per_bit"] + [f"effcap_beta{int(b)}" for b in betas], rows)
+        user_rows.append(tuple(row))
 
     # cluster capacity, caching gain and energy efficiency vs cache size
     zipf_grid = (0.0, 0.5, 1.0, 2.0)
@@ -93,6 +90,11 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
                                      scenario.cluster_radius, k, p_hit,
                                      scenario.power())
             rows.append((s, k, p_hit, cap_total, gain, delta, eta))
+    # every row is computed before anything is written, so a failing
+    # scenario leaves no output directory behind
+    os.makedirs(out_dir, exist_ok=True)
+    write_csv(os.path.join(out_dir, "effcap_vs_theta.csv"), header,
+              ["theta_per_bit"] + [f"effcap_beta{int(b)}" for b in betas], user_rows)
     write_csv(os.path.join(out_dir, "cluster_vs_cache.csv"), header,
               ["zipf_s", "cache_k", "hit_ratio", "eff_cap_total",
                "caching_gain", "power_delta_w", "eta_total"], rows)
@@ -107,7 +109,6 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
 
 def run_validate(scenario: Scenario, out_dir: str) -> bool:
     """Cross-check closed forms against Monte Carlo on the same parameters."""
-    os.makedirs(out_dir, exist_ok=True)
     params = scenario.user_radio()
     quant = scenario.user_quantizer()
     d_m = scenario.user_distance
@@ -169,6 +170,7 @@ def run_validate(scenario: Scenario, out_dir: str) -> bool:
                effcap.avg_eff_cap_content(*args, form="quantized_moment"),
                0.0, None)
 
+    os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "validation.csv"), scenario.header_lines(),
               ["check", "analytic", "reference", "std_error", "status"], rows)
     print(f"validate: {'all checks passed' if all_ok else 'CHECK FAILURES PRESENT'}")

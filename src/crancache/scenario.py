@@ -17,7 +17,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .content import ClusterCache, ContentCatalog, select_random_k, select_top_k
-from .effcap import Quantizer, RadioParams, required_spectral_efficiency
+from .effcap import (DEFAULT_GAMMA_MAX, DEFAULT_GAMMA_MIN, DEFAULT_INTERVALS, Quantizer,
+                     RadioParams, required_spectral_efficiency)
 from .energy import PowerModel
 from .errors import ParameterError
 from .geometry import DensityConfig, substream
@@ -65,9 +66,9 @@ class Scenario:
     slot_s: float = 1e-3
     rru_count: int = 5                 # reference block count fixing mu
     # quantizer
-    quant_intervals: int = 1 << 16
-    gamma_max: float = 5e4
-    gamma_min: float = 1e-12
+    quant_intervals: int = DEFAULT_INTERVALS
+    gamma_max: float = DEFAULT_GAMMA_MAX
+    gamma_min: float = DEFAULT_GAMMA_MIN
     # power
     rrh_active_w: float = 104.0
     rrh_sleep_w: float = 56.0

@@ -21,6 +21,11 @@ SINR_CAP = 1e12
 
 MIN_TRIALS = 100
 
+# Bound on a batch's expected links, trials * (lambda_R*pi*sim_radius^2 + 1):
+# every trial's interferers plus its serving link, each an array entry.
+# 2^26 is 10x the default load and holds 10^6 trials at default density.
+MAX_DRAWS = 1 << 26
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -41,12 +46,19 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
     disk and fresh unit-mean exponential fading on every link; the serving
     RRH sits at exactly d_m and never interferes.  Draw order is fixed
     (counts, interferer radii, interferer fading, serving fading) so a
-    given generator state always yields the same sample.
+    given generator state always yields the same sample.  A batch whose
+    expected links exceed MAX_DRAWS raises ParameterError before any draw.
     """
     if d_m <= 0:
         raise ParameterError("serving distance must be positive")
     if lambda_rrh <= 0 or trials < 1 or sim_radius <= 0:
         raise ParameterError("need positive intensity, radius and trial count")
+    draws = trials * (lambda_rrh * np.pi * sim_radius ** 2 + 1.0)
+    if draws > MAX_DRAWS:
+        raise ParameterError(f"{trials} trials at {lambda_rrh:g} RRHs per m^2 on a "
+                             f"{sim_radius:g} m disk need ~{draws:.3g} draws, over "
+                             f"the {MAX_DRAWS} bound; lower mc_trials, lambda_rrh "
+                             "or sim_radius")
     beta = params.pathloss_exponent
     counts = rng.poisson(lambda_rrh * np.pi * sim_radius ** 2, size=trials)
     total = int(counts.sum())

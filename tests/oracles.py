@@ -1,7 +1,8 @@
 """Slow, independent reference paths the tests check the library against.
 
 Nothing in ``crancache`` calls these: each recomputes a quantity the
-library gets another way (adaptive quadrature where the library uses
+library gets another way (40-digit mpmath where the library sums a
+double-precision series, adaptive quadrature where the library uses
 Gauss-Laguerre nodes or its fixed distance rule, an equal-width SINR
 grid where it uses a geometric one, an explicit per-RRH SINR draw where
 it samples whole interference fields, every set partition where it runs
@@ -17,6 +18,7 @@ import math
 import warnings
 from typing import Iterator
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -56,6 +58,20 @@ def l_func_general(gamma: float, lambda_l: float, lambda_rrh: float,
         d_cut = min(d_cut, (math.log(1e15) / noise_rate) ** (1.0 / beta))
     val, _ = integrate.quad(integrand, 0.0, d_cut, epsabs=0.0, epsrel=1e-8, limit=200)
     return 1.0 - val
+
+
+def u_func_mpmath(gamma: float, beta: float) -> float:
+    """The close-in correction u(gamma) to 40 digits.
+
+    2*A(beta)*gamma^(2/beta)*I_{gamma/(1+gamma)}(1-2/beta, 2/beta) from
+    mpmath's Gamma and regularized incomplete beta, with 2/beta and
+    gamma/(1+gamma) formed at 40 digits, so the argument never rounds to 1.
+    """
+    with mpmath.workdps(40):
+        g, q = mpmath.mpf(gamma), 2 / mpmath.mpf(beta)
+        a = mpmath.gamma(q) * mpmath.gamma(1 - q) / beta
+        ibeta = mpmath.betainc(1 - q, q, 0, g / (1 + g), regularized=True)
+        return float(2 * a * g ** q * ibeta)
 
 
 def equal_width_quantizer() -> Quantizer:

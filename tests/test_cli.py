@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crancache import effcap
+from crancache import effcap, simkit
 from crancache.cli import (ALGORITHMS, _parse, build_instance, main,
                            run_allocate, run_analyze, run_sweep, run_validate,
                            write_csv)
@@ -194,9 +194,22 @@ def test_dense_strict_content_integral_underflow_exits_2(tmp_path, capsys):
     cfg = tmp_path / "dense.ini"
     cfg.write_text("[geometry]\nlambda_rrh = 1e-2\n[qos]\ntheta_cluster = 20\n"
                    "theta_cloud = 50\n[content]\ncount = 1\n[radio]\nrru_count = 1\n")
-    assert main(["--config", str(cfg), "analyze", "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "analyze", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: log-moment underflows") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_validate_over_the_draw_bound_exits_2(tmp_path, capsys, monkeypatch):
+    # the default 10^5 trials need ~6.4e6 links; a lowered bound refuses
+    # them before any draw, the way lambda_rrh = 1e-2 meets the real one
+    monkeypatch.setattr(simkit, "MAX_DRAWS", 1 << 20)
+    out = tmp_path / "o"
+    assert main(["validate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "draws" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_main_exit_codes(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 import crancache
 from crancache import effcap
@@ -29,7 +29,7 @@ from crancache.scenario import Scenario
 
 from conftest import radio
 from oracles import (distance_avg_cap_quad, equal_width_quantizer, k_table_single,
-                     l_func_general, per_content_eff_caps_one_by_one)
+                     l_func_general, per_content_eff_caps_one_by_one, u_func_mpmath)
 
 
 # -- geometry constant ------------------------------------------------------
@@ -39,6 +39,12 @@ def test_geometry_constant_reference_values():
     assert abs(a_beta(4.0) - math.pi / 4.0) < 1e-12
     assert abs(a_beta(6.0) - 0.6045997880780726) < 1e-12
     assert abs(a_beta(8.0) - 0.5553603672697958) < 1e-12
+
+
+def test_geometry_constant_keeps_its_bits_at_the_default_exponent():
+    # every game and benchmark runs at beta = 4, where math.gamma gives
+    # scipy's Gamma expression bit for bit
+    assert a_beta(4.0) == special.gamma(0.5) * special.gamma(0.5) / 4.0
 
 
 @given(st.floats(min_value=2.05, max_value=12.0))
@@ -78,6 +84,26 @@ def test_u_matches_direct_quadrature(gamma, beta):
                             np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
     oracle = gamma ** (2.0 / beta) * val
     assert abs(u_func(gamma, beta) - oracle) <= 1e-8 * max(oracle, 1e-6)
+
+
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 6.0, 8.0])
+def test_u_matches_mpmath_to_1e14(beta):
+    # from 1e-12 through gamma > 2^53, where gamma/(1+gamma) rounds to 1 in
+    # double precision, to e^60; both series branches and their seam at 1
+    gammas = np.concatenate([np.geomspace(1e-12, math.exp(60.0), 40),
+                             np.linspace(0.5, 2.0, 7)])
+    ours = u_func(gammas, beta)
+    oracle = np.array([u_func_mpmath(float(g), beta) for g in gammas])
+    np.testing.assert_allclose(ours, oracle, rtol=1e-14, atol=0.0)
+
+
+def test_u_keeps_scalars_and_shapes():
+    assert type(u_func(2.0, 6.0)) is float
+    assert u_func(np.float64(2.0), 6.0) == u_func(2.0, 6.0)
+    grid = np.array([[0.0, 0.5], [1.0, 3e20]])
+    out = u_func(grid, 6.0)
+    assert out.shape == (2, 2) and out[0, 0] == 0.0
+    assert np.array_equal(out.ravel(), [u_func(float(g), 6.0) for g in grid.ravel()])
 
 
 def test_u_guards():

@@ -45,13 +45,33 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # the tests use scipy.integrate as an oracle; the program needs none of it
+def scipy_imports(source: str) -> list[int]:
+    """Lines of every import of scipy, nested ones included."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "scipy"]
+
+
+def test_scipy_detector_finds_nested_imports():
+    assert scipy_imports("import os\ndef f():\n    from scipy import special\n"
+                         "    import scipy.integrate as si\n") == [3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_no_scipy(path):
+    # numpy is the only runtime dependency, not even a lazy scipy import
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_scipy_out():
+    # the tests use scipy as an oracle; the program needs none of it
     src = str(Path(crancache.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c",
                           "import sys, crancache.cli; "
-                          "print('scipy.integrate' in sys.modules)"],
+                          "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
                          env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ from scipy import stats
 from crancache.effcap import RadioParams, a_beta
 from crancache.errors import ParameterError
 from crancache.geometry import (STREAM_FADING, NetworkRealization, substream)
+from crancache import simkit
 from crancache.simkit import MIN_TRIALS, SINR_CAP, mc_eff_cap, sample_sinr_batch
 
 from oracles import enumerate_partitions, simulate_sinr
@@ -38,6 +39,32 @@ def test_sample_batch_guards():
         sample_sinr_batch(50.0, 5e-6, p, 0, rng)
     with pytest.raises(ParameterError):
         sample_sinr_batch(50.0, 5e-6, p, 100, rng, sim_radius=0.0)
+
+
+def test_sample_batch_bounds_its_draws_before_drawing(monkeypatch):
+    # 100 trials at the default density expect 100 * (62.8 + 1) ~ 6,383
+    # links; a bound just below that must refuse the batch and leave the
+    # generator untouched, one just above must run it
+    p = _params()
+    monkeypatch.setattr(simkit, "MAX_DRAWS", 6_000)
+    rng = substream(0, STREAM_FADING)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="draws"):
+        sample_sinr_batch(50.0, 5e-6, p, 100, rng)
+    assert rng.bit_generator.state == state
+    monkeypatch.setattr(simkit, "MAX_DRAWS", 6_500)
+    assert sample_sinr_batch(50.0, 5e-6, p, 100, rng).shape == (100,)
+
+
+def test_default_draw_bound_admits_a_million_default_trials():
+    # on the bound's formula alone, so no test ever makes the big request:
+    # 10^6 trials fit at the default density, the default 10^5 trials at
+    # lambda_rrh = 1e-2 (a ~94 GiB batch) do not
+    def links(trials, lambda_rrh):
+        return trials * (lambda_rrh * math.pi * 2000.0 ** 2 + 1.0)
+
+    assert links(1_000_000, 5e-6) < simkit.MAX_DRAWS
+    assert links(100_000, 1e-2) > simkit.MAX_DRAWS
 
 
 def test_sample_batch_noise_only_is_exponential():
