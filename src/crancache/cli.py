@@ -155,7 +155,7 @@ def run_validate(scenario: Scenario, out_dir: str) -> bool:
            / math.sqrt(trials),
            abs(ana0 - ergodic) <= 0.01 * ergodic)
 
-    # both per-content estimator forms, side by side (informational);
+    # both per-content estimators, side by side (informational);
     # these are cluster-context quantities, so they use the delivery mu
     catalog = scenario.catalog()
     qos = scenario.qos()
@@ -163,12 +163,10 @@ def run_validate(scenario: Scenario, out_dir: str) -> bool:
     cluster_quant = scenario.quantizer()
     split = lam * catalog.popularity
     for l in range(catalog.count):
-        args = (float(qos.theta_cluster[l]), float(catalog.popularity[l]),
-                float(split[l]), lam, cluster_params, cluster_quant)
-        record(f"content_{l}_distance_avg_vs_moment",
-               effcap.avg_eff_cap_content(*args, form="distance_avg"),
-               effcap.avg_eff_cap_content(*args, form="quantized_moment"),
-               0.0, None)
+        distance_avg, moment = effcap.avg_eff_cap_content(
+            float(qos.theta_cluster[l]), float(catalog.popularity[l]),
+            float(split[l]), lam, cluster_params, cluster_quant)
+        record(f"content_{l}_distance_avg_vs_moment", distance_avg, moment, 0.0, None)
 
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "validation.csv"), scenario.header_lines(),
@@ -380,6 +378,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except CrancacheError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # the config is read without raising OSError, so this is an output:
+        # --out names a file, lies under one, or cannot be written
+        print(f"error: cannot write outputs under {args.out!r}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,8 @@ Conventions used throughout:
   masses always sum to one.
 * a content's capacity averages over the nearest-holder distance law on
   a fixed rule in ln t, t = pi * lambda_l * d^2 (:func:`_distance_rule`),
-  so one kernel pass over its nodes serves every delay exponent.
+  so one kernel pass over its nodes serves every delay exponent and both
+  estimators (:func:`_content_caps`).
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ DEFAULT_GAMMA_MIN = 1e-12
 # survival scratch (8 x 8,193 doubles, ~0.5 MiB) stays in L2 cache.
 _BOUNDARY_CHUNK = 1 << 13
 _LINK_BLOCK = 8
-
-# Gauss-Laguerre nodes of the noisy nearest-holder outage grid (_l_grid)
-_LAGUERRE_ORDER = 96
 
 # Terms past the first of the incomplete-beta series behind u_func
 # (_beta_series): each is below half the one before, so 55 reach 2^-55.
@@ -398,46 +396,16 @@ def l_func_limited(gamma, q_ratio: float, beta: float):
     return float(out) if np.isscalar(gamma) else out
 
 
-def _l_decay_coeff(gamma, lambda_l: float, lambda_rrh: float, params: RadioParams):
-    """Quadratic-exponent coefficient of the nearest-distance outage integrand."""
-    c1, _ = _sinr_coeffs(gamma, lambda_rrh, params, lambda_l)
-    return c1 + np.pi * lambda_l
-
-
-def _l_grid(boundaries: np.ndarray, lambda_l: float, lambda_rrh: float,
-            params: RadioParams) -> np.ndarray:
-    """Vectorized nearest-holder outage on a boundary grid.
-
-    Noise-free grids use the closed form; otherwise the distance integral
-    is taken against its exponential weight with Gauss-Laguerre nodes
-    (checked against the adaptive-quadrature ``l_func_general`` in
-    ``tests/oracles.py``).
-    """
-    if params.noise == 0.0:
-        return np.asarray(l_func_limited(boundaries, lambda_rrh / lambda_l,
-                                         params.pathloss_exponent))
-    beta = params.pathloss_exponent
-    c = _l_decay_coeff(boundaries, lambda_l, lambda_rrh, params)
-    # in t = pi*lambda_l*d^2 the integral is int exp(-(1+alpha)t - nu t^(b/2)) dt;
-    # substituting t = s*tau with s = 1/((1+alpha) + nu^(2/b)) keeps both decay
-    # channels at unit scale, else the nodes overshoot the noise cliff entirely
-    alpha = c / (np.pi * lambda_l) - 1.0
-    nu = boundaries * (params.noise / params.snr) * (np.pi * lambda_l) ** (-beta / 2.0)
-    s = 1.0 / (1.0 + alpha + nu ** (2.0 / beta))
-    nodes, weights = np.polynomial.laguerre.laggauss(_LAGUERRE_ORDER)
-    t = s[:, None] * nodes[None, :]
-    rest = np.exp(-((1.0 + alpha) * s - 1.0)[:, None] * nodes[None, :]
-                  - nu[:, None] * t ** (beta / 2.0))
-    vals = s * (rest @ weights)
-    return 1.0 - vals
-
-
 def _check_content(thetas, popularity: float, lambda_l: float, lambda_rrh: float):
-    """ParameterError unless every exponent, the popularity and lambda_l are usable."""
+    """ParameterError unless every exponent, the popularity and lambda_l are usable.
+
+    A content nobody requests (popularity 0) contributes 0 whatever its
+    holders, so only a requested one needs 0 < lambda_l <= lambda_R.
+    """
     if any(theta <= 0 for theta in thetas) or not 0 <= popularity <= 1:
         raise ParameterError("need theta > 0 and popularity in [0, 1]")
-    if not 0 < lambda_l <= lambda_rrh:
-        raise ParameterError("need 0 < lambda_l <= lambda_rrh")
+    if popularity > 0 and not 0 < lambda_l <= lambda_rrh:
+        raise ParameterError("need 0 < lambda_l <= lambda_rrh for a requested content")
 
 
 def _distance_rule() -> tuple[np.ndarray, np.ndarray]:
@@ -463,59 +431,57 @@ def _distance_rule() -> tuple[np.ndarray, np.ndarray]:
 _T_NODES, _T_WEIGHTS = _distance_rule()
 
 
-def _distance_avg_caps(thetas, lambda_l: float, lambda_rrh: float,
-                       params: RadioParams, quantizer: Quantizer) -> list[float]:
-    """Distance-averaged effective capacity of one content at each exponent.
+def _content_caps(thetas, lambda_l: float, lambda_rrh: float, params: RadioParams,
+                  quantizer: Quantizer) -> list[tuple[float, float]]:
+    """Both capacity estimators of one content, a pair per exponent.
 
-    In t = pi*lambda_l*d^2 the average is int_0^inf e^(-t) C(t) dt, taken
-    on the fixed :func:`_distance_rule` nodes: one :func:`_log_moments`
-    pass gives G at every node and every exponent (each G with the bytes
-    of a lone pass), and each capacity is the weighted sum of
-    -ln(G)/(theta*W*T).
+    t = pi*lambda_l*d^2 is Exp(1) under the nearest-holder distance law,
+    and one :func:`_log_moments` pass on the fixed :func:`_distance_rule`
+    nodes gives G(t) at every node and exponent (each G with the bytes of
+    a lone pass).  The pair is
+
+    * distance_avg = E_t[-ln G(t)] / (theta*W*T): the per-distance capacity
+      averaged over the distance law;
+    * quantized_moment = -ln E_t[G(t)] / (theta*W*T): the capacity of the
+      distance-averaged SINR law, whose survival E_t[S_t(gamma)] is the
+      nearest-holder coverage 1 - L(gamma).
+
+    The two are orders of one average, so by Jensen (-ln is convex) the
+    first is never below the second.
     """
     c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params, lambda_l)
     weights = [_moment_weights(quantizer, params.spectral_efficiency * theta
                                * params.bandwidth_hz * params.tbar) for theta in thetas]
     gs = _log_moments(np.sqrt(_T_NODES / (np.pi * lambda_l)), c1, c2,
                       params.pathloss_exponent, weights)
-    return [float(_T_WEIGHTS @ -np.log(_demand_moment(g)))
-            / (theta * params.bandwidth_hz * params.slot_s)
-            for theta, g in zip(thetas, gs)]
+    caps = []
+    for theta, g in zip(thetas, gs):
+        denom = theta * params.bandwidth_hz * params.slot_s
+        caps.append((float(_T_WEIGHTS @ -np.log(_demand_moment(g))) / denom,
+                     -math.log(float(_T_WEIGHTS @ g)) / denom))
+    return caps
 
 
 def avg_eff_cap_content(theta: float, popularity: float, lambda_l: float,
-                        lambda_rrh: float, params: RadioParams, quantizer: Quantizer,
-                        form: str = "distance_avg") -> float:
+                        lambda_rrh: float, params: RadioParams,
+                        quantizer: Quantizer) -> tuple[float, float]:
     """Popularity-weighted mean effective capacity of one content class.
 
     The user associates with the nearest RRH holding the content (intensity
     lambda_l inside the full field lambda_R); the remaining holders closer
     than the noise horizon contribute through the u() correction.
 
-    Two estimators are exposed:
-
-    * ``"distance_avg"`` (default): average the per-distance effective
-      capacity over the nearest-holder distance law
-      f(d) = 2*pi*lambda_l*d*exp(-pi*lambda_l*d^2), by one
-      :func:`_distance_avg_caps` integral.
-    * ``"quantized_moment"``: build the unconditional SINR law from the
-      nearest-holder outage curve, then map its log-moment once.  Reported
-      alongside the default by the validation command; the two coincide as
-      the SINR law degenerates and otherwise bracket the service rate.
+    Returns (distance_avg, quantized_moment), the two estimators of
+    :func:`_content_caps` from its one kernel pass, each times the
+    popularity.  ``distance_avg`` is the capacity every other caller
+    reports; the validation command prints both.
     """
     _check_content((theta,), popularity, lambda_l, lambda_rrh)
-    if form not in ("distance_avg", "quantized_moment"):
-        raise ParameterError(f"unknown estimator form {form!r}")
     if popularity == 0.0:
-        return 0.0
-    if form == "distance_avg":
-        return popularity * _distance_avg_caps((theta,), lambda_l, lambda_rrh,
-                                               params, quantizer)[0]
-    a = params.spectral_efficiency * theta * params.bandwidth_hz * params.tbar
-    survival = 1.0 - _l_grid(quantizer.boundaries, lambda_l, lambda_rrh, params)
-    g, = _folded_moment(lambda sl: survival[sl], [_moment_weights(quantizer, a)])
-    denom = theta * params.bandwidth_hz * params.slot_s
-    return popularity * (-math.log(float(g)) / denom)
+        return 0.0, 0.0
+    (distance_avg, moment), = _content_caps((theta,), lambda_l, lambda_rrh,
+                                            params, quantizer)
+    return popularity * distance_avg, popularity * moment
 
 
 def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: float,
@@ -523,11 +489,11 @@ def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: flo
                          quantizer: Quantizer) -> tuple[np.ndarray, np.ndarray]:
     """Per-content capacity vectors at the cache exponent and the cloud exponent.
 
-    Entry l is the default ``distance_avg`` form of
-    :func:`avg_eff_cap_content`, bytes included.  Both exponents of a
-    content come from one :func:`_distance_avg_caps` call, so they share
-    its one kernel pass over the fixed distance nodes, and contents with
-    the same (theta_cluster, theta_cloud, lambda_l) share the call itself.
+    Entry l is the ``distance_avg`` of :func:`avg_eff_cap_content`, bytes
+    included.  Both exponents of a content come from one
+    :func:`_content_caps` call, so they share its one kernel pass over the
+    fixed distance nodes, and contents with the same (theta_cluster,
+    theta_cloud, lambda_l) share the call itself.
 
     Returns (from_cache, from_cloud); entry l already carries the P_l
     weighting.  Neither depends on what the cache actually holds, so the
@@ -548,9 +514,9 @@ def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: flo
             from_cache[l] = from_cloud[l] = 0.0
             continue
         if (thetas, lambda_l) not in caps:
-            caps[thetas, lambda_l] = _distance_avg_caps(thetas, lambda_l, lambda_rrh,
-                                                        params, quantizer)
-        from_cache[l], from_cloud[l] = (p_l * cap for cap in caps[thetas, lambda_l])
+            caps[thetas, lambda_l] = _content_caps(thetas, lambda_l, lambda_rrh,
+                                                   params, quantizer)
+        from_cache[l], from_cloud[l] = (p_l * cap for cap, _ in caps[thetas, lambda_l])
     return from_cache, from_cloud
 
 

@@ -249,17 +249,21 @@ def load_scenario(path: str | None = None, text: str | None = None) -> Scenario:
     file is an error, an empty file yields pure defaults.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if text is not None:
-        parser.read_string(text)
-    else:
-        loaded = parser.read(path)
-        if not loaded:
+    try:
+        if text is not None:
+            parser.read_string(text)
+        elif not parser.read(path):
             raise ParameterError(f"config file not found: {path}")
+        # items() interpolates, so a stray '%' in a value fails here
+        sections = [(section, parser.items(section)) for section in parser.sections()]
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser spreads some messages over several lines
+        raise ParameterError("malformed config: " + " ".join(str(exc).split())) from exc
     values = {}
-    for section in parser.sections():
+    for section, items in sections:
         if section not in _SCHEMA:
             raise ParameterError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in items:
             caster = _SCHEMA[section].get(key)
             if caster is None:
                 raise ParameterError(f"unknown key {key!r} in section [{section}]")

@@ -3,7 +3,7 @@
 Nothing in ``crancache`` calls these: each recomputes a quantity the
 library gets another way (40-digit mpmath where the library sums a
 double-precision series, adaptive quadrature where the library uses
-Gauss-Laguerre nodes or its fixed distance rule, an equal-width SINR
+its fixed distance rule, an equal-width SINR
 grid where it uses a geometric one, an explicit per-RRH SINR draw where
 it samples whole interference fields, every set partition where it runs
 a local search, every coalition where it uses the Shapley closed form,
@@ -22,9 +22,8 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from crancache.effcap import (LN2, Quantizer, RadioParams, _l_decay_coeff,
-                              _log_moments, _moment_weights, _sinr_coeffs,
-                              avg_eff_cap_content)
+from crancache.effcap import (LN2, Quantizer, RadioParams, _log_moments,
+                              _moment_weights, _sinr_coeffs, avg_eff_cap_content)
 from crancache.errors import ParameterError
 from crancache.geometry import (STREAM_FADING, STREAM_GAME, NetworkRealization,
                                 substream)
@@ -38,14 +37,21 @@ def l_func_general(gamma: float, lambda_l: float, lambda_rrh: float,
     1 - 2*pi*lambda_l * integral_0^inf d * exp(-C(gamma)*d^2)
     * exp(-gamma*d^beta*noise/snr) dd, evaluated by adaptive quadrature
     (relative tolerance 1e-8, truncated where the Gaussian factor is below
-    1e-15 of its peak).  Coincides with ``effcap.l_func_limited`` at noise = 0.
+    1e-15 of its peak).  C(gamma) = 2*pi*A(beta)*(lambda_R - lambda_l)
+    *gamma^(2/beta) + pi*lambda_l*u(gamma) + pi*lambda_l is built here from
+    first principles: A(beta) from ``math.gamma`` and u from
+    :func:`u_func_mpmath`.  Coincides with ``effcap.l_func_limited`` at
+    noise = 0.
     """
     if gamma < 0:
         raise ParameterError("SINR threshold must be non-negative")
     if not 0 < lambda_l <= lambda_rrh:
         raise ParameterError("need 0 < lambda_l <= lambda_rrh")
     beta = params.pathloss_exponent
-    c = float(_l_decay_coeff(gamma, lambda_l, lambda_rrh, params))
+    q = 2.0 / beta
+    a = math.gamma(q) * math.gamma(1.0 - q) / beta
+    c = (2.0 * math.pi * a * (lambda_rrh - lambda_l) * gamma ** q
+         + math.pi * lambda_l * u_func_mpmath(gamma, beta) + math.pi * lambda_l)
     noise_rate = gamma * params.noise / params.snr
 
     def integrand(d):
@@ -80,31 +86,48 @@ def equal_width_quantizer() -> Quantizer:
     return Quantizer(np.linspace(0.0, 5e4, 10 ** 6 + 1))
 
 
-def distance_avg_cap_quad(theta: float, lambda_l: float, lambda_rrh: float,
-                          params: RadioParams, quantizer: Quantizer) -> float:
-    """Nearest-holder distance average of the effective capacity by
-    adaptive quadrature.
+def _distance_quad(transform, theta: float, lambda_l: float, lambda_rrh: float,
+                   params: RadioParams, quantizer: Quantizer) -> float:
+    """int_0^inf e^(-t) transform(G(t)) dt by adaptive quadrature, with
+    t = pi*lambda_l*d^2 and G the log-moment of a link of length d.
 
-    int_0^inf e^(-t) C(t) dt with t = pi*lambda_l*d^2, taken in u = ln t
-    over [-30, 4] with a breakpoint at every integer u and relative
-    tolerance 1e-12; each C(t) comes from a kernel pass of its own.  The
-    library's fixed rule covers the same range, so this checks its node
-    placement, not the truncation.
+    Taken in u = ln t over [-30, 4] with a breakpoint at every integer u
+    and relative tolerance 1e-12; each G(t) comes from a kernel pass of its
+    own.  The library's fixed rule covers the same range, so this checks
+    its node placement, not the truncation.
     """
     c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params, lambda_l)
     a = params.spectral_efficiency * theta * params.bandwidth_hz * params.tbar
     weights = [_moment_weights(quantizer, a)]
-    denom = theta * params.bandwidth_hz * params.slot_s
 
     def integrand(u):
         t = math.exp(u)
         g, = _log_moments(math.sqrt(t / (np.pi * lambda_l)), c1, c2,
                           params.pathloss_exponent, weights)
-        return t * math.exp(-t) * -math.log(float(g)) / denom
+        return t * math.exp(-t) * transform(float(g))
 
     val, _ = integrate.quad(integrand, -30.0, 4.0, points=range(-29, 4), epsabs=0.0,
                             epsrel=1e-12, limit=400)
     return val
+
+
+def distance_avg_cap_quad(theta: float, lambda_l: float, lambda_rrh: float,
+                          params: RadioParams, quantizer: Quantizer) -> float:
+    """Nearest-holder distance average of the effective capacity,
+    E_t[-ln G(t)] / (theta*W*T), by :func:`_distance_quad`."""
+    return (_distance_quad(lambda g: -math.log(g), theta, lambda_l, lambda_rrh,
+                           params, quantizer)
+            / (theta * params.bandwidth_hz * params.slot_s))
+
+
+def moment_avg_cap_quad(theta: float, lambda_l: float, lambda_rrh: float,
+                        params: RadioParams, quantizer: Quantizer) -> float:
+    """Effective capacity of the distance-averaged SINR law,
+    -ln E_t[G(t)] / (theta*W*T), by :func:`_distance_quad`: the twin of
+    :func:`distance_avg_cap_quad` for the ``quantized_moment`` estimator."""
+    return (-math.log(_distance_quad(lambda g: g, theta, lambda_l, lambda_rrh,
+                                     params, quantizer))
+            / (theta * params.bandwidth_hz * params.slot_s))
 
 
 def simulate_sinr(realization: NetworkRealization, user_index: int,
@@ -181,7 +204,8 @@ def k_table_single(instance, a: float) -> np.ndarray:
 def per_content_eff_caps_one_by_one(catalog, qos, lambda_split, lambda_rrh: float,
                                     params: RadioParams, quantizer):
     """(from_cache, from_cloud) from one lone ``avg_eff_cap_content``
-    integral per content and exponent, each with kernel passes of its own.
+    integral per content and exponent, each with kernel passes of its own;
+    the vectors hold its ``distance_avg`` entry.
 
     ``per_content_eff_caps`` shares passes across exponents and identical
     contents, and must reproduce these vectors byte for byte.
@@ -190,10 +214,10 @@ def per_content_eff_caps_one_by_one(catalog, qos, lambda_split, lambda_rrh: floa
     from_cloud = np.empty(catalog.count)
     for l in range(catalog.count):
         p_l, lambda_l = float(catalog.popularity[l]), float(lambda_split[l])
-        from_cache[l] = avg_eff_cap_content(float(qos.theta_cluster[l]), p_l, lambda_l,
-                                            lambda_rrh, params, quantizer)
-        from_cloud[l] = avg_eff_cap_content(float(qos.theta_cloud[l]), p_l, lambda_l,
-                                            lambda_rrh, params, quantizer)
+        from_cache[l], _ = avg_eff_cap_content(float(qos.theta_cluster[l]), p_l,
+                                               lambda_l, lambda_rrh, params, quantizer)
+        from_cloud[l], _ = avg_eff_cap_content(float(qos.theta_cloud[l]), p_l,
+                                               lambda_l, lambda_rrh, params, quantizer)
     return from_cache, from_cloud
 
 

@@ -272,6 +272,72 @@ def test_non_finite_config_value_is_rejected(tmp_path, section, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    b"[radio]\nsnr = 1\nsnr = 2\n",            # duplicate key
+    b"[radio]\nsnr = 1\n[radio]\nnoise = 0\n",  # duplicate section
+    b"snr = 1\n[radio]\n",                      # key before any section header
+    b"[radio]\nsnr\n",                          # line with no '='
+    b"[radio]\nsnr = 1 # \xff\xfe\n",           # bytes that are not UTF-8
+    b"[radio]\nsnr = 5%\n",                     # bare '%' the parser interpolates
+], ids=["duplicate-key", "duplicate-section", "no-section-header", "no-equals",
+        "not-utf8", "bare-percent"])
+def test_malformed_config_file_is_rejected(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(text)
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "allocate", "--algorithm", "orthogonal",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed config: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_unusable_out_exits_2(tmp_path, capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "o" if under else blocker
+    assert main(["allocate", "--algorithm", "orthogonal", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write outputs under ") and err.count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_validate_with_unrequested_contents(tmp_path):
+    # contents with popularity 0 get no holders (lambda_l = 0) and report
+    # 0 for both estimators; the requested ones are unaffected
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text("[run]\nmc_trials = 20000\n[content]\npopularity = 0.5 0.5 0 0 0\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "validate", "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "validation.csv")
+    content = {r[0]: (float(r[1]), float(r[2])) for r in rows if r[0].startswith("content_")}
+    assert content["content_0_distance_avg_vs_moment"] \
+        == content["content_1_distance_avg_vs_moment"]
+    assert min(content["content_0_distance_avg_vs_moment"]) > 0.0
+    for l in (2, 3, 4):
+        assert content[f"content_{l}_distance_avg_vs_moment"] == (0.0, 0.0)
+
+
+def test_validate_content_rows_cost_one_kernel_pass_each(tmp_path, monkeypatch):
+    # both estimators of a content come from one call and one pass over the
+    # distance nodes; counted, so no timing is involved
+    calls, passes = [], []
+    real_content, real_moments = effcap.avg_eff_cap_content, effcap._log_moments
+    monkeypatch.setattr(effcap, "avg_eff_cap_content",
+                        lambda *a, **k: calls.append(None) or real_content(*a, **k))
+
+    def counted(d, *args):
+        if np.size(d) == effcap._T_NODES.size:
+            passes.append(None)
+        return real_moments(d, *args)
+
+    monkeypatch.setattr(effcap, "_log_moments", counted)
+    scenario = replace(Scenario(), mc_trials=20000)
+    run_validate(scenario, str(tmp_path / "o"))
+    assert len(calls) == len(passes) == scenario.content_count
+
+
 def test_main_seed_override(tmp_path):
     cfg = tmp_path / "s.ini"
     cfg.write_text("[run]\nmc_trials = 20000\n[content]\ncount = 2\ncache_size = 2\n")

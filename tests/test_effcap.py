@@ -20,8 +20,9 @@ from crancache.effcap import (LN2, Quantizer, RadioParams,
                               outage_prob,
                               per_content_eff_caps,
                               required_spectral_efficiency, u_func)
-from crancache.effcap import (_LINK_BLOCK, _demand_moment, _folded_moment, _l_grid,
-                              _log_moments, _moment_weights, _sinr_coeffs)
+from crancache.effcap import (_LINK_BLOCK, _T_NODES, _T_WEIGHTS, _demand_moment,
+                              _folded_moment, _log_moments, _moment_weights,
+                              _sinr_coeffs)
 from crancache.errors import DomainError, ParameterError
 from crancache.games import random_instance
 from crancache.qos import QosProfile
@@ -29,7 +30,8 @@ from crancache.scenario import Scenario
 
 from conftest import radio
 from oracles import (distance_avg_cap_quad, equal_width_quantizer, k_table_single,
-                     l_func_general, per_content_eff_caps_one_by_one, u_func_mpmath)
+                     l_func_general, moment_avg_cap_quad,
+                     per_content_eff_caps_one_by_one, u_func_mpmath)
 
 
 # -- geometry constant ------------------------------------------------------
@@ -492,16 +494,18 @@ def test_general_outage_guards():
         l_func_general(-1.0, 1e-6, 5e-6, radio())
 
 
-def test_outage_grid_matches_pointwise_quadrature():
-    # the vectorized Laguerre grid must agree with adaptive quadrature,
-    # including where the noise factor decays much faster than the
-    # nearest-holder distance weight (steep pathloss, strong noise)
-    for beta, noise in ((4.0, 0.3), (8.0, 2.0)):
+def test_distance_rule_averages_the_survival_law_to_the_outage_oracle():
+    # the estimators average the survival law _sinr_coeffs(..., lambda_l)
+    # gives the kernel; over the distance rule it must be the coverage
+    # 1 - L(gamma) of the independent oracle, also where the noise factor
+    # decays much faster than the distance weight (steep pathloss, strong noise)
+    d = np.sqrt(_T_NODES / (np.pi * 1e-6))
+    for beta, noise in ((4.0, 0.0), (4.0, 0.3), (8.0, 2.0)):
         p = radio(beta=beta, noise=noise)
-        b = np.geomspace(1e-2, 1e2, 10)
-        grid = _l_grid(b, 1e-6, 5e-6, p)
-        for i, g in enumerate(b):
-            assert abs(grid[i] - l_func_general(float(g), 1e-6, 5e-6, p)) < 1e-6
+        for g in np.geomspace(1e-2, 1e2, 10):
+            c1, c2 = _sinr_coeffs(g, 5e-6, p, 1e-6)
+            coverage = _T_WEIGHTS @ np.exp(-(c1 * d ** 2 + c2 * d ** beta))
+            assert abs(coverage - (1.0 - l_func_general(float(g), 1e-6, 5e-6, p))) < 1e-8
 
 
 # -- content-level capacity -------------------------------------------------
@@ -511,8 +515,23 @@ def test_content_capacity_scales_with_popularity(quick_quantizer):
     p = radio(mu=1e6)
     full = avg_eff_cap_content(0.1, 1.0, 1e-6, 5e-6, p, quick_quantizer)
     half = avg_eff_cap_content(0.1, 0.5, 1e-6, 5e-6, p, quick_quantizer)
-    assert abs(half - 0.5 * full) < 1e-9 * full
-    assert avg_eff_cap_content(0.1, 0.0, 1e-6, 5e-6, p, quick_quantizer) == 0.0
+    for h, f in zip(half, full):
+        assert abs(h - 0.5 * f) < 1e-9 * f
+    assert avg_eff_cap_content(0.1, 0.0, 1e-6, 5e-6, p, quick_quantizer) == (0.0, 0.0)
+
+
+def test_unrequested_content_needs_no_holders(quick_quantizer):
+    # a content with P_l = 0 gets no share of the field (lambda_l = 0 under
+    # the popularity split) and contributes 0 to both estimators
+    p = radio(mu=1e6)
+    assert avg_eff_cap_content(0.1, 0.0, 0.0, 5e-6, p, quick_quantizer) == (0.0, 0.0)
+    cat = ContentCatalog(1e6, np.array([0.5, 0.5, 0.0]))
+    fc, fl = per_content_eff_caps(cat, QosProfile.uniform(0.1, 0.6, 3),
+                                  5e-6 * cat.popularity, 5e-6, p, quick_quantizer)
+    assert fc[2] == fl[2] == 0.0 and fc[0] > fl[0] > 0.0
+    # a requested content still needs holders
+    with pytest.raises(ParameterError):
+        avg_eff_cap_content(0.1, 0.5, 0.0, 5e-6, p, quick_quantizer)
 
 
 @pytest.mark.parametrize("lambda_l", [1.37e-7, 1e-6])
@@ -523,9 +542,23 @@ def test_content_capacity_resolves_mass_at_tiny_distances(quick_quantizer, lambd
     # t = pi*lambda_l*d^2 < 1e-4, far below where the mean distance sits;
     # the integral must still find it there
     p = radio(beta=8.0, noise=1.0, mu=1e6)
-    got = avg_eff_cap_content(theta, 1.0, lambda_l, 5e-6, p, quick_quantizer)
+    got, _ = avg_eff_cap_content(theta, 1.0, lambda_l, 5e-6, p, quick_quantizer)
     want = distance_avg_cap_quad(theta, lambda_l, 5e-6, p, quick_quantizer)
     assert abs(got - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("beta, noise, tol", [(4.0, 0.0, 1e-12), (4.0, 0.3, 1e-10),
+                                              (8.0, 1.0, 1e-8)])
+@pytest.mark.parametrize("lambda_l", [1.37e-7, 1e-6])
+@pytest.mark.parametrize("theta", [0.1, 0.6])
+def test_moment_estimator_matches_adaptive_quadrature(quick_quantizer, beta, noise, tol,
+                                                      lambda_l, theta):
+    # -ln E_t[G] on the fixed distance rule against the quad oracle of
+    # the same average, up to steep pathloss with a strong noise floor
+    p = radio(beta=beta, noise=noise, mu=1e6)
+    _, got = avg_eff_cap_content(theta, 1.0, lambda_l, 5e-6, p, quick_quantizer)
+    want = moment_avg_cap_quad(theta, lambda_l, 5e-6, p, quick_quantizer)
+    assert abs(got - want) <= tol * want
 
 
 @pytest.mark.parametrize("zipf", [0.0, 0.5, 1.0, 2.0])
@@ -534,8 +567,8 @@ def test_content_capacity_matches_adaptive_quadrature(scenario, quick_quantizer,
     p = scenario.radio()
     for lambda_l in set((scenario.lambda_rrh * catalog.popularity).tolist()):
         for theta in (scenario.theta_cluster[0], scenario.theta_cloud[0]):
-            got = avg_eff_cap_content(theta, 1.0, lambda_l, scenario.lambda_rrh, p,
-                                      quick_quantizer)
+            got, _ = avg_eff_cap_content(theta, 1.0, lambda_l, scenario.lambda_rrh, p,
+                                         quick_quantizer)
             want = distance_avg_cap_quad(theta, lambda_l, scenario.lambda_rrh, p,
                                          quick_quantizer)
             assert abs(got - want) <= 1e-11 * want
@@ -544,19 +577,15 @@ def test_content_capacity_matches_adaptive_quadrature(scenario, quick_quantizer,
 def test_content_capacity_estimator_ordering(quick_quantizer):
     # averaging the capacity over the distance law can only beat mapping
     # the averaged SINR law (convexity of -log)
-    p = radio(mu=1e6)
-    for theta, lam_l in ((0.1, 1e-6), (0.6, 2.5e-6), (0.05, 5e-6)):
-        da = avg_eff_cap_content(theta, 1.0, lam_l, 5e-6, p, quick_quantizer,
-                                 form="distance_avg")
-        qm = avg_eff_cap_content(theta, 1.0, lam_l, 5e-6, p, quick_quantizer,
-                                 form="quantized_moment")
-        assert da >= qm > 0.0
+    for beta, noise in ((4.0, 0.0), (8.0, 1.0)):
+        p = radio(beta=beta, noise=noise, mu=1e6)
+        for theta, lam_l in ((0.1, 1e-6), (0.6, 2.5e-6), (0.05, 5e-6)):
+            da, qm = avg_eff_cap_content(theta, 1.0, lam_l, 5e-6, p, quick_quantizer)
+            assert da >= qm > 0.0
 
 
 def test_content_capacity_guards(quick_quantizer):
     p = radio(mu=1e6)
-    with pytest.raises(ParameterError):
-        avg_eff_cap_content(0.1, 1.0, 1e-6, 5e-6, p, quick_quantizer, form="midpoint")
     with pytest.raises(ParameterError):
         avg_eff_cap_content(0.0, 1.0, 1e-6, 5e-6, p, quick_quantizer)
     with pytest.raises(ParameterError):
@@ -578,7 +607,7 @@ def test_per_content_vectors_carry_popularity_weight(quick_quantizer):
     fc, fl = per_content_eff_caps(cat, qos, split, 5e-6, p, quick_quantizer)
     assert fc.shape == fl.shape == (3,)
     assert np.all(fc > fl)      # softer exponent from the cache side
-    bare = avg_eff_cap_content(0.1, 1.0, float(split[0]), 5e-6, p, quick_quantizer)
+    bare, _ = avg_eff_cap_content(0.1, 1.0, float(split[0]), 5e-6, p, quick_quantizer)
     assert abs(fc[0] - cat.popularity[0] * bare) < 1e-9 * fc[0]
 
 
@@ -628,7 +657,7 @@ def _catalogs():
                                              np.array([0.3, 0.5, 0.7, 0.9])),
                           5e-6 * ranked.popularity),
         "flat": (flat, QosProfile.uniform(0.3, 0.3, 3), 5e-6 * flat.popularity),
-        # the zero-popularity content still has holders, so its guard passes
+        # a zero-popularity content that still has holders
         "zero-popularity": (with_zero, QosProfile.uniform(0.1, 0.6, 3),
                             np.full(3, 5e-6 / 3)),
     }
