@@ -137,11 +137,11 @@ def run_validate(scenario: Scenario, out_dir: str) -> bool:
         record(f"outage_cdf_gamma_{gamma:g}", analytic, emp, se,
                abs(analytic - emp) < 3 * se)
 
-    for label, theta in (("cluster", float(scenario.theta_cluster[0])),
-                         ("cloud", float(scenario.theta_cloud[0]))):
+    thetas = (float(scenario.theta_cluster[0]), float(scenario.theta_cloud[0]))
+    mcs = simkit.mc_eff_cap(thetas, d_m, lam, params, trials, scenario.seed,
+                            scenario.sim_radius)
+    for label, theta, mc in zip(("cluster", "cloud"), thetas, mcs):
         ana = effcap.eff_cap_user(theta, d_m, lam, params, quant)
-        mc = simkit.mc_eff_cap(theta, d_m, lam, params, trials, scenario.seed,
-                               scenario.sim_radius)
         tol = max(0.02 * abs(ana), 3 * mc.std_error)
         record(f"eff_cap_theta_{label}", ana, mc.value, mc.std_error,
                abs(ana - mc.value) <= tol)

@@ -243,90 +243,72 @@ def _sinr_coeffs(gamma, lambda_rrh: float, params: RadioParams,
     return c1, g * (params.noise / params.snr)
 
 
-def _moment_weights(quantizer: Quantizer, a: float) -> np.ndarray:
-    """Log-moment weight (1 + midpoint)^(-a) of every quantizer interval."""
-    return np.exp(-a * np.log1p(quantizer.midpoints))
+def log_moment_exponent(mu: float, theta: float, params: RadioParams) -> float:
+    """Log-moment exponent a = mu * theta * W * Tbar of a delay exponent theta
+    at the per-RRU spectral efficiency mu."""
+    return mu * theta * params.bandwidth_hz * params.tbar
 
 
-def _folded_moment(survival, weights: list[np.ndarray]) -> list:
-    """Sum over quantizer intervals of probability mass times each weight vector.
+def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
+                quantizer: Quantizer, lambda_l: float | None = None) -> list[np.ndarray]:
+    """Quantized log-moments G(d) = E[(1 + SINR)^(-a)] of links of lengths d,
+    one per exponent a, each shaped like d.
 
-    ``survival(sl)`` is the survival function at the boundaries in slice
-    ``sl`` (last axis).  Masses are its differences, and the mass beyond
-    gamma_max folds into the last interval so the masses sum to one.
-    Boundaries are taken _BOUNDARY_CHUNK at a time, so the scratch array
-    is rows x _BOUNDARY_CHUNK; :func:`_log_moments` passes at most a few
-    links (rows) per call.  Each chunk's survival and masses are formed
-    once and summed against every weight vector by its own gemv, so a
-    vector's sum has the same operands, and bytes, as if it came alone.
+    The SINR law is :func:`_sinr_coeffs` on the quantizer boundaries (the
+    nearest-holder law given ``lambda_l``).  Interval masses are survival
+    differences, and the mass beyond gamma_max folds into the last interval
+    so the masses sum to one; each is weighted by (1 + midpoint)^(-a).
+    Links go _LINK_BLOCK at a time and boundaries _BOUNDARY_CHUNK at a
+    time, so each survival chunk stays in cache.  A chunk's survival and
+    masses are formed once and summed against every exponent's weights by
+    a small gemv of its own, so each G has the bytes of a lone pass, and
+    the bytes do not depend on the BLAS thread count.  A G may underflow
+    to 0; pass the one a caller demands through :func:`demand_moment`.
     """
-    n = weights[0].size
-    gs = [0.0] * len(weights)
-    buffer = None
-    for lo in range(0, n, _BOUNDARY_CHUNK):
-        sl = slice(lo, min(lo + _BOUNDARY_CHUNK, n) + 1)
-        surv = survival(sl)
-        if buffer is None:  # the first chunk is the widest
-            buffer = np.empty(surv.size)
-        mass = np.subtract(surv[..., :-1], surv[..., 1:],
-                           out=_view(buffer, surv.shape[:-1] + (sl.stop - lo - 1,)))
-        gs = [g + mass @ w[lo:sl.stop - 1] for g, w in zip(gs, weights)]
-    return [g + surv[..., -1] * w[-1] for g, w in zip(gs, weights)]
-
-
-def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
-    """Contiguous array of ``shape`` over the front of a flat buffer.
-
-    Reusing one buffer saves a fresh, page-faulted allocation per chunk;
-    a contiguous view runs every ufunc and gemv on the same loop, and so
-    to the same bytes, as a fresh array would.
-    """
-    return buffer[:math.prod(shape)].reshape(shape)
-
-
-def _log_moments(d, c1: np.ndarray, c2: np.ndarray, beta: float,
-                 weights: list[np.ndarray]) -> list[np.ndarray]:
-    """Quantized log-moments G(d) of the SINR law, one per weight vector,
-    each shaped like the lengths d.
-
-    ``c1``, ``c2`` are :func:`_sinr_coeffs` on the quantizer boundaries and
-    ``weights`` holds :func:`_moment_weights` vectors, one per exponent.
-    Links go through :func:`_folded_moment` _LINK_BLOCK at a time, so each
-    survival chunk stays in cache and each sum is a small gemv whose bytes
-    do not depend on the BLAS thread count.  A G may underflow to 0; pass
-    the one a caller demands through :func:`_demand_moment`.
-    """
+    c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params, lambda_l)
+    log_mid = np.log1p(quantizer.midpoints)
+    weights = [np.exp(-a * log_mid) for a in exponents]
     d = np.asarray(d, dtype=float)
-    d_sq, d_beta = d ** 2, d ** beta
+    d_sq, d_beta = d ** 2, d ** params.pathloss_exponent
     n = d.shape[-1] if d.ndim else 1
+    m = log_mid.size
     # numpy sums a 1-row block with a dot routine, not gemv, which rounds
     # differently; so a lone last link joins the block before it
     starts = list(range(0, max(n - 1, 1), _LINK_BLOCK))
     # without noise c2 is all 0.0 and x - bt*c2 == x bit for bit, so skip it;
     # c2 = gamma*noise/snr grows along the boundaries, so its last entry tells
     noisy = bool(c2[-1])
-    # survival buffer for the largest block (_LINK_BLOCK + 1 links) and chunk
-    buffer = np.empty(math.prod(d.shape[:-1]) * (_LINK_BLOCK + 1)
-                       * (min(_BOUNDARY_CHUNK, c1.size - 1) + 1))
+    # one survival and one mass buffer for the largest block (_LINK_BLOCK + 1
+    # links) and chunk; a contiguous view over the front of either runs every
+    # ufunc and gemv on the same loop, and so to the same bytes, as a fresh
+    # array would, without a page-faulted allocation per chunk
+    rows = math.prod(d.shape[:-1]) * (_LINK_BLOCK + 1)
+    surv_buf = np.empty(rows * (min(_BOUNDARY_CHUNK, m) + 1))
+    mass_buf = np.empty(rows * min(_BOUNDARY_CHUNK, m))
     gs = [np.empty(d.shape) for _ in weights]
     for lo, hi in zip(starts, starts[1:] + [n]):
         links = (..., slice(lo, hi)) if d.ndim else (...,)
         # negating the (block, 1) column saves a pass over each survival chunk
         neg_sq, bt = -d_sq[links][..., None], d_beta[links][..., None]
-
-        def survival(sl):
-            x = np.multiply(neg_sq, c1[sl],
-                            out=_view(buffer, neg_sq.shape[:-1] + (sl.stop - sl.start,)))
+        block = neg_sq.shape[:-1]
+        size = math.prod(block)
+        sums = [0.0] * len(weights)
+        for b0 in range(0, m, _BOUNDARY_CHUNK):
+            k = min(_BOUNDARY_CHUNK, m - b0)   # intervals in this chunk
+            surv = np.multiply(neg_sq, c1[b0:b0 + k + 1],
+                               out=surv_buf[:size * (k + 1)].reshape(block + (k + 1,)))
             if noisy:
-                np.subtract(x, bt * c2[sl], out=x)
-            return np.exp(x, out=x)
-
-        for g, block in zip(gs, _folded_moment(survival, weights)):
-            g[links] = block
+                np.subtract(surv, bt * c2[b0:b0 + k + 1], out=surv)
+            np.exp(surv, out=surv)
+            mass = np.subtract(surv[..., :-1], surv[..., 1:],
+                               out=mass_buf[:size * k].reshape(block + (k,)))
+            sums = [s + mass @ w[b0:b0 + k] for s, w in zip(sums, weights)]
+        for g, s, w in zip(gs, sums, weights):
+            g[links] = s + surv[..., -1] * w[-1]
     return gs
 
 
-def _demand_moment(g: np.ndarray) -> np.ndarray:
+def demand_moment(g: np.ndarray) -> np.ndarray:
     """``g`` itself, once every entry is a usable log-moment.
 
     A G that underflows to 0 (a link of length ~0 puts all mass on the top
@@ -371,11 +353,9 @@ def eff_cap_user(theta: float, d_m: float, lambda_rrh: float,
         raise ParameterError("distance must be non-negative")
     if lambda_rrh <= 0:
         raise ParameterError("RRH intensity must be positive")
-    c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params)
-    a = params.spectral_efficiency * theta * params.bandwidth_hz * params.tbar
-    g, = _log_moments(d_m, c1, c2, params.pathloss_exponent,
-                      [_moment_weights(quantizer, a)])
-    g_sum = float(_demand_moment(g))
+    g, = log_moments(d_m, [log_moment_exponent(params.spectral_efficiency, theta, params)],
+                     lambda_rrh, params, quantizer)
+    g_sum = float(demand_moment(g))
     return -math.log(g_sum) / (theta * params.bandwidth_hz * params.slot_s)
 
 
@@ -436,7 +416,7 @@ def _content_caps(thetas, lambda_l: float, lambda_rrh: float, params: RadioParam
     """Both capacity estimators of one content, a pair per exponent.
 
     t = pi*lambda_l*d^2 is Exp(1) under the nearest-holder distance law,
-    and one :func:`_log_moments` pass on the fixed :func:`_distance_rule`
+    and one :func:`log_moments` pass on the fixed :func:`_distance_rule`
     nodes gives G(t) at every node and exponent (each G with the bytes of
     a lone pass).  The pair is
 
@@ -449,15 +429,13 @@ def _content_caps(thetas, lambda_l: float, lambda_rrh: float, params: RadioParam
     The two are orders of one average, so by Jensen (-ln is convex) the
     first is never below the second.
     """
-    c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params, lambda_l)
-    weights = [_moment_weights(quantizer, params.spectral_efficiency * theta
-                               * params.bandwidth_hz * params.tbar) for theta in thetas]
-    gs = _log_moments(np.sqrt(_T_NODES / (np.pi * lambda_l)), c1, c2,
-                      params.pathloss_exponent, weights)
+    gs = log_moments(np.sqrt(_T_NODES / (np.pi * lambda_l)),
+                     [log_moment_exponent(params.spectral_efficiency, theta, params)
+                      for theta in thetas], lambda_rrh, params, quantizer, lambda_l)
     caps = []
     for theta, g in zip(thetas, gs):
         denom = theta * params.bandwidth_hz * params.slot_s
-        caps.append((float(_T_WEIGHTS @ -np.log(_demand_moment(g))) / denom,
+        caps.append((float(_T_WEIGHTS @ -np.log(demand_moment(g))) / denom,
                      -math.log(float(_T_WEIGHTS @ g)) / denom))
     return caps
 

@@ -14,8 +14,9 @@ from .errors import ParameterError
 class PowerModel:
     """Per-component power draw, watts.
 
-    A caching cost at or above the backhaul cost makes caching pointless,
-    so that configuration warns.
+    The active draw must be positive: every cluster energy efficiency
+    divides by a term carrying it.  A caching cost at or above the backhaul
+    cost makes caching pointless, so that configuration warns.
     """
 
     rrh_active: float = 104.0
@@ -26,6 +27,8 @@ class PowerModel:
     def __post_init__(self):
         if min(self.rrh_active, self.rrh_sleep, self.cache_per_object, self.backhaul) < 0:
             raise ParameterError("power figures must be non-negative")
+        if self.rrh_active <= 0:
+            raise ParameterError("active RRH draw must be positive")
         if self.rrh_sleep > self.rrh_active:
             raise ParameterError("sleep draw cannot exceed active draw")
         if self.cache_per_object >= self.backhaul > 0:

@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .content import ClusterCache, ContentCatalog
-from .effcap import (LN2, Quantizer, RadioParams, _demand_moment, _log_moments,
-                     _moment_weights, _sinr_coeffs, required_spectral_efficiency)
+from .effcap import (LN2, Quantizer, RadioParams, demand_moment, log_moment_exponent,
+                     log_moments, required_spectral_efficiency)
 from .energy import PowerModel
 from .errors import (ConvergenceError, DomainError, ParameterError,
                      StabilityViolationError)
@@ -131,8 +131,8 @@ class ClusterInstance:
         return cached, len(contents) - cached
 
     def _log_moment_exponent(self, content: int, rru_count: int) -> float:
-        return (self.mu_for(rru_count) * self.theta_of(content)
-                * self.params.bandwidth_hz * self.params.tbar)
+        return log_moment_exponent(self.mu_for(rru_count), self.theta_of(content),
+                                   self.params)
 
     def _k_table(self, content: int, rru_count: int) -> np.ndarray:
         """Normalized log-moment map K[user, rrh]; capacity is mu * K.
@@ -157,13 +157,12 @@ class ClusterInstance:
             exponents = {(c, n): self._log_moment_exponent(c, n)
                          for c in range(count) for n in range(1, count + 1)}
             family = sorted(set(exponents.values()))
-            c1, c2 = _sinr_coeffs(self.quantizer.boundaries, self.lambda_rrh, self.params)
-            gs = _log_moments(self._dist.ravel(), c1, c2, self.params.pathloss_exponent,
-                              [_moment_weights(self.quantizer, e) for e in family])
+            gs = log_moments(self._dist.ravel(), family, self.lambda_rrh, self.params,
+                             self.quantizer)
             tables = {}
             for e, g in zip(family, gs):
                 try:
-                    tables[e] = (-np.log(_demand_moment(g)) / (e * LN2)).reshape(
+                    tables[e] = (-np.log(demand_moment(g)) / (e * LN2)).reshape(
                         self._dist.shape)
                 except DomainError as exc:
                     tables[e] = exc

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effcap import RadioParams
+from .effcap import RadioParams, log_moment_exponent
 from .errors import ParameterError
 from .geometry import DEFAULT_SIM_RADIUS, STREAM_FADING, substream
 
@@ -86,29 +86,35 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
     return np.minimum(sinr, SINR_CAP)
 
 
-def mc_eff_cap(theta: float, d_m: float, lambda_rrh: float, params: RadioParams,
+def mc_eff_cap(thetas, d_m: float, lambda_rrh: float, params: RadioParams,
                trials: int, seed: int,
-               sim_radius: float = DEFAULT_SIM_RADIUS) -> McEstimate:
-    """Monte Carlo effective capacity of a user served from distance d_m.
+               sim_radius: float = DEFAULT_SIM_RADIUS) -> list[McEstimate]:
+    """Monte Carlo effective capacities of a user served from distance d_m,
+    one per delay exponent in ``thetas``.
 
     Estimates the log-moment Z = (1+SINR)^(-mu*theta*W*Tbar) by plain
     averaging and maps through -ln(mean)/(theta*W*T); the standard error
     propagates through the log by the delta method.  theta enters only in
-    post-processing, so estimates at different theta from the same seed
-    share their SINR draws and are exactly monotone in theta.
+    post-processing, so every exponent shares one batch of SINR draws, the
+    same batch any call with this seed draws, and the estimates are
+    exactly monotone in theta.
     """
-    if theta <= 0:
+    if any(theta <= 0 for theta in thetas):
         raise ParameterError("delay exponent must be strictly positive")
     if trials < MIN_TRIALS:
         raise ParameterError(f"at least {MIN_TRIALS} trials required, got {trials}")
     rng = substream(seed, STREAM_FADING)
     sinr = sample_sinr_batch(d_m, lambda_rrh, params, trials, rng, sim_radius)
-    a = params.spectral_efficiency * theta * params.bandwidth_hz * params.tbar
-    z = np.exp(-a * np.log1p(sinr))
-    z_mean = float(z.mean())
-    z_se = float(z.std(ddof=1) / math.sqrt(trials))
-    denom = theta * params.bandwidth_hz * params.slot_s
-    value = -math.log(z_mean) / denom
-    std_error = z_se / (z_mean * denom)
-    return McEstimate(value=value, std_error=std_error, trials=trials,
-                      capped_trials=int(np.count_nonzero(sinr >= SINR_CAP)))
+    capped = int(np.count_nonzero(sinr >= SINR_CAP))
+    log1p_sinr = np.log1p(sinr)
+    estimates = []
+    for theta in thetas:
+        a = log_moment_exponent(params.spectral_efficiency, theta, params)
+        z = np.exp(-a * log1p_sinr)
+        z_mean = float(z.mean())
+        z_se = float(z.std(ddof=1) / math.sqrt(trials))
+        denom = theta * params.bandwidth_hz * params.slot_s
+        estimates.append(McEstimate(value=-math.log(z_mean) / denom,
+                                    std_error=z_se / (z_mean * denom),
+                                    trials=trials, capped_trials=capped))
+    return estimates

@@ -8,7 +8,8 @@ grid where it uses a geometric one, an explicit per-RRH SINR draw where
 it samples whole interference fields, every set partition where it runs
 a local search, every coalition where it uses the Shapley closed form,
 one exponent per kernel pass where it builds a family or shares one
-pass across exponents and contents), so agreement is evidence for both.
+pass across exponents and contents, every link in one survival block
+where it takes links a few at a time), so agreement is evidence for both.
 ``shapley_by_sampling`` is the Monte Carlo estimate of the Shapley
 values over random join orders, with per-entry standard errors, for RRH
 counts beyond the reach of enumeration.
@@ -22,8 +23,8 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from crancache.effcap import (LN2, Quantizer, RadioParams, _log_moments,
-                              _moment_weights, _sinr_coeffs, avg_eff_cap_content)
+from crancache.effcap import (_BOUNDARY_CHUNK, LN2, Quantizer, RadioParams, _sinr_coeffs,
+                              avg_eff_cap_content, log_moment_exponent, log_moments)
 from crancache.errors import ParameterError
 from crancache.geometry import (STREAM_FADING, STREAM_GAME, NetworkRealization,
                                 substream)
@@ -96,14 +97,12 @@ def _distance_quad(transform, theta: float, lambda_l: float, lambda_rrh: float,
     own.  The library's fixed rule covers the same range, so this checks
     its node placement, not the truncation.
     """
-    c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params, lambda_l)
-    a = params.spectral_efficiency * theta * params.bandwidth_hz * params.tbar
-    weights = [_moment_weights(quantizer, a)]
+    a = log_moment_exponent(params.spectral_efficiency, theta, params)
 
     def integrand(u):
         t = math.exp(u)
-        g, = _log_moments(math.sqrt(t / (np.pi * lambda_l)), c1, c2,
-                          params.pathloss_exponent, weights)
+        g, = log_moments(math.sqrt(t / (np.pi * lambda_l)), [a], lambda_rrh, params,
+                         quantizer, lambda_l)
         return t * math.exp(-t) * transform(float(g))
 
     val, _ = integrate.quad(integrand, -30.0, 4.0, points=range(-29, 4), epsabs=0.0,
@@ -194,11 +193,55 @@ def k_table_single(instance, a: float) -> np.ndarray:
     The fused family pass of ``ClusterInstance._k_table`` must reproduce
     this table byte for byte.
     """
-    q = instance.quantizer
-    c1, c2 = _sinr_coeffs(q.boundaries, instance.lambda_rrh, instance.params)
-    g, = _log_moments(instance._dist.ravel(), c1, c2,
-                      instance.params.pathloss_exponent, [_moment_weights(q, a)])
+    g, = log_moments(instance._dist.ravel(), [a], instance.lambda_rrh, instance.params,
+                     instance.quantizer)
     return (-np.log(g) / (a * LN2)).reshape(instance._dist.shape)
+
+
+def one_block_log_moment(d, a: float, lambda_rrh: float, params: RadioParams,
+                         quantizer: Quantizer) -> np.ndarray:
+    """Quantized log-moment of links of lengths d at exponent a, with every
+    link in one survival block and the boundary-chunked fold of
+    :func:`_folded_moment`.
+
+    ``effcap.log_moments`` inlines this fold and takes links a few at a
+    time; whatever its block edges, it must reproduce this byte for byte.
+    """
+    c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params)
+    d = np.asarray(d, dtype=float)[..., None]
+    d_sq, d_beta = d ** 2, d ** params.pathloss_exponent
+    weights = np.exp(-a * np.log1p(quantizer.midpoints))
+    g, = _folded_moment(lambda sl: np.exp(-d_sq * c1[sl] - d_beta * c2[sl]), [weights])
+    return g
+
+
+def _folded_moment(survival, weights: list[np.ndarray]) -> list:
+    """Sum over quantizer intervals of probability mass times each weight vector.
+
+    ``survival(sl)`` is the survival function at the boundaries in slice
+    ``sl`` (last axis).  Masses are its differences, and the mass beyond
+    gamma_max folds into the last interval so the masses sum to one.
+    Boundaries are taken _BOUNDARY_CHUNK at a time, so the scratch array
+    is rows x _BOUNDARY_CHUNK.  Each chunk's survival and masses are formed
+    once and summed against every weight vector by its own gemv.
+    """
+    n = weights[0].size
+    gs = [0.0] * len(weights)
+    buffer = None
+    for lo in range(0, n, _BOUNDARY_CHUNK):
+        sl = slice(lo, min(lo + _BOUNDARY_CHUNK, n) + 1)
+        surv = survival(sl)
+        if buffer is None:  # the first chunk is the widest
+            buffer = np.empty(surv.size)
+        mass = np.subtract(surv[..., :-1], surv[..., 1:],
+                           out=_view(buffer, surv.shape[:-1] + (sl.stop - lo - 1,)))
+        gs = [g + mass @ w[lo:sl.stop - 1] for g, w in zip(gs, weights)]
+    return [g + surv[..., -1] * w[-1] for g, w in zip(gs, weights)]
+
+
+def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """Contiguous array of ``shape`` over the front of a flat buffer."""
+    return buffer[:math.prod(shape)].reshape(shape)
 
 
 def per_content_eff_caps_one_by_one(catalog, qos, lambda_split, lambda_rrh: float,

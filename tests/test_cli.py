@@ -272,6 +272,19 @@ def test_non_finite_config_value_is_rejected(tmp_path, section, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["allocate", "--algorithm", "orthogonal"]],
+                         ids=["analyze", "allocate"])
+def test_zero_power_config_is_rejected(tmp_path, command):
+    # every key is valid alone, but with no active draw every cluster energy
+    # efficiency divides by zero
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text("[power]\nrrh_active = 0\nrrh_sleep = 0\n"
+                   "cache_per_object = 0\nbackhaul = 0\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), *command, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     b"[radio]\nsnr = 1\nsnr = 2\n",            # duplicate key
     b"[radio]\nsnr = 1\n[radio]\nnoise = 0\n",  # duplicate section
@@ -323,16 +336,16 @@ def test_validate_content_rows_cost_one_kernel_pass_each(tmp_path, monkeypatch):
     # both estimators of a content come from one call and one pass over the
     # distance nodes; counted, so no timing is involved
     calls, passes = [], []
-    real_content, real_moments = effcap.avg_eff_cap_content, effcap._log_moments
+    real_content, real_moments = effcap.avg_eff_cap_content, effcap.log_moments
     monkeypatch.setattr(effcap, "avg_eff_cap_content",
                         lambda *a, **k: calls.append(None) or real_content(*a, **k))
 
-    def counted(d, *args):
+    def counted(d, *args, **kwargs):
         if np.size(d) == effcap._T_NODES.size:
             passes.append(None)
-        return real_moments(d, *args)
+        return real_moments(d, *args, **kwargs)
 
-    monkeypatch.setattr(effcap, "_log_moments", counted)
+    monkeypatch.setattr(effcap, "log_moments", counted)
     scenario = replace(Scenario(), mc_trials=20000)
     run_validate(scenario, str(tmp_path / "o"))
     assert len(calls) == len(passes) == scenario.content_count

@@ -16,13 +16,11 @@ from crancache import effcap
 from crancache.content import ContentCatalog, ClusterCache, hit_ratio
 from crancache.effcap import (LN2, Quantizer, RadioParams,
                               a_beta, avg_eff_cap_cluster, avg_eff_cap_content,
-                              caching_gain, eff_cap_user, l_func_limited,
-                              outage_prob,
+                              caching_gain, demand_moment, eff_cap_user,
+                              l_func_limited, log_moments, outage_prob,
                               per_content_eff_caps,
                               required_spectral_efficiency, u_func)
-from crancache.effcap import (_LINK_BLOCK, _T_NODES, _T_WEIGHTS, _demand_moment,
-                              _folded_moment, _log_moments, _moment_weights,
-                              _sinr_coeffs)
+from crancache.effcap import _LINK_BLOCK, _T_NODES, _T_WEIGHTS, _sinr_coeffs
 from crancache.errors import DomainError, ParameterError
 from crancache.games import random_instance
 from crancache.qos import QosProfile
@@ -30,7 +28,7 @@ from crancache.scenario import Scenario
 
 from conftest import radio
 from oracles import (distance_avg_cap_quad, equal_width_quantizer, k_table_single,
-                     l_func_general, moment_avg_cap_quad,
+                     l_func_general, moment_avg_cap_quad, one_block_log_moment,
                      per_content_eff_caps_one_by_one, u_func_mpmath)
 
 
@@ -272,10 +270,9 @@ def _k_of_lengths(d, a, noise):
     G >= (1 + gamma_max)^(-a) > 1e-240 for a <= 50, so these inputs never
     reach the underflow DomainError.
     """
-    q = _PROPERTY_GRID
-    c1, c2 = _sinr_coeffs(q.boundaries, 5e-6, radio(noise=noise))
-    g, = _log_moments(np.asarray(d, dtype=float), c1, c2, 4.0, [_moment_weights(q, a)])
-    return -np.log(_demand_moment(g)) / (a * LN2)
+    g, = log_moments(np.asarray(d, dtype=float), [a], 5e-6, radio(noise=noise),
+                     _PROPERTY_GRID)
+    return -np.log(demand_moment(g)) / (a * LN2)
 
 
 def _k_slack(k, a):
@@ -338,53 +335,41 @@ def test_eff_cap_underflow_at_zero_distance_is_a_domain_error():
         eff_cap_user(0.1, 0.0, 5e-6, s.radio(), s.quantizer())
 
 
-def _one_block_log_moments(d, c1, c2, beta, weights):
-    # the kernel before link blocking: every link in one survival block
-    d = np.asarray(d, dtype=float)[..., None]
-    d_sq, d_beta = d ** 2, d ** beta
-    g, = _folded_moment(lambda sl: np.exp(-d_sq * c1[sl] - d_beta * c2[sl]), [weights])
-    return g
-
-
 @pytest.mark.parametrize("noise", [0.0, 0.3])
 def test_blocked_log_moments_match_one_block_oracle(noise):
     # link blocking must not move a bit: block edges, short tail blocks and
     # a lone last link (folded into the block before it) all sum the same
     b = _LINK_BLOCK
     q = Quantizer.geometric(20000, 1e6)
-    c1, c2 = _sinr_coeffs(q.boundaries, 5e-6, radio(noise=noise))
-    weights = _moment_weights(q, 3.0)
+    p = radio(noise=noise)
     rng = np.random.default_rng(7)
     for links in (1, 2, b - 1, b, b + 1, 2 * b + 1, 3 * b + 1):
         d = rng.uniform(1.0, 800.0, size=(2, links))
         for dd in (d[0], d, d[0, 0]):
-            got, = _log_moments(dd, c1, c2, 4.0, [weights])
+            got, = log_moments(dd, [3.0], 5e-6, p, q)
             assert got.shape == np.shape(dd)
-            assert np.array_equal(got, _one_block_log_moments(dd, c1, c2, 4.0, weights))
+            assert np.array_equal(got, one_block_log_moment(dd, 3.0, 5e-6, p, q))
 
 
 def test_zero_length_link_in_last_block_is_a_domain_error():
     q = Quantizer.geometric(4096, 1e6)
-    c1, c2 = _sinr_coeffs(q.boundaries, 5e-6, radio())
     d = np.linspace(10.0, 500.0, 2 * _LINK_BLOCK + 3)
     d[-1] = 0.0
-    g, = _log_moments(d, c1, c2, 4.0, [_moment_weights(q, 200.0)])
+    g, = log_moments(d, [200.0], 5e-6, radio(), q)
     with pytest.raises(DomainError, match="underflows"):
-        _demand_moment(g)
+        demand_moment(g)
 
 
 def test_only_the_underflowing_exponent_raises():
     # one pass over two exponents: the mild one is usable on every link,
     # the strict one underflows on the zero-length link alone
     q = Quantizer.geometric(4096, 1e6)
-    c1, c2 = _sinr_coeffs(q.boundaries, 5e-6, radio())
     d = np.linspace(10.0, 500.0, _LINK_BLOCK + 3)
     d[2] = 0.0
-    mild, strict = _log_moments(d, c1, c2, 4.0, [_moment_weights(q, 1.0),
-                                                 _moment_weights(q, 200.0)])
-    assert _demand_moment(mild) is mild
+    mild, strict = log_moments(d, [1.0, 200.0], 5e-6, radio(), q)
+    assert demand_moment(mild) is mild
     with pytest.raises(DomainError, match="underflows"):
-        _demand_moment(strict)
+        demand_moment(strict)
     assert np.all(strict[d > 0.0] > 0.0)
 
 
@@ -678,9 +663,9 @@ def test_per_content_caps_match_lone_integrals_bytewise(quick_quantizer, name):
 def test_per_content_caps_share_kernel_passes(quick_quantizer, monkeypatch):
     # one pass over the distance nodes per content integral, shared by both
     # exponents and by identical contents; counted, so no timing is involved
-    real, calls = effcap._log_moments, []
-    monkeypatch.setattr(effcap, "_log_moments",
-                        lambda *args: calls.append(None) or real(*args))
+    real, calls = effcap.log_moments, []
+    monkeypatch.setattr(effcap, "log_moments",
+                        lambda *args, **kwargs: calls.append(None) or real(*args, **kwargs))
 
     def passes(run) -> int:
         calls.clear()

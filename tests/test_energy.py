@@ -21,6 +21,8 @@ def test_power_model_validation():
         PowerModel(rrh_active=-1.0)
     with pytest.raises(ParameterError):
         PowerModel(rrh_sleep=105.0)   # sleeping above active draw
+    with pytest.raises(ParameterError):
+        PowerModel(rrh_active=0.0, rrh_sleep=0.0)   # no draw to divide by
 
 
 def test_power_model_warns_when_cache_cannot_pay():

@@ -45,6 +45,43 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """Underscore names taken from another ``crancache`` module: imported by
+    name, or read as an attribute of a sibling module imported whole."""
+    tree = ast.parse(source)
+    found, siblings = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "crancache"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"line {node.lineno}: {alias.name}")
+                elif not node.module or node.module == "crancache":
+                    siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in siblings):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+def test_private_import_detector_flags_both_forms():
+    source = ("from math import _private\n"
+              "from .effcap import LN2, _sinr_coeffs\n"
+              "from crancache.games import _wants_switch\n"
+              "from . import effcap\n"
+              "x = effcap._T_NODES + effcap.LN2\n"
+              "y = self._dist\n")
+    assert private_imports(source) == ["line 2: _sinr_coeffs", "line 3: _wants_switch",
+                                       "line 5: effcap._T_NODES"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_no_private_name_of_another(path):
+    # each module's underscore names are its own; the others use its public API
+    assert private_imports(path.read_text()) == []
+
+
 def scipy_imports(source: str) -> list[int]:
     """Lines of every import of scipy, nested ones included."""
     return [node.lineno for node in ast.walk(ast.parse(source))

@@ -162,16 +162,16 @@ def test_mc_eff_cap_monotone_in_theta_same_seed():
     # SINR draws and the estimate is the effective capacity of that fixed
     # empirical distribution: non-increasing in theta, no sampling noise
     p = _params(noise=0.0)
-    values = [mc_eff_cap(t, 50.0, 5e-6, p, 2000, seed=9).value
-              for t in (0.05, 0.1, 0.3, 0.6, 1.2)]
+    values = [e.value for e in mc_eff_cap((0.05, 0.1, 0.3, 0.6, 1.2), 50.0, 5e-6, p,
+                                          2000, seed=9)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert values[0] > values[-1]   # and genuinely decreasing over the range
 
 
 def test_mc_eff_cap_disjoint_seeds_agree():
     p = _params(noise=1.0)
-    e1 = mc_eff_cap(0.1, 50.0, 5e-6, p, 20000, seed=21)
-    e2 = mc_eff_cap(0.1, 50.0, 5e-6, p, 20000, seed=22)
+    e1, = mc_eff_cap((0.1,), 50.0, 5e-6, p, 20000, seed=21)
+    e2, = mc_eff_cap((0.1,), 50.0, 5e-6, p, 20000, seed=22)
     assert e1.std_error > 0 and e2.std_error > 0
     z = abs(e1.value - e2.value) / math.hypot(e1.std_error, e2.std_error)
     assert z < 4.0
@@ -180,7 +180,7 @@ def test_mc_eff_cap_disjoint_seeds_agree():
 def test_mc_eff_cap_reports_capped_trials():
     p = _params(noise=0.0)
     with pytest.warns(UserWarning):
-        est = mc_eff_cap(0.1, 50.0, 1e-12, p, 200, seed=4)
+        est, = mc_eff_cap((0.1,), 50.0, 1e-12, p, 200, seed=4)
     assert est.capped_trials > 150
     assert est.trials == 200
 
@@ -188,9 +188,9 @@ def test_mc_eff_cap_reports_capped_trials():
 def test_mc_eff_cap_guards():
     p = _params(noise=1.0)
     with pytest.raises(ParameterError):
-        mc_eff_cap(0.0, 50.0, 5e-6, p, 200, seed=1)
+        mc_eff_cap((0.1, 0.0), 50.0, 5e-6, p, 200, seed=1)
     with pytest.raises(ParameterError):
-        mc_eff_cap(0.1, 50.0, 5e-6, p, MIN_TRIALS - 1, seed=1)
+        mc_eff_cap((0.1,), 50.0, 5e-6, p, MIN_TRIALS - 1, seed=1)
 
 
 def test_enumerate_partitions_bell_counts():
