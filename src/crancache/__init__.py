@@ -8,8 +8,7 @@ live in :mod:`crancache.effcap`, Monte Carlo checks in
 command-line front end in :mod:`crancache.cli`.
 """
 
-from .content import (ClusterCache, ContentCatalog, hit_ratio, select_random_k,
-                      select_top_k, zipf_popularity)
+from .content import ClusterCache, ContentCatalog, hit_ratio, zipf_popularity
 from .effcap import (Quantizer, RadioParams, a_beta, avg_eff_cap_cluster,
                      avg_eff_cap_content, caching_gain, eff_cap_user,
                      l_func_limited, outage_prob, per_content_eff_caps,

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import effcap, energy, games, simkit
-from .content import ContentCatalog
+from .content import ClusterCache, ContentCatalog, hit_ratio
 from .errors import CoverageError, CrancacheError, ParameterError
 from .geometry import sample_network, substream
 from .scenario import Scenario, load_scenario
@@ -80,8 +80,7 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
         from_cache, from_cloud = effcap.per_content_eff_caps(
             catalog, qos, split, scenario.lambda_rrh, params, quant)
         for k in range(scenario.content_count + 1):
-            # top-k cache; popularity is sorted so the hit ratio is a prefix sum
-            p_hit = float(catalog.popularity[:k].sum())
+            p_hit = hit_ratio(ClusterCache(k), catalog)
             cap_total = effcap.avg_eff_cap_cluster(p_hit, from_cache, from_cloud)
             gain = effcap.caching_gain(p_hit, from_cache, from_cloud)
             peak_gain = max(peak_gain, gain)
@@ -188,8 +187,7 @@ def build_instance(scenario: Scenario) -> games.ClusterInstance:
         realization=realization, catalog=scenario.catalog(),
         cache=scenario.cache(), qos=scenario.qos(), params=scenario.radio(),
         power=scenario.power(), lambda_rrh=scenario.lambda_rrh,
-        quantizer=scenario.quantizer(), cost_coeff=scenario.cost_coeff,
-        literal_power_accounting=scenario.literal_power_accounting)
+        quantizer=scenario.quantizer(), cost_coeff=scenario.cost_coeff)
 
 
 def run_algorithm(instance: games.ClusterInstance, algorithm: str,
@@ -284,9 +282,11 @@ def run_sweep(scenario: Scenario, out_dir: str, instances: int,
         raise ParameterError("need at least one instance")
     if not algorithms:
         raise ParameterError("no algorithm selected")
-    for alg in algorithms:
+    for i, alg in enumerate(algorithms):
         if alg not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {alg!r}")
+        if alg in algorithms[:i]:
+            raise ParameterError(f"algorithm {alg!r} named twice")
     rows = []
     welfare: dict[str, list[float]] = {alg: [] for alg in algorithms}
     runtime: dict[str, list[float]] = {alg: [] for alg in algorithms}

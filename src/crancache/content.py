@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,48 +57,30 @@ class ContentCatalog:
         return int(self.popularity.size)
 
 
-def select_top_k(catalog: ContentCatalog, k: int) -> frozenset[int]:
-    """Indices of the k most popular objects; ties resolve to the lower index."""
-    if not 0 <= k <= catalog.count:
-        raise ParameterError(f"cache size {k} outside [0, {catalog.count}]")
-    # popularity is non-increasing, so the stable prefix is exactly top-k.
-    return frozenset(range(k))
-
-
-def select_random_k(catalog: ContentCatalog, k: int, rng: np.random.Generator) -> frozenset[int]:
-    """Uniformly random cache contents of size k (no popularity weighting)."""
-    if not 0 <= k <= catalog.count:
-        raise ParameterError(f"cache size {k} outside [0, {catalog.count}]")
-    return frozenset(int(i) for i in rng.choice(catalog.count, size=k, replace=False))
-
-
 @dataclass(frozen=True)
 class ClusterCache:
-    """The set of objects held at the cluster edge cache.
+    """The cluster edge cache, holding the ``size`` most popular objects.
 
-    A request for a stored object is served from the cache (hit); anything
-    else is fetched over the backhaul from the cloud, which stores the full
-    catalog.
+    Popularity is non-increasing in the object index, so those are objects
+    0 .. size-1.  A request for a stored object is served from the cache
+    (hit); anything else is fetched over the backhaul from the cloud,
+    which stores the full catalog.
     """
 
-    stored: frozenset[int] = field(default_factory=frozenset)
+    size: int = 0
 
     def __post_init__(self):
-        if any(i < 0 for i in self.stored):
-            raise ParameterError("stored indices must be non-negative")
-
-    @property
-    def size(self) -> int:
-        return len(self.stored)
+        if self.size < 0:
+            raise ParameterError(f"cache size must be non-negative, got {self.size}")
 
     def holds(self, content: int) -> bool:
-        return content in self.stored
+        return content < self.size
 
 
 def hit_ratio(cache: ClusterCache, catalog: ContentCatalog) -> float:
-    """Probability a request is served from the cluster cache."""
-    if any(i >= catalog.count for i in cache.stored):
-        raise ParameterError("cache stores an object outside the catalog")
-    if not cache.stored:
-        return 0.0
-    return float(catalog.popularity[sorted(cache.stored)].sum())
+    """Probability a request is served from the cluster cache: the
+    popularity prefix sum P_1 + ... + P_K of the K = ``cache.size`` objects."""
+    if cache.size > catalog.count:
+        raise ParameterError(f"cache of {cache.size} objects exceeds the "
+                             f"{catalog.count}-object catalog")
+    return float(catalog.popularity[:cache.size].sum())

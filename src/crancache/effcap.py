@@ -38,6 +38,8 @@ DEFAULT_GAMMA_MAX = 5e4
 # Lowest positive quantizer boundary.  Strict delay exponents concentrate
 # the log-moment near SINR ~ 1e-6; six extra decades of margin are cheap.
 DEFAULT_GAMMA_MIN = 1e-12
+# Top boundary of the grid for per-user curves (Scenario.user_quantizer).
+USER_GAMMA_MAX = 1e12
 
 # Boundaries per survival chunk and links per block: the block x chunk
 # survival scratch (8 x 8,193 doubles, ~0.5 MiB) stays in L2 cache.
@@ -149,12 +151,11 @@ def required_spectral_efficiency(content_count: int, object_size_bits: float,
 class RadioParams:
     """Physical-layer constants for one evaluation context.
 
-    ``noise`` is the normalized noise power paired with the linear average
-    SNR ``snr``; noise = 0 selects the interference-limited regime.
+    ``noise`` is the noise power relative to the RRH transmit power (unit
+    path gain at 1 m); noise = 0 selects the interference-limited regime.
     ``spectral_efficiency`` is the per-RRU delivery requirement mu.
     """
 
-    snr: float
     pathloss_exponent: float
     noise: float
     bandwidth_hz: float
@@ -164,8 +165,8 @@ class RadioParams:
     def __post_init__(self):
         if self.pathloss_exponent <= 2:
             raise DomainError("pathloss exponent must exceed 2")
-        if self.snr <= 0 or self.noise < 0:
-            raise ParameterError("snr must be positive, noise non-negative")
+        if self.noise < 0:
+            raise ParameterError("noise must be non-negative")
         if self.bandwidth_hz <= 0 or self.slot_s <= 0 or self.spectral_efficiency <= 0:
             raise ParameterError("bandwidth, slot and spectral efficiency must be positive")
 
@@ -228,7 +229,7 @@ def _sinr_coeffs(gamma, lambda_rrh: float, params: RadioParams,
 
     A link of length d has Pr{SINR > gamma} = exp(-(c1*d^2 + c2*d^beta))
     (Andrews, Baccelli & Ganti 2011): c1 = 2*pi*A(beta)*lambda*gamma^(2/beta)
-    is the Poisson interference field, c2 = gamma*noise/snr the noise floor.
+    is the Poisson interference field, c2 = gamma*noise the noise floor.
     Given ``lambda_l``, d is the distance to the nearest of the lambda_l
     content holders, so the other holders lie beyond d: the remaining
     lambda_R - lambda_l of the field interferes as before and the holders
@@ -240,7 +241,7 @@ def _sinr_coeffs(gamma, lambda_rrh: float, params: RadioParams,
     c1 = 2.0 * np.pi * a_beta(beta) * lam * g ** (2.0 / beta)
     if lambda_l is not None:
         c1 = c1 + np.pi * lambda_l * u_func(g, beta)
-    return c1, g * (params.noise / params.snr)
+    return c1, g * params.noise
 
 
 def log_moment_exponent(mu: float, theta: float, params: RadioParams) -> float:
@@ -276,7 +277,7 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
     # differently; so a lone last link joins the block before it
     starts = list(range(0, max(n - 1, 1), _LINK_BLOCK))
     # without noise c2 is all 0.0 and x - bt*c2 == x bit for bit, so skip it;
-    # c2 = gamma*noise/snr grows along the boundaries, so its last entry tells
+    # c2 = gamma*noise grows along the boundaries, so its last entry tells
     noisy = bool(c2[-1])
     # one survival and one mass buffer for the largest block (_LINK_BLOCK + 1
     # links) and chunk; a contiguous view over the front of either runs every

@@ -66,7 +66,6 @@ class ClusterInstance:
     lambda_rrh: float
     quantizer: Quantizer
     cost_coeff: float = DEFAULT_COST_COEFF
-    literal_power_accounting: bool = False
 
     _dist: np.ndarray = field(init=False, repr=False)
     _users_by_content: list = field(init=False, repr=False)
@@ -119,14 +118,8 @@ class ClusterInstance:
                 else self.power.backhaul)
 
     def paid_objects(self, contents: frozenset) -> tuple[int, int]:
-        """(cached, fetched): objects a block carrying ``contents`` pays power for.
-
-        Default accounting counts the objects the block actually serves;
-        the literal variant charges the full cache and catalog regardless,
-        which decouples the bill from the block.
-        """
-        if self.literal_power_accounting:
-            return self.cache.size, self.catalog.count
+        """(cached, fetched): objects a block carrying ``contents`` pays power
+        for, counting only the objects the block serves."""
         cached = sum(1 for c in contents if self.cache.holds(c))
         return cached, len(contents) - cached
 
@@ -712,7 +705,7 @@ def random_instance(seed: int, n_rrh: int, n_users: int, content_count: int = 5,
                     theta_cloud: float = 0.6, object_bits: float = 1e6,
                     bandwidth_hz: float = 1000.0, slot_s: float = 1e-3,
                     pathloss_exponent: float = 4.0, noise: float = 0.0,
-                    snr: float = 1.0, cost_coeff: float = DEFAULT_COST_COEFF,
+                    cost_coeff: float = DEFAULT_COST_COEFF,
                     quantizer: Quantizer | None = None,
                     power: PowerModel | None = None) -> ClusterInstance:
     """A reproducible small instance for game experiments.
@@ -740,11 +733,11 @@ def random_instance(seed: int, n_rrh: int, n_users: int, content_count: int = 5,
 
     k = content_count if cache_size is None else cache_size
     power = power if power is not None else PowerModel()
-    cache = ClusterCache(stored=frozenset(range(k)))
+    cache = ClusterCache(k)
     qos = QosProfile.uniform(theta_cluster, theta_cloud, content_count)
     mu = required_spectral_efficiency(content_count, object_bits, content_count,
                                       bandwidth_hz, slot_s)
-    params = RadioParams(snr=snr, pathloss_exponent=pathloss_exponent, noise=noise,
+    params = RadioParams(pathloss_exponent=pathloss_exponent, noise=noise,
                          bandwidth_hz=bandwidth_hz, slot_s=slot_s,
                          spectral_efficiency=mu)
     quantizer = quantizer if quantizer is not None else Quantizer.geometric(512)

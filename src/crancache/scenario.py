@@ -16,27 +16,18 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .content import ClusterCache, ContentCatalog, select_random_k, select_top_k
-from .effcap import (DEFAULT_GAMMA_MAX, DEFAULT_GAMMA_MIN, DEFAULT_INTERVALS, Quantizer,
-                     RadioParams, required_spectral_efficiency)
+from .content import ClusterCache, ContentCatalog
+from .effcap import (DEFAULT_INTERVALS, USER_GAMMA_MAX, Quantizer, RadioParams,
+                     required_spectral_efficiency)
 from .energy import PowerModel
 from .errors import ParameterError
-from .geometry import DensityConfig, substream
+from .geometry import DensityConfig
 from .qos import QosProfile
 from .simkit import MIN_TRIALS
 
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-
-def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ParameterError(f"not a boolean: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -54,21 +45,17 @@ class Scenario:
     zipf_exponent: float = 1.0
     popularity: tuple = ()             # explicit override; empty -> Zipf
     cache_size: int | None = None      # None: cache the whole catalog
-    cache_policy: str = "top_k"        # or "random_k"
     # qos
     theta_cluster: tuple = (0.1,)
     theta_cloud: tuple = (0.6,)
     # radio
-    snr: float = 1.0
-    noise: float = 0.0                 # 0 -> interference-limited
+    noise: float = 0.0                 # relative to RRH power; 0 -> interference-limited
     pathloss_exponent: float = 4.0
     bandwidth_hz: float = 1000.0
     slot_s: float = 1e-3
     rru_count: int = 5                 # reference block count fixing mu
     # quantizer
     quant_intervals: int = DEFAULT_INTERVALS
-    gamma_max: float = DEFAULT_GAMMA_MAX
-    gamma_min: float = DEFAULT_GAMMA_MIN
     # power
     rrh_active_w: float = 104.0
     rrh_sleep_w: float = 56.0
@@ -76,12 +63,10 @@ class Scenario:
     backhaul_w: float = 10.0
     # games
     cost_coeff: float = 1e-4
-    literal_power_accounting: bool = False
     # run
     seed: int = 1
     mc_trials: int = 100_000
     user_distance: float = 50.0        # typical-user serving distance, meters
-    user_gamma_max: float = 1e12       # SINR grid reach for per-user curves
 
     def __post_init__(self):
         if self.seed < 0:
@@ -94,21 +79,14 @@ class Scenario:
         if self.mc_trials < MIN_TRIALS:
             raise ParameterError(f"mc_trials must be at least {MIN_TRIALS}, "
                                  f"got {self.mc_trials}")
-        for name in ("cluster_radius", "sim_radius", "user_distance", "gamma_min",
+        for name in ("cluster_radius", "sim_radius", "user_distance",
                      "bandwidth_hz", "slot_s"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("gamma_max", "user_gamma_max"):
-            if self.gamma_min >= getattr(self, name):
-                raise ParameterError(f"gamma_min {self.gamma_min!r} must lie below "
-                                     f"{name} {getattr(self, name)!r}")
         for name, least in (("quant_intervals", 2), ("rru_count", 1)):
             if getattr(self, name) < least:
                 raise ParameterError(f"{name} must be at least {least}, "
                                      f"got {getattr(self, name)!r}")
-        if self.cache_policy not in ("top_k", "random_k"):
-            raise ParameterError(f"unknown cache policy {self.cache_policy!r}; "
-                                 "pick from top_k, random_k")
         if self.popularity and len(self.popularity) != self.content_count:
             raise ParameterError(f"popularity has {len(self.popularity)} entries "
                                  f"for {self.content_count} contents")
@@ -138,13 +116,10 @@ class Scenario:
         return self.content_count if self.cache_size is None else self.cache_size
 
     def cache(self) -> ClusterCache:
-        catalog = self.catalog()
         k = self.resolved_cache_size()
-        if self.cache_policy == "random_k":
-            stored = select_random_k(catalog, k, substream(self.seed, 7))
-        else:
-            stored = select_top_k(catalog, k)
-        return ClusterCache(stored=stored)
+        if not 0 <= k <= self.content_count:
+            raise ParameterError(f"cache size {k} outside [0, {self.content_count}]")
+        return ClusterCache(k)
 
     def qos(self) -> QosProfile:
         return QosProfile(self._theta_vec(self.theta_cluster),
@@ -156,13 +131,12 @@ class Scenario:
                                             self.slot_s)
 
     def radio(self) -> RadioParams:
-        return RadioParams(snr=self.snr, pathloss_exponent=self.pathloss_exponent,
-                           noise=self.noise, bandwidth_hz=self.bandwidth_hz,
-                           slot_s=self.slot_s, spectral_efficiency=self.mu())
+        return RadioParams(pathloss_exponent=self.pathloss_exponent, noise=self.noise,
+                           bandwidth_hz=self.bandwidth_hz, slot_s=self.slot_s,
+                           spectral_efficiency=self.mu())
 
     def quantizer(self) -> Quantizer:
-        return Quantizer.geometric(self.quant_intervals, self.gamma_max,
-                                   self.gamma_min)
+        return Quantizer.geometric(self.quant_intervals)
 
     def user_radio(self) -> RadioParams:
         """Radio constants for typical-user curves.
@@ -182,10 +156,9 @@ class Scenario:
         At unit normalization the moment still feels SINR values far above
         the cluster grid's reach (at pathloss exponent 8 and 50 m, half the
         mass sits beyond 5e4), so the per-user grid extends to
-        ``user_gamma_max``.
+        ``effcap.USER_GAMMA_MAX``.
         """
-        return Quantizer.geometric(self.quant_intervals, self.user_gamma_max,
-                                   self.gamma_min)
+        return Quantizer.geometric(self.quant_intervals, USER_GAMMA_MAX)
 
     def power(self) -> PowerModel:
         return PowerModel(rrh_active=self.rrh_active_w, rrh_sleep=self.rrh_sleep_w,
@@ -218,17 +191,15 @@ _SCHEMA = {
     "geometry": {"lambda_rrh": float, "lambda_user": float,
                  "cluster_radius": float, "sim_radius": float},
     "content": {"count": int, "object_size_bits": float, "zipf_exponent": float,
-                "popularity": _floats, "cache_size": int, "cache_policy": str},
+                "popularity": _floats, "cache_size": int},
     "qos": {"theta_cluster": _floats, "theta_cloud": _floats},
-    "radio": {"snr": float, "noise": float, "pathloss_exponent": float,
+    "radio": {"noise": float, "pathloss_exponent": float,
               "bandwidth_hz": float, "slot_s": float, "rru_count": int},
-    "quantizer": {"intervals": int, "gamma_max": float,
-                  "gamma_min": float},
+    "quantizer": {"intervals": int},
     "power": {"rrh_active": float, "rrh_sleep": float, "cache_per_object": float,
               "backhaul": float},
-    "games": {"cost_coeff": float, "literal_power_accounting": _bool},
-    "run": {"seed": int, "mc_trials": int, "user_distance": float,
-            "user_gamma_max": float},
+    "games": {"cost_coeff": float},
+    "run": {"seed": int, "mc_trials": int, "user_distance": float},
 }
 
 # (section, key) -> Scenario field name, where they differ
@@ -270,8 +241,6 @@ def load_scenario(path: str | None = None, text: str | None = None) -> Scenario:
             name = _FIELD_MAP.get((section, key), key)
             try:
                 values[name] = caster(raw)
-            except ParameterError:
-                raise
             except ValueError as exc:
                 raise ParameterError(f"bad value for [{section}] {key}: {raw!r}") from exc
     scenario = Scenario(**values)

@@ -68,7 +68,7 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
 
     # per-trial segment sums; a running cumsum-and-difference is unusable here
     # because terms span ~beta*13 orders of magnitude and small trials cancel
-    terms = params.snr * radii ** (-beta) * h_int
+    terms = radii ** (-beta) * h_int
     ends = np.cumsum(counts)
     starts = ends - counts
     interference = np.zeros(trials)
@@ -76,7 +76,7 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
         seg = np.add.reduceat(terms, np.minimum(starts, total - 1))
         interference = np.where(counts > 0, seg, 0.0)
 
-    signal = params.snr * d_m ** (-beta) * h_srv
+    signal = d_m ** (-beta) * h_srv
     denom = interference + params.noise
     with np.errstate(divide="ignore"):
         sinr = np.where(denom > 0.0, signal / np.maximum(denom, 1e-300), np.inf)

@@ -24,7 +24,7 @@ def quick_quantizer() -> Quantizer:
 
 
 def radio(beta: float = 4.0, mu: float = 1.0, noise: float = 0.0) -> RadioParams:
-    return RadioParams(snr=1.0, pathloss_exponent=beta, noise=noise,
+    return RadioParams(pathloss_exponent=beta, noise=noise,
                        bandwidth_hz=1000.0, slot_s=1e-3, spectral_efficiency=mu)
 
 

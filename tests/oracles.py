@@ -36,7 +36,7 @@ def l_func_general(gamma: float, lambda_l: float, lambda_rrh: float,
     """Outage of the nearest-content-holder link with a noise floor.
 
     1 - 2*pi*lambda_l * integral_0^inf d * exp(-C(gamma)*d^2)
-    * exp(-gamma*d^beta*noise/snr) dd, evaluated by adaptive quadrature
+    * exp(-gamma*d^beta*noise) dd, evaluated by adaptive quadrature
     (relative tolerance 1e-8, truncated where the Gaussian factor is below
     1e-15 of its peak).  C(gamma) = 2*pi*A(beta)*(lambda_R - lambda_l)
     *gamma^(2/beta) + pi*lambda_l*u(gamma) + pi*lambda_l is built here from
@@ -53,7 +53,7 @@ def l_func_general(gamma: float, lambda_l: float, lambda_rrh: float,
     a = math.gamma(q) * math.gamma(1.0 - q) / beta
     c = (2.0 * math.pi * a * (lambda_rrh - lambda_l) * gamma ** q
          + math.pi * lambda_l * u_func_mpmath(gamma, beta) + math.pi * lambda_l)
-    noise_rate = gamma * params.noise / params.snr
+    noise_rate = gamma * params.noise
 
     def integrand(d):
         return 2.0 * np.pi * lambda_l * d * np.exp(-c * d * d - noise_rate * d ** beta)
@@ -147,7 +147,7 @@ def simulate_sinr(realization: NetworkRealization, user_index: int,
     h = rng.standard_exponential(realization.n_rrh)
     ux, uy = realization.user_xy[user_index]
     d = np.hypot(realization.rrh_xy[:, 0] - ux, realization.rrh_xy[:, 1] - uy)
-    power = params.snr * d ** (-beta) * h
+    power = d ** (-beta) * h
     signal = power[serving_index]
     interference = power.sum() - signal
     denom = interference + params.noise

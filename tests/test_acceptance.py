@@ -129,7 +129,7 @@ def test_criterion_06_closed_form_cross_checks():
     for gamma in np.geomspace(0.1, 10.0, 5):
         for q in (1.5, 2.0, 5.0, 10.0):
             lam_l = 5e-6 / q
-            params = effcap.RadioParams(snr=1.0, pathloss_exponent=4.0, noise=0.0,
+            params = effcap.RadioParams(pathloss_exponent=4.0, noise=0.0,
                                         bandwidth_hz=1000.0, slot_s=1e-3,
                                         spectral_efficiency=1.0)
             gen = l_func_general(float(gamma), lam_l, 5e-6, params)

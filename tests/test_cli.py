@@ -165,6 +165,21 @@ def test_sweep_skips_only_empty_drops(tmp_path):
                   algorithms=("orthogonal",))
 
 
+def test_sweep_rejects_a_repeated_algorithm(tmp_path, capsys, monkeypatch):
+    # refused before any drop is built, so nothing runs twice and no
+    # --out appears
+    def no_drop(scenario):
+        raise AssertionError("a drop was built")
+
+    monkeypatch.setattr("crancache.cli.build_instance", no_drop)
+    out = tmp_path / "o"
+    assert main(["sweep", "--algorithms", "nested,nested,orthogonal",
+                 "--instances", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: algorithm 'nested' named twice\n"
+    assert not out.exists()
+
+
 def test_parser_accepts_shared_options_on_both_sides():
     assert _parse(["--out", "x", "analyze"]).out == "x"
     assert _parse(["analyze", "--out", "y"]).out == "y"
@@ -231,7 +246,8 @@ def test_negative_seed_is_rejected(tmp_path):
 
 @pytest.mark.parametrize("section, key, value", [
     ("geometry", "lambda_rrh", "nan"),
-    ("radio", "snr", "nan"),
+    ("radio", "noise", "nan"),
+    ("radio", "noise", "inf"),
     ("qos", "theta_cluster", "nan"),
     ("games", "cost_coeff", "nan"),
     ("geometry", "cluster_radius", "inf"),
@@ -240,20 +256,15 @@ def test_negative_seed_is_rejected(tmp_path):
     ("geometry", "cluster_radius", "0"),
     ("geometry", "sim_radius", "-1"),
     ("run", "user_distance", "-5"),
-    ("quantizer", "gamma_min", "1e5"),
-    ("run", "user_gamma_max", "1e-20"),
+    ("run", "user_distance", "0"),
     ("content", "popularity", "0.6,0.4"),
+    ("content", "cache_size", "6"),
+    ("content", "cache_size", "-1"),
     ("quantizer", "intervals", "1"),
-    ("quantizer", "gamma_min", "0"),
-    ("quantizer", "gamma_min", "-1"),
-    ("quantizer", "mode", "cubic"),
+    ("quantizer", "intervals", "0"),
     ("radio", "rru_count", "0"),
     ("radio", "bandwidth_hz", "0"),
     ("radio", "slot_s", "-1e-3"),
-    ("games", "shapley_permutations", "1"),
-    ("games", "shapley_mode", "bogus"),
-    ("content", "cache_policy", "lru"),
-    ("radio", "snr", "0"),
     ("radio", "noise", "-1"),
     ("radio", "pathloss_exponent", "2"),
     ("power", "rrh_active", "-1"),
@@ -262,6 +273,24 @@ def test_negative_seed_is_rejected(tmp_path):
     ("geometry", "lambda_rrh", "-1"),
     ("geometry", "lambda_user", "-1"),
     ("geometry", "lambda_user", "0"),
+    # removed keys exit 2 as unknown keys, whatever the value, including
+    # one they used to accept
+    ("quantizer", "mode", "cubic"),
+    ("games", "shapley_permutations", "1"),
+    ("games", "shapley_mode", "bogus"),
+    ("radio", "snr", "1"),
+    ("radio", "snr", "0"),
+    ("radio", "snr", "nan"),
+    ("content", "cache_policy", "top_k"),
+    ("content", "cache_policy", "lru"),
+    ("games", "literal_power_accounting", "false"),
+    ("quantizer", "gamma_max", "5e4"),
+    ("quantizer", "gamma_min", "1e-12"),
+    ("quantizer", "gamma_min", "1e5"),
+    ("quantizer", "gamma_min", "0"),
+    ("quantizer", "gamma_min", "-1"),
+    ("run", "user_gamma_max", "1e12"),
+    ("run", "user_gamma_max", "1e-20"),
 ])
 def test_non_finite_config_value_is_rejected(tmp_path, section, key, value):
     cfg = tmp_path / "bad.ini"
@@ -286,12 +315,12 @@ def test_zero_power_config_is_rejected(tmp_path, command):
 
 
 @pytest.mark.parametrize("text", [
-    b"[radio]\nsnr = 1\nsnr = 2\n",            # duplicate key
-    b"[radio]\nsnr = 1\n[radio]\nnoise = 0\n",  # duplicate section
-    b"snr = 1\n[radio]\n",                      # key before any section header
-    b"[radio]\nsnr\n",                          # line with no '='
-    b"[radio]\nsnr = 1 # \xff\xfe\n",           # bytes that are not UTF-8
-    b"[radio]\nsnr = 5%\n",                     # bare '%' the parser interpolates
+    b"[radio]\nnoise = 1\nnoise = 2\n",           # duplicate key
+    b"[radio]\nnoise = 1\n[radio]\nnoise = 0\n",  # duplicate section
+    b"noise = 1\n[radio]\n",                       # key before any section header
+    b"[radio]\nnoise\n",                           # line with no '='
+    b"[radio]\nnoise = 1 # \xff\xfe\n",            # bytes that are not UTF-8
+    b"[radio]\nnoise = 5%\n",                      # bare '%' the parser interpolates
 ], ids=["duplicate-key", "duplicate-section", "no-section-header", "no-equals",
         "not-utf8", "bare-percent"])
 def test_malformed_config_file_is_rejected(tmp_path, capsys, text):

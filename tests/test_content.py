@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crancache.content import (ClusterCache, ContentCatalog, hit_ratio,
-                               select_random_k, select_top_k, zipf_popularity)
+from crancache.content import ClusterCache, ContentCatalog, hit_ratio, zipf_popularity
 from crancache.errors import ParameterError
-from crancache.geometry import substream
+from crancache.scenario import Scenario
 
 
 def test_zipf_unit_exponent_five_objects_exact():
@@ -54,46 +53,36 @@ def test_catalog_validation():
 
 
 def test_select_top_k_is_the_popularity_prefix():
-    cat = ContentCatalog.zipf(1e6, 1.0, 5)
-    assert select_top_k(cat, 0) == frozenset()
-    assert select_top_k(cat, 2) == frozenset({0, 1})
-    assert select_top_k(cat, 5) == frozenset(range(5))
-    with pytest.raises(ParameterError):
-        select_top_k(cat, 6)
-    with pytest.raises(ParameterError):
-        select_top_k(cat, -1)
-
-
-def test_select_random_k_reproducible():
-    cat = ContentCatalog.zipf(1e6, 1.0, 5)
-    a = select_random_k(cat, 3, substream(9, 7))
-    b = select_random_k(cat, 3, substream(9, 7))
-    assert a == b
-    assert len(a) == 3
-    assert a <= frozenset(range(5))
-    with pytest.raises(ParameterError):
-        select_random_k(cat, 6, substream(9, 7))
+    # a cache of size k holds exactly the k most popular objects, 0 .. k-1
+    for k in range(6):
+        cache = Scenario(cache_size=k).cache()
+        assert cache.size == k
+        assert [c for c in range(5) if cache.holds(c)] == list(range(k))
+    with pytest.raises(ParameterError, match=r"cache size 6 outside \[0, 5\]"):
+        Scenario(cache_size=6).cache()
+    with pytest.raises(ParameterError, match=r"cache size -1 outside \[0, 5\]"):
+        Scenario(cache_size=-1).cache()
 
 
 def test_cluster_cache_basics():
-    cache = ClusterCache(stored=frozenset({0, 3}))
+    cache = ClusterCache(2)
     assert cache.size == 2
-    assert cache.holds(0) and cache.holds(3)
-    assert not cache.holds(1)
+    assert cache.holds(0) and cache.holds(1)
+    assert not cache.holds(2)
     assert ClusterCache().size == 0
+    assert not ClusterCache().holds(0)
     with pytest.raises(ParameterError):
-        ClusterCache(stored=frozenset({-1}))
+        ClusterCache(-1)
 
 
 def test_hit_ratio_top_two_unit_zipf():
     cat = ContentCatalog.zipf(1e6, 1.0, 5)
-    cache = ClusterCache(stored=frozenset({0, 1}))
-    assert abs(hit_ratio(cache, cat) - 90.0 / 137.0) < 1e-14
+    assert abs(hit_ratio(ClusterCache(2), cat) - 90.0 / 137.0) < 1e-14
     assert hit_ratio(ClusterCache(), cat) == 0.0
-    assert abs(hit_ratio(ClusterCache(stored=frozenset(range(5))), cat) - 1.0) < 1e-14
+    assert abs(hit_ratio(ClusterCache(5), cat) - 1.0) < 1e-14
 
 
 def test_hit_ratio_rejects_object_outside_catalog():
     cat = ContentCatalog.zipf(1e6, 1.0, 3)
     with pytest.raises(ParameterError):
-        hit_ratio(ClusterCache(stored=frozenset({5})), cat)
+        hit_ratio(ClusterCache(4), cat)

@@ -14,12 +14,11 @@ from scipy import integrate, special
 import crancache
 from crancache import effcap
 from crancache.content import ContentCatalog, ClusterCache, hit_ratio
-from crancache.effcap import (LN2, Quantizer, RadioParams,
-                              a_beta, avg_eff_cap_cluster, avg_eff_cap_content,
-                              caching_gain, demand_moment, eff_cap_user,
-                              l_func_limited, log_moments, outage_prob,
-                              per_content_eff_caps,
-                              required_spectral_efficiency, u_func)
+from crancache.effcap import (LN2, Quantizer, a_beta, avg_eff_cap_cluster,
+                              avg_eff_cap_content, caching_gain, demand_moment,
+                              eff_cap_user, l_func_limited, log_moments, outage_prob,
+                              per_content_eff_caps, required_spectral_efficiency,
+                              u_func)
 from crancache.effcap import _LINK_BLOCK, _T_NODES, _T_WEIGHTS, _sinr_coeffs
 from crancache.errors import DomainError, ParameterError
 from crancache.games import random_instance
@@ -132,9 +131,6 @@ def test_radio_params_validation_and_tbar():
     assert abs(p.tbar - 1e-3 / LN2) < 1e-18
     with pytest.raises(DomainError):
         radio(beta=2.0)
-    with pytest.raises(ParameterError):
-        RadioParams(snr=0.0, pathloss_exponent=4.0, noise=0.0,
-                    bandwidth_hz=1000.0, slot_s=1e-3, spectral_efficiency=1.0)
 
 
 # -- quantizer --------------------------------------------------------------
@@ -607,21 +603,18 @@ def test_cluster_capacity_cache_extremes(quick_quantizer):
     p = radio(mu=1e6)
     fc, fl = per_content_eff_caps(cat, qos, split, 5e-6, p, quick_quantizer)
     none = avg_eff_cap_cluster(hit_ratio(ClusterCache(), cat), fc, fl)
-    full = avg_eff_cap_cluster(hit_ratio(ClusterCache(stored=frozenset(range(3))), cat),
-                               fc, fl)
+    full = avg_eff_cap_cluster(hit_ratio(ClusterCache(3), cat), fc, fl)
     assert abs(none - fl.sum()) < 1e-9
     assert abs(full - fc.sum()) < 1e-9
     # growing the cache along the popularity prefix never hurts
-    caps = [avg_eff_cap_cluster(hit_ratio(ClusterCache(stored=frozenset(range(k))), cat),
-                                fc, fl)
-            for k in range(4)]
+    caps = [avg_eff_cap_cluster(hit_ratio(ClusterCache(k), cat), fc, fl) for k in range(4)]
     assert all(b >= a - 1e-12 for a, b in zip(caps, caps[1:]))
 
 
 def test_caching_gain_sign_and_zero(quick_quantizer):
     cat, qos, split = _cluster_pieces()
     p = radio(mu=1e6)
-    p_hit = hit_ratio(ClusterCache(stored=frozenset({0, 1})), cat)
+    p_hit = hit_ratio(ClusterCache(2), cat)
     fc, fl = per_content_eff_caps(cat, qos, split, 5e-6, p, quick_quantizer)
     assert caching_gain(p_hit, fc, fl) > 0.0
     flat = QosProfile.uniform(0.3, 0.3, 3)

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from crancache import games
-from crancache.cli import block_energy_efficiency
-from crancache.energy import eta_rru
 from crancache.errors import ConvergenceError, DomainError, ParameterError
 from crancache.geometry import NetworkRealization
 from crancache.games import (AllocationResult, ClusterInstance, RrhPartition,
@@ -405,27 +403,15 @@ def test_suboptimal_guards(inst):
         suboptimal_allocate(inst, max_sweeps=0)
 
 
-def test_literal_power_accounting_charges_cache_and_catalog():
+def test_block_pays_for_the_objects_it_serves():
     inst = random_instance(5, 6, 12, cache_size=2)
-    literal = replace(inst, literal_power_accounting=True)
-    power = inst.power
     assert inst.paid_objects(frozenset({0, 3, 4})) == (1, 2)
-    full = literal.cost_coeff * (literal.n_rrh * power.rrh_active
-                                 + 2 * power.cache_per_object + 5 * power.backhaul)
-    for block in (frozenset({0}), frozenset({3}), frozenset(range(5))):
-        assert literal.paid_objects(block) == (2, 5)
-        assert games._acquisition_cost(block, literal) == pytest.approx(full, rel=1e-12)
-    assert games._acquisition_cost(frozenset({0}), inst) < full
-
-    res = orthogonal_allocate(literal)
-    etas = block_energy_efficiency(literal, res)
-    for block, eta in zip(res.rru_partition, etas):
-        members = res.rrh_partitions[block].members(min(block))
-        cap = coalition_eff_cap(members, min(block), literal, res.rru_count)
-        expected = eta_rru([cap], [len(members & res.active)], literal.n_rrh,
-                           2, 5, power)
-        assert eta == expected
-    assert etas != block_energy_efficiency(inst, orthogonal_allocate(inst))
+    assert inst.paid_objects(frozenset({0, 1})) == (2, 0)
+    power = inst.power
+    expected = inst.cost_coeff * (inst.n_rrh * power.rrh_active
+                                  + power.cache_per_object + 2 * power.backhaul)
+    assert games._acquisition_cost(frozenset({0, 3, 4}), inst) \
+        == pytest.approx(expected, rel=1e-12)
 
 
 def test_user_on_top_of_an_rrh_is_a_domain_error(inst):

@@ -1,11 +1,12 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crancache.content import select_random_k
+from crancache.content import ClusterCache
 from crancache.errors import ParameterError
-from crancache.geometry import substream
 from crancache.scenario import _FIELD_MAP, _SCHEMA, Scenario, load_scenario
 
 
@@ -44,6 +45,15 @@ def test_schema_keys_and_fields_match_one_to_one():
     assert (sorted(_FIELD_MAP.get(k, k[1]) for k in keys)
             == sorted(f.name for f in fields(Scenario)))
     assert set(_FIELD_MAP) <= set(keys)
+
+
+def test_readme_config_example_loads():
+    # the README can never show a key the schema has dropped
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    assert len(examples) == 1
+    s = load_scenario(text=examples[0])
+    assert s.content_count == 10 and s.cache_size == 4
 
 
 def test_unknown_section_and_key_are_rejected():
@@ -89,21 +99,17 @@ def test_cache_size_follows_catalog_unless_pinned():
     assert s.resolved_cache_size() == 2
     assert s.cache().size == 2
     pinned = load_scenario(text="[content]\ncount = 4\ncache_size = 1\n")
-    assert pinned.cache().stored == frozenset({0})
+    assert pinned.cache() == ClusterCache(1)
     # an explicitly oversized cache is caught while loading
     with pytest.raises(ParameterError):
         load_scenario(text="[content]\ncount = 2\ncache_size = 5\n")
 
 
 def test_cache_policies():
+    # the one placement: the cache_size most popular objects
     s = Scenario(cache_size=2)
-    assert s.cache().stored == frozenset({0, 1})
-    r = Scenario(cache_size=2, cache_policy="random_k")
-    expect = select_random_k(r.catalog(), 2, substream(r.seed, 7))
-    assert r.cache().stored == expect
-    assert r.cache().stored == r.cache().stored   # replayable
-    with pytest.raises(ParameterError):
-        Scenario(cache_policy="lru").cache()
+    assert s.cache() == ClusterCache(2)
+    assert [c for c in range(5) if s.cache().holds(c)] == [0, 1]
 
 
 def test_derived_radio_objects():

@@ -14,7 +14,7 @@ from oracles import enumerate_partitions, simulate_sinr
 
 
 def _params(beta=4.0, noise=0.0, mu=1.0):
-    return RadioParams(snr=1.0, pathloss_exponent=beta, noise=noise,
+    return RadioParams(pathloss_exponent=beta, noise=noise,
                        bandwidth_hz=1000.0, slot_s=1e-3, spectral_efficiency=mu)
 
 
@@ -69,7 +69,7 @@ def test_default_draw_bound_admits_a_million_default_trials():
 
 def test_sample_batch_noise_only_is_exponential():
     # with no interferers the SINR is just faded signal over noise, so the
-    # draws must be exponential with scale snr * d^-beta / noise
+    # draws must be exponential with scale d^-beta / noise
     p = _params(noise=1.0)
     rng = substream(5, STREAM_FADING)
     sinr = sample_sinr_batch(50.0, 1e-12, p, 2000, rng)
