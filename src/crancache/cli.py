@@ -146,7 +146,9 @@ def run_validate(scenario: Scenario, out_dir: str) -> bool:
                abs(ana - mc.value) <= tol)
 
     # vanishing-exponent limit: the capacity map flattens to the ergodic mean
-    theta0 = 1e-8
+    # once the log-moment exponent a = mu*theta*W*Tbar is tiny, so theta0
+    # is set through a, not on its own (1e-8 at mu*W*T = 1)
+    theta0 = 1e-8 / (params.spectral_efficiency * params.bandwidth_hz * params.slot_s)
     ana0 = effcap.eff_cap_user(theta0, d_m, lam, params, quant)
     ergodic = params.spectral_efficiency * float(np.mean(np.log2(1 + sinr)))
     record("ergodic_limit", ana0, ergodic,

@@ -197,14 +197,6 @@ class Quantizer:
         object.__setattr__(self, "boundaries", b)
 
     @property
-    def n_intervals(self) -> int:
-        return self.boundaries.size - 1
-
-    @property
-    def gamma_max(self) -> float:
-        return float(self.boundaries[-1])
-
-    @property
     def midpoints(self) -> np.ndarray:
         b = self.boundaries
         return 0.5 * (b[:-1] + b[1:])

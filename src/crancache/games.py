@@ -38,11 +38,10 @@ from .effcap import (LN2, Quantizer, RadioParams, demand_moment, log_moment_expo
 from .energy import PowerModel
 from .errors import (ConvergenceError, DomainError, ParameterError,
                      StabilityViolationError)
-from .geometry import STREAM_GAME, NetworkRealization, substream
+from .geometry import NetworkRealization
 from .qos import QosProfile
 
 MAX_SWEEPS = 10_000
-DEFAULT_COST_COEFF = 1e-4
 SPLIT_ENUMERATION_CAP = 12   # largest block whose every bipartition is tried
 
 
@@ -65,7 +64,7 @@ class ClusterInstance:
     power: PowerModel
     lambda_rrh: float
     quantizer: Quantizer
-    cost_coeff: float = DEFAULT_COST_COEFF
+    cost_coeff: float
 
     _dist: np.ndarray = field(init=False, repr=False)
     _users_by_content: list = field(init=False, repr=False)
@@ -264,10 +263,6 @@ class RrhPartition:
         new[target] = new[target] | {player}
         return RrhPartition(new)
 
-    def total_value(self, instance: ClusterInstance, rru_count: int) -> float:
-        return sum(coalition_value(m, c, instance, rru_count)
-                   for c, m in self.coalitions.items())
-
 
 def _wants_switch(player: int, target: int, partition: RrhPartition,
                   payoff, value) -> bool:
@@ -292,11 +287,12 @@ def _wants_switch(player: int, target: int, partition: RrhPartition,
 
 
 def _switch_until_stable(partition: RrhPartition, players: Sequence[int],
-                         wants, max_sweeps: int) -> RrhPartition:
+                         wants) -> RrhPartition:
     """Sweep players in order, each moving to the first label ``wants``
-    accepts, until a sweep moves nobody (a Nash-stable partition)."""
+    accepts, until a sweep moves nobody (a Nash-stable partition), or
+    raise ConvergenceError after MAX_SWEEPS sweeps."""
     labels = sorted(partition.coalitions)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         moved = False
         for player in players:
             for target in labels:
@@ -306,7 +302,7 @@ def _switch_until_stable(partition: RrhPartition, players: Sequence[int],
                     break
         if not moved:
             return partition
-    raise ConvergenceError(f"no stable partition within {max_sweeps} sweeps")
+    raise ConvergenceError(f"no stable partition within {MAX_SWEEPS} sweeps")
 
 
 def prefers(rrh: int, target_content: int, partition: RrhPartition,
@@ -340,8 +336,7 @@ def greedy_init_partition(contents: Sequence[int], instance: ClusterInstance,
 
 
 def hedonic_rrh_association(contents: Sequence[int], instance: ClusterInstance,
-                            rru_count: int,
-                            max_sweeps: int = MAX_SWEEPS) -> RrhPartition:
+                            rru_count: int) -> RrhPartition:
     """Negotiate RRH coalitions for the contents sharing one RRU.
 
     Starts from :func:`greedy_init_partition` and sweeps RRHs in index
@@ -357,8 +352,7 @@ def hedonic_rrh_association(contents: Sequence[int], instance: ClusterInstance,
     # prefers is looked up at call time, so a wrapper bound on the module sees each call
     return _switch_until_stable(
         greedy_init_partition(contents, instance, rru_count), range(instance.n_rrh),
-        lambda rrh, target, part: prefers(rrh, target, part, instance, rru_count),
-        max_sweeps)
+        lambda rrh, target, part: prefers(rrh, target, part, instance, rru_count))
 
 
 def check_nash_stable(partition: RrhPartition, instance: ClusterInstance,
@@ -452,7 +446,6 @@ class AllocationResult:
     asleep: frozenset
     steps: list
     runtime_s: float
-    shapley: np.ndarray | None = None   # (contents, rrhs), suboptimal only
 
     @property
     def rru_count(self) -> int:
@@ -551,8 +544,7 @@ def nested_allocate(instance: ClusterInstance) -> AllocationResult:
 
 
 def _finalize(name: str, instance: ClusterInstance, state: tuple,
-              ev: _PartitionEvaluator, steps: list, t0: float,
-              shapley: np.ndarray | None = None) -> AllocationResult:
+              ev: _PartitionEvaluator, steps: list, t0: float) -> AllocationResult:
     n = len(state)
     rrh_parts = {}
     active: set[int] = set()
@@ -567,7 +559,7 @@ def _finalize(name: str, instance: ClusterInstance, state: tuple,
     return AllocationResult(algorithm=name, rru_partition=state,
                             rrh_partitions=rrh_parts, welfare=welfare,
                             active=frozenset(active), asleep=asleep, steps=steps,
-                            runtime_s=time.perf_counter() - t0, shapley=shapley)
+                            runtime_s=time.perf_counter() - t0)
 
 
 def evaluate_fixed_partition(name: str, instance: ClusterInstance,
@@ -664,8 +656,7 @@ def _conflict_utility(coalition: frozenset, shapley: np.ndarray,
                for c in sorted(coalition))
 
 
-def suboptimal_allocate(instance: ClusterInstance,
-                        max_sweeps: int = MAX_SWEEPS) -> AllocationResult:
+def suboptimal_allocate(instance: ClusterInstance) -> AllocationResult:
     """RRU allocation from Shapley conflicts instead of nested evaluation.
 
     Starts from one block per content.  Step 1: Shapley values per
@@ -688,62 +679,9 @@ def suboptimal_allocate(instance: ClusterInstance,
 
     # emptied blocks stay as targets: a content may leave to go alone
     blocks = _switch_until_stable(RrhPartition(dict(enumerate(state))),
-                                  range(instance.content_count), wants, max_sweeps)
+                                  range(instance.content_count), wants)
 
     final = _canonical(blocks.coalitions.values())
     ev = _PartitionEvaluator(instance)
     steps.append(AllocationStep(1, "final", _signature(final), ev.welfare(final)))
-    return _finalize("suboptimal", instance, final, ev, steps, t0, shapley=shapley)
-
-
-# -- instance generation ----------------------------------------------------
-
-
-def random_instance(seed: int, n_rrh: int, n_users: int, content_count: int = 5,
-                    cache_size: int | None = None, radius: float = 1000.0,
-                    zipf_exponent: float = 1.0, theta_cluster: float = 0.1,
-                    theta_cloud: float = 0.6, object_bits: float = 1e6,
-                    bandwidth_hz: float = 1000.0, slot_s: float = 1e-3,
-                    pathloss_exponent: float = 4.0, noise: float = 0.0,
-                    cost_coeff: float = DEFAULT_COST_COEFF,
-                    quantizer: Quantizer | None = None,
-                    power: PowerModel | None = None) -> ClusterInstance:
-    """A reproducible small instance for game experiments.
-
-    Exact point counts (not Poisson) keep instance sizes controlled; the
-    analytic field intensity is the one implied by the drawn count.
-    """
-    if n_rrh < 1 or n_users < 1:
-        raise ParameterError("need at least one RRH and one user")
-    pos_rng = substream(seed, STREAM_GAME, 1)
-
-    def uniform_disk(n):
-        r = radius * np.sqrt(pos_rng.uniform(size=n))
-        phi = pos_rng.uniform(0, 2 * np.pi, size=n)
-        return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
-
-    catalog = ContentCatalog.zipf(object_bits, zipf_exponent, content_count)
-    rrh_xy = uniform_disk(n_rrh)
-    user_xy = uniform_disk(n_users)
-    mark_rng = substream(seed, STREAM_GAME, 2)
-    rrh_content = mark_rng.choice(content_count, size=n_rrh, p=catalog.popularity)
-    user_content = mark_rng.choice(content_count, size=n_users, p=catalog.popularity)
-    realization = NetworkRealization(radius, rrh_xy, rrh_content, user_xy,
-                                     user_content, seed)
-
-    k = content_count if cache_size is None else cache_size
-    power = power if power is not None else PowerModel()
-    cache = ClusterCache(k)
-    qos = QosProfile.uniform(theta_cluster, theta_cloud, content_count)
-    mu = required_spectral_efficiency(content_count, object_bits, content_count,
-                                      bandwidth_hz, slot_s)
-    params = RadioParams(pathloss_exponent=pathloss_exponent, noise=noise,
-                         bandwidth_hz=bandwidth_hz, slot_s=slot_s,
-                         spectral_efficiency=mu)
-    quantizer = quantizer if quantizer is not None else Quantizer.geometric(512)
-    lambda_rrh = n_rrh / (np.pi * radius ** 2)
-    return ClusterInstance(realization=realization, catalog=catalog, cache=cache,
-                           qos=qos, params=params, power=power,
-                           lambda_rrh=lambda_rrh, quantizer=quantizer,
-                           cost_coeff=cost_coeff)
-
+    return _finalize("suboptimal", instance, final, ev, steps, t0)

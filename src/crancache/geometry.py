@@ -1,10 +1,10 @@
 """Spatial model: Poisson fields of RRHs and users on a disk.
 
 RRHs and users are drawn as independent homogeneous Poisson point
-processes.  Independent thinning splits the RRH field into per-content
-sub-processes (intensity lambda_l, sum lambda_l = lambda_R), so "the
-nearest RRH holding content l" is a nearest-neighbor query against one
-thinned class.
+processes, and each user independently draws the object it requests with
+probability lambda_l / lambda_R.  The per-content holder fields
+(intensity lambda_l, sum lambda_l = lambda_R) enter only the analytic
+law, through lambda_l; no drop marks which content an RRH holds.
 
 All randomness flows from a single 64-bit master seed.  Sub-streams are
 derived as ``default_rng(SeedSequence(master, spawn_key=path))`` where
@@ -23,7 +23,6 @@ from .errors import ParameterError
 
 # Sub-stream names for the documented seed-derivation scheme.
 STREAM_RRH_POS = 0
-STREAM_RRH_MARK = 1
 STREAM_USER_POS = 2
 STREAM_USER_MARK = 3
 STREAM_FADING = 4
@@ -73,15 +72,13 @@ class DensityConfig:
 
 @dataclass(frozen=True)
 class NetworkRealization:
-    """One sampled drop: RRH and user positions plus content marks.
+    """One sampled drop: RRH and user positions plus request marks.
 
-    ``rrh_content[i]`` is the content class (0-based) RRH ``i`` holds after
-    thinning; ``user_content[j]`` is the object user ``j`` requests.
+    ``user_content[j]`` is the object (0-based) user ``j`` requests.
     """
 
     cluster_radius: float
     rrh_xy: np.ndarray          # (n_rrh, 2)
-    rrh_content: np.ndarray     # (n_rrh,) int
     user_xy: np.ndarray         # (n_user, 2)
     user_content: np.ndarray    # (n_user,) int
     seed: int
@@ -92,8 +89,8 @@ class NetworkRealization:
         for xy in (self.rrh_xy, self.user_xy):
             if xy.size and np.hypot(xy[:, 0], xy[:, 1]).max() > self.cluster_radius * (1 + 1e-12):
                 raise ParameterError("point outside the cluster disk")
-        if len(self.rrh_content) != len(self.rrh_xy) or len(self.user_content) != len(self.user_xy):
-            raise ParameterError("content marks must align with point arrays")
+        if len(self.user_content) != len(self.user_xy):
+            raise ParameterError("request marks must align with the user points")
 
     @property
     def n_rrh(self) -> int:
@@ -140,11 +137,10 @@ def thin_by_content(points: np.ndarray, probabilities: np.ndarray,
 def sample_network(density: DensityConfig, radius: float, seed: int) -> NetworkRealization:
     """Sample a full drop from the master seed using the documented streams.
 
-    RRH marks and user request marks both follow ``density.lambda_split``.
+    User request marks follow ``density.lambda_split``.
     """
     split_frac = density.lambda_split / density.lambda_rrh
     rrh_xy = sample_ppp(density.lambda_rrh, radius, substream(seed, STREAM_RRH_POS))
-    rrh_content = thin_by_content(rrh_xy, split_frac, substream(seed, STREAM_RRH_MARK))
     user_xy = sample_ppp(density.lambda_user, radius, substream(seed, STREAM_USER_POS))
     user_content = thin_by_content(user_xy, split_frac, substream(seed, STREAM_USER_MARK))
-    return NetworkRealization(radius, rrh_xy, rrh_content, user_xy, user_content, seed)
+    return NetworkRealization(radius, rrh_xy, user_xy, user_content, seed)

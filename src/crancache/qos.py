@@ -17,25 +17,6 @@ from .errors import DomainError, InfeasibleBackhaulError, ParameterError
 DEFAULT_HOPS = 2  # cloud -> cluster -> RRH
 
 
-def _backhaul_time(object_bits: float, backhaul_rate: float, hops: int) -> float:
-    return hops * object_bits / backhaul_rate
-
-
-def delay_violation_prob(theta: float, delay_budget: float, object_bits: float,
-                         backhaul_rate: float, hops: int = DEFAULT_HOPS) -> float:
-    """Pr{delay > budget} = exp(-theta * (budget - transfer time)).
-
-    The transfer time hops * B / r must fit inside the budget; otherwise
-    the target is unreachable regardless of the radio link.
-    """
-    if theta <= 0 or delay_budget <= 0 or object_bits <= 0 or backhaul_rate <= 0 or hops < 0:
-        raise ParameterError("theta, budget, object size and rate must be positive")
-    slack = delay_budget - _backhaul_time(object_bits, backhaul_rate, hops)
-    if slack <= 0:
-        raise DomainError("backhaul transfer time exhausts the delay budget")
-    return float(np.exp(-theta * slack))
-
-
 def theta_cloud_from_cluster(theta_cluster: float, object_bits: float,
                              backhaul_rate: float, delay_budget: float,
                              hops: int = DEFAULT_HOPS) -> float:
@@ -47,7 +28,7 @@ def theta_cloud_from_cluster(theta_cluster: float, object_bits: float,
     """
     if theta_cluster <= 0 or object_bits <= 0 or backhaul_rate <= 0 or delay_budget <= 0:
         raise ParameterError("all rate and budget parameters must be positive")
-    rho_b = _backhaul_time(object_bits, backhaul_rate, hops) / delay_budget
+    rho_b = hops * object_bits / backhaul_rate / delay_budget
     if rho_b >= 1:
         raise InfeasibleBackhaulError(
             f"backhaul load factor {rho_b:.3g} >= 1; no radio exponent can recover the budget")

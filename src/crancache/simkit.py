@@ -33,8 +33,6 @@ class McEstimate:
 
     value: float
     std_error: float
-    trials: int
-    capped_trials: int = 0
 
 
 def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
@@ -92,8 +90,11 @@ def mc_eff_cap(thetas, d_m: float, lambda_rrh: float, params: RadioParams,
     """Monte Carlo effective capacities of a user served from distance d_m,
     one per delay exponent in ``thetas``.
 
-    Estimates the log-moment Z = (1+SINR)^(-mu*theta*W*Tbar) by plain
-    averaging and maps through -ln(mean)/(theta*W*T); the standard error
+    Estimates the log-moment mean(e^(-a*L)), L = ln(1+SINR) and
+    a = mu*theta*W*Tbar, and maps it through -ln(mean)/(theta*W*T).  The
+    mean is taken as e^(-a*L_min) * (1 - mean(y)) with L_min = min L and
+    y = -expm1(-a*(L - L_min)), so no draw underflows however large a*L
+    gets, and the log is a*L_min - log1p(-mean(y)).  The standard error
     propagates through the log by the delta method.  theta enters only in
     post-processing, so every exponent shares one batch of SINR draws, the
     same batch any call with this seed draws, and the estimates are
@@ -105,16 +106,16 @@ def mc_eff_cap(thetas, d_m: float, lambda_rrh: float, params: RadioParams,
         raise ParameterError(f"at least {MIN_TRIALS} trials required, got {trials}")
     rng = substream(seed, STREAM_FADING)
     sinr = sample_sinr_batch(d_m, lambda_rrh, params, trials, rng, sim_radius)
-    capped = int(np.count_nonzero(sinr >= SINR_CAP))
     log1p_sinr = np.log1p(sinr)
+    l_min = float(log1p_sinr.min())
+    shifted = log1p_sinr - l_min
     estimates = []
     for theta in thetas:
         a = log_moment_exponent(params.spectral_efficiency, theta, params)
-        z = np.exp(-a * log1p_sinr)
-        z_mean = float(z.mean())
-        z_se = float(z.std(ddof=1) / math.sqrt(trials))
+        y = -np.expm1(-a * shifted)
+        y_mean = float(y.mean())
+        y_se = float(y.std(ddof=1) / math.sqrt(trials))
         denom = theta * params.bandwidth_hz * params.slot_s
-        estimates.append(McEstimate(value=-math.log(z_mean) / denom,
-                                    std_error=z_se / (z_mean * denom),
-                                    trials=trials, capped_trials=capped))
+        estimates.append(McEstimate(value=(a * l_min - math.log1p(-y_mean)) / denom,
+                                    std_error=y_se / ((1.0 - y_mean) * denom)))
     return estimates

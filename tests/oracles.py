@@ -12,7 +12,8 @@ pass across exponents and contents, every link in one survival block
 where it takes links a few at a time), so agreement is evidence for both.
 ``shapley_by_sampling`` is the Monte Carlo estimate of the Shapley
 values over random join orders, with per-entry standard errors, for RRH
-counts beyond the reach of enumeration.
+counts beyond the reach of enumeration.  ``random_instance`` builds the
+small game instances the game tests and criteria 7-9 run on.
 """
 
 import math
@@ -23,11 +24,17 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
+from crancache.content import ClusterCache, ContentCatalog
 from crancache.effcap import (_BOUNDARY_CHUNK, LN2, Quantizer, RadioParams, _sinr_coeffs,
-                              avg_eff_cap_content, log_moment_exponent, log_moments)
+                              avg_eff_cap_content, log_moment_exponent, log_moments,
+                              required_spectral_efficiency)
+from crancache.energy import PowerModel
 from crancache.errors import ParameterError
+from crancache.games import ClusterInstance
 from crancache.geometry import (STREAM_FADING, STREAM_GAME, NetworkRealization,
                                 substream)
+from crancache.qos import QosProfile
+from crancache.scenario import Scenario
 from crancache.simkit import SINR_CAP
 
 
@@ -330,3 +337,53 @@ def shapley_by_sampling(instance, rru_count: int, permutations: int, seed: int,
     var = np.maximum(sq_sums / permutations - mean ** 2, 0.0)
     se = np.sqrt(var / permutations)
     return mean, se
+
+
+def random_instance(seed: int, n_rrh: int, n_users: int, content_count: int = 5,
+                    cache_size: int | None = None, radius: float = 1000.0,
+                    zipf_exponent: float = 1.0, theta_cluster: float = 0.1,
+                    theta_cloud: float = 0.6, object_bits: float = 1e6,
+                    bandwidth_hz: float = 1000.0, slot_s: float = 1e-3,
+                    pathloss_exponent: float = 4.0, noise: float = 0.0,
+                    cost_coeff: float = Scenario.cost_coeff,
+                    quantizer: Quantizer | None = None,
+                    power: PowerModel | None = None) -> ClusterInstance:
+    """A reproducible small instance for game experiments.
+
+    Exact point counts (not Poisson) keep instance sizes controlled; the
+    analytic field intensity is the one implied by the drawn count.  One
+    generator draws a content mark per RRH, which nothing reads, and then
+    the user requests, so the requests stay those of every earlier build.
+    """
+    if n_rrh < 1 or n_users < 1:
+        raise ParameterError("need at least one RRH and one user")
+    pos_rng = substream(seed, STREAM_GAME, 1)
+
+    def uniform_disk(n):
+        r = radius * np.sqrt(pos_rng.uniform(size=n))
+        phi = pos_rng.uniform(0, 2 * np.pi, size=n)
+        return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+
+    catalog = ContentCatalog.zipf(object_bits, zipf_exponent, content_count)
+    rrh_xy = uniform_disk(n_rrh)
+    user_xy = uniform_disk(n_users)
+    mark_rng = substream(seed, STREAM_GAME, 2)
+    mark_rng.choice(content_count, size=n_rrh, p=catalog.popularity)
+    user_content = mark_rng.choice(content_count, size=n_users, p=catalog.popularity)
+    realization = NetworkRealization(radius, rrh_xy, user_xy, user_content, seed)
+
+    k = content_count if cache_size is None else cache_size
+    power = power if power is not None else PowerModel()
+    cache = ClusterCache(k)
+    qos = QosProfile.uniform(theta_cluster, theta_cloud, content_count)
+    mu = required_spectral_efficiency(content_count, object_bits, content_count,
+                                      bandwidth_hz, slot_s)
+    params = RadioParams(pathloss_exponent=pathloss_exponent, noise=noise,
+                         bandwidth_hz=bandwidth_hz, slot_s=slot_s,
+                         spectral_efficiency=mu)
+    quantizer = quantizer if quantizer is not None else Quantizer.geometric(512)
+    lambda_rrh = n_rrh / (np.pi * radius ** 2)
+    return ClusterInstance(realization=realization, catalog=catalog, cache=cache,
+                           qos=qos, params=params, power=power,
+                           lambda_rrh=lambda_rrh, quantizer=quantizer,
+                           cost_coeff=cost_coeff)

@@ -19,7 +19,8 @@ from crancache.content import ContentCatalog
 from crancache.errors import CoverageError
 from crancache.scenario import Scenario
 
-from oracles import enumerate_partitions, l_func_general, shapley_by_sampling
+from oracles import (enumerate_partitions, l_func_general, random_instance,
+                     shapley_by_sampling)
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +147,7 @@ def test_criterion_06_closed_form_cross_checks():
 def test_criterion_07_rrh_game_always_stabilizes():
     t0 = time.perf_counter()
     for i in range(100):
-        inst = games.random_instance(9000 + i, 2 + i % 5, 3 + i % 8,
+        inst = random_instance(9000 + i, 2 + i % 5, 3 + i % 8,
                                      content_count=1 + i % 3)
         n = inst.content_count
         part = games.hedonic_rrh_association(range(n), inst, n)
@@ -162,7 +163,7 @@ def test_criterion_08_merge_split_stability_and_gap():
     gaps = []
     for i in range(50):
         n_contents = 2 + i % 3
-        inst = games.random_instance(9500 + i, 3 + i % 3, 5 + i % 6,
+        inst = random_instance(9500 + i, 3 + i % 3, 5 + i % 6,
                                      content_count=n_contents)
         res = games.nested_allocate(inst)
         welfares = [s.welfare for s in res.steps]
@@ -182,7 +183,7 @@ def test_criterion_08_merge_split_stability_and_gap():
 
 
 def test_criterion_09_shapley_sampled_vs_exact():
-    inst = games.random_instance(42, 6, 12)
+    inst = random_instance(42, 6, 12)
     n = inst.content_count
     exact = games.shapley_values(inst, n)
     for content in range(n):

@@ -380,6 +380,24 @@ def test_validate_content_rows_cost_one_kernel_pass_each(tmp_path, monkeypatch):
     assert len(calls) == len(passes) == scenario.content_count
 
 
+@pytest.mark.parametrize("text, code", [
+    # every draw's (1 + SINR)^-a underflows to 0 at these exponents
+    ("[radio]\nbandwidth_hz = 1e7\nslot_s = 1\n[run]\nmc_trials = 1000\n", 1),
+    ("[qos]\ntheta_cloud = 50\n[run]\nuser_distance = 1e-3\n", 1),
+    # mu*W*T = 1e7: the ergodic limit needs theta0 scaled down with it
+    ("[radio]\nbandwidth_hz = 1e7\nslot_s = 1\n", 0),
+], ids=["underflow_wt", "underflow_short_link", "large_wt"])
+def test_validate_off_the_defaults_ends_in_finite_rows(tmp_path, text, code):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "validate", "--out", str(out)]) == code
+    _, rows = _read_csv(out / "validation.csv")
+    assert all(math.isfinite(float(v)) for row in rows for v in row[1:4])
+    status = {row[0]: row[4] for row in rows}
+    assert status["ergodic_limit"] == "PASS"
+
+
 def test_main_seed_override(tmp_path):
     cfg = tmp_path / "s.ini"
     cfg.write_text("[run]\nmc_trials = 20000\n[content]\ncount = 2\ncache_size = 2\n")

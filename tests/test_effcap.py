@@ -21,14 +21,13 @@ from crancache.effcap import (LN2, Quantizer, a_beta, avg_eff_cap_cluster,
                               u_func)
 from crancache.effcap import _LINK_BLOCK, _T_NODES, _T_WEIGHTS, _sinr_coeffs
 from crancache.errors import DomainError, ParameterError
-from crancache.games import random_instance
 from crancache.qos import QosProfile
 from crancache.scenario import Scenario
 
 from conftest import radio
 from oracles import (distance_avg_cap_quad, equal_width_quantizer, k_table_single,
                      l_func_general, moment_avg_cap_quad, one_block_log_moment,
-                     per_content_eff_caps_one_by_one, u_func_mpmath)
+                     per_content_eff_caps_one_by_one, random_instance, u_func_mpmath)
 
 
 # -- geometry constant ------------------------------------------------------
@@ -138,10 +137,10 @@ def test_radio_params_validation_and_tbar():
 
 def test_quantizer_geometric_shape():
     q = Quantizer.geometric(64, 1e4, 1e-6)
-    assert q.n_intervals == 64
+    assert q.boundaries.size == 64 + 1
     assert q.boundaries[0] == 0.0
     assert q.boundaries[1] == 1e-6
-    assert q.gamma_max == 1e4
+    assert q.boundaries[-1] == 1e4
     assert np.all(np.diff(q.boundaries) > 0)
     np.testing.assert_allclose(q.midpoints,
                                0.5 * (q.boundaries[:-1] + q.boundaries[1:]))
@@ -289,7 +288,7 @@ def test_k_non_increasing_in_link_length_and_below_the_grid_ceiling(d, stretch, 
     near, far = _k_of_lengths([d, d * stretch], a, noise)
     assert far <= near + _k_slack(near, a)
     # G >= (1 + last midpoint)^(-a), since the masses sum to one
-    assert near <= math.log2(1.0 + _PROPERTY_GRID.gamma_max) * (1.0 + 1e-12)
+    assert near <= math.log2(1.0 + _PROPERTY_GRID.boundaries[-1]) * (1.0 + 1e-12)
 
 
 @given(_LENGTHS, _EXPONENTS, _STRETCHES, _NOISES)
@@ -407,7 +406,7 @@ def test_k_table_underflow_surfaces_only_on_demand():
 _K_TABLE_DIGEST = """
 import hashlib
 from crancache.effcap import Quantizer
-from crancache.games import random_instance
+from oracles import random_instance
 inst = random_instance(3, 11, 23, noise=0.2, quantizer=Quantizer.geometric(1 << 14, 1e6))
 table = inst._k_table(0, 2)
 print(hashlib.sha256(table.tobytes()).hexdigest())
@@ -419,10 +418,12 @@ def test_k_table_bytes_do_not_depend_on_blas_threads():
     # BLAS threads sums its rows in another order, so each child sets the
     # thread count before numpy loads
     src = str(Path(crancache.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
     digests = set()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+                   PYTHONPATH=os.pathsep.join([src, tests,
+                                               os.environ.get("PYTHONPATH", "")]))
         run = subprocess.run([sys.executable, "-c", _K_TABLE_DIGEST], env=env,
                              capture_output=True, text=True, check=True)
         digests.add(run.stdout)

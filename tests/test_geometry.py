@@ -64,11 +64,11 @@ def test_thinning_validation():
 
 def test_realization_validation():
     with pytest.raises(ParameterError):
-        NetworkRealization(10.0, np.array([[50.0, 0.0]]), np.array([0]),
+        NetworkRealization(10.0, np.array([[50.0, 0.0]]),
                            np.empty((0, 2)), np.empty(0, dtype=int), 0)
     with pytest.raises(ParameterError):
-        NetworkRealization(100.0, np.array([[5.0, 0.0]]), np.array([0, 1]),
-                           np.empty((0, 2)), np.empty(0, dtype=int), 0)
+        NetworkRealization(100.0, np.empty((0, 2)),
+                           np.array([[5.0, 0.0]]), np.array([0, 1]), 0)
 
 
 def test_density_split_renormalizes_exactly():
@@ -97,7 +97,6 @@ def test_sample_network_is_seed_deterministic():
     a = sample_network(cfg, 1000.0, seed=5)
     b = sample_network(cfg, 1000.0, seed=5)
     np.testing.assert_array_equal(a.rrh_xy, b.rrh_xy)
-    np.testing.assert_array_equal(a.rrh_content, b.rrh_content)
     np.testing.assert_array_equal(a.user_xy, b.user_xy)
     np.testing.assert_array_equal(a.user_content, b.user_content)
 

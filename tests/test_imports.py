@@ -1,8 +1,9 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every public
+function, class, method and property has a caller in the program.
 
 No linter ships with the project, so this parses each ``crancache``
-module (the package ``__init__``, which re-exports, aside) and flags
-imported names that no expression of the module reads.
+module and flags imported names that no expression of the module reads,
+and public definitions that no expression of ``src/`` reads.
 """
 
 import ast
@@ -15,8 +16,7 @@ import pytest
 
 import crancache
 
-MODULES = sorted(p for p in Path(crancache.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(Path(crancache.__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -112,3 +112,68 @@ def test_cli_import_leaves_scipy_out():
                           "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
                          env=env, capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+# Public API read only from outside src/, each with its reason.
+NO_CALLER_IN_SRC = {
+    "l_func_limited": "acceptance criterion 6 checks the noise-free closed form",
+    "theta_cloud_from_cluster": "criterion 5 and the README derive theta_cloud = 0.6",
+    "min_backhaul_rate": "criterion 5 inverts theta_cloud_from_cluster",
+    "check_nash_stable": "criterion 7 and perfbench/workloads.py check stability",
+}
+
+
+def _loads(tree) -> list[tuple[str, ast.AST]]:
+    """(name, node) of every Name and Attribute the tree reads."""
+    return [(node.id if isinstance(node, ast.Name) else node.attr, node)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)]
+
+
+def unreached(sources: list[str]) -> list[str]:
+    """Public top-level functions and classes no Name or Attribute load
+    reads, and public methods and properties no Attribute load reads,
+    outside their own definition, across ``sources``."""
+    trees = [ast.parse(source) for source in sources]
+    defs = []   # (qualified name, name, node, reads that count)
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            defs.append((node.name, node.name, node, (ast.Name, ast.Attribute)))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m.name, m, (ast.Attribute,))
+                         for m in node.body if isinstance(m, ast.FunctionDef)
+                         and not m.name.startswith("_")]
+    loads = [load for tree in trees for load in _loads(tree)]
+    found = []
+    for qualified, name, node, kinds in defs:
+        own = {id(n) for n in ast.walk(node)}
+        if not any(read == name and isinstance(n, kinds) and id(n) not in own
+                   for read, n in loads):
+            found.append(qualified)
+    return sorted(found)
+
+
+def test_reachability_detector_flags_unread_definitions():
+    library = ("def used(): pass\n"
+               "def recursive(n): return recursive(n - 1)\n"
+               "def _private(): pass\n"
+               "class Box:\n"
+               "    size = 0\n"
+               "    def read(self): return self.size\n"
+               "    @property\n"
+               "    def shadowed(self): return 0\n"
+               "    def _own(self): pass\n")
+    caller = ("from lib import used, Box\n"
+              "shadowed = 1\n"
+              "print(used(), Box().read(), shadowed)\n")
+    # a local variable of the same name does not reach a method
+    assert unreached([library, caller]) == ["Box.shadowed", "recursive"]
+
+
+def test_every_public_definition_has_a_caller_in_src():
+    found = unreached([path.read_text() for path in MODULES])
+    assert found == sorted(NO_CALLER_IN_SRC)

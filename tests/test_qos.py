@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,23 +5,8 @@ from hypothesis import strategies as st
 
 from crancache.errors import (DomainError, InfeasibleBackhaulError,
                               ParameterError)
-from crancache.qos import (QosProfile, delay_violation_prob,
-                           min_backhaul_rate, theta_cloud_from_cluster)
-
-
-def test_violation_probability_frozen_point():
-    # transfer 2*1e6/4e6 = 0.5 s, slack 0.5 s, theta 0.6 -> exp(-0.3)
-    p = delay_violation_prob(0.6, 1.0, 1e6, 4e6, hops=2)
-    assert abs(p - math.exp(-0.3)) < 1e-15
-
-
-def test_violation_probability_guards():
-    with pytest.raises(ParameterError):
-        delay_violation_prob(0.0, 1.0, 1e6, 4e6)
-    with pytest.raises(ParameterError):
-        delay_violation_prob(0.6, 1.0, 1e6, -1.0)
-    with pytest.raises(DomainError):
-        delay_violation_prob(0.6, 1.0, 1e6, 2e6, hops=2)   # transfer = budget
+from crancache.qos import (QosProfile, min_backhaul_rate,
+                           theta_cloud_from_cluster)
 
 
 def test_cloud_exponent_reference_numbers():

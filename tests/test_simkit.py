@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
-from crancache.effcap import RadioParams, a_beta
+from crancache.effcap import RadioParams, a_beta, log_moment_exponent
 from crancache.errors import ParameterError
 from crancache.geometry import (STREAM_FADING, NetworkRealization, substream)
 from crancache import simkit
@@ -108,7 +109,6 @@ def _toy_realization(seed=13):
     rrh = np.array([[100.0, 0.0], [-40.0, 30.0], [0.0, 200.0]])
     users = np.array([[10.0, -5.0]])
     return NetworkRealization(cluster_radius=500.0, rrh_xy=rrh,
-                              rrh_content=np.array([0, 0, 1]),
                               user_xy=users, user_content=np.array([0]),
                               seed=seed)
 
@@ -149,7 +149,6 @@ def test_simulate_sinr_index_guards():
 def test_simulate_sinr_lone_rrh_zero_noise_caps():
     real = NetworkRealization(cluster_radius=500.0,
                               rrh_xy=np.array([[50.0, 0.0]]),
-                              rrh_content=np.array([0]),
                               user_xy=np.array([[0.0, 0.0]]),
                               user_content=np.array([0]), seed=1)
     with pytest.warns(UserWarning, match="capped"):
@@ -177,12 +176,32 @@ def test_mc_eff_cap_disjoint_seeds_agree():
     assert z < 4.0
 
 
-def test_mc_eff_cap_reports_capped_trials():
-    p = _params(noise=0.0)
-    with pytest.warns(UserWarning):
-        est, = mc_eff_cap((0.1,), 50.0, 1e-12, p, 200, seed=4)
-    assert est.capped_trials > 150
-    assert est.trials == 200
+@pytest.mark.parametrize("beta, noise, bandwidth_hz, slot_s, underflows", [
+    (4.0, 0.0, 1000.0, 1e-3, False),   # the defaults
+    (4.0, 0.3, 1000.0, 1e-3, False),   # a*ln(1+SINR) ~ 1e-9: 1 - e^(-aL) cancels
+    (6.0, 0.3, 1000.0, 1e-3, False),   # ~ 1e-12
+    (4.0, 0.0, 1e7, 1.0, True),        # a*ln(1+SINR) > 745 on every draw
+])
+def test_mc_eff_cap_matches_a_50_digit_mean_of_the_same_draws(beta, noise, bandwidth_hz,
+                                                              slot_s, underflows):
+    p = RadioParams(pathloss_exponent=beta, noise=noise, bandwidth_hz=bandwidth_hz,
+                    slot_s=slot_s, spectral_efficiency=1.0)
+    thetas, trials = (0.1, 0.6), 1000
+    estimates = mc_eff_cap(thetas, 50.0, 5e-6, p, trials, seed=1)
+    sinr = sample_sinr_batch(50.0, 5e-6, p, trials, substream(1, STREAM_FADING))
+    with mpmath.workdps(50):
+        logs = [mpmath.log1p(mpmath.mpf(float(s))) for s in sinr]
+        for theta, est in zip(thetas, estimates):
+            a = log_moment_exponent(1.0, theta, p)
+            assert (not np.exp(-a * np.log1p(sinr)).any()) == underflows
+            z = [mpmath.exp(-a * x) for x in logs]
+            mean = mpmath.fsum(z) / trials
+            sd = mpmath.sqrt(mpmath.fsum((v - mean) ** 2 for v in z) / (trials - 1))
+            denom = theta * bandwidth_hz * slot_s
+            assert est.value == pytest.approx(float(-mpmath.log(mean) / denom),
+                                              rel=1e-13, abs=0.0)
+            assert est.std_error == pytest.approx(
+                float(sd / mpmath.sqrt(trials) / (mean * denom)), rel=1e-9, abs=0.0)
 
 
 def test_mc_eff_cap_guards():
