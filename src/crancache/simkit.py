@@ -93,8 +93,9 @@ def mc_eff_cap(thetas, d_m: float, lambda_rrh: float, params: RadioParams,
     Estimates the log-moment mean(e^(-a*L)), L = ln(1+SINR) and
     a = mu*theta*W*Tbar, and maps it through -ln(mean)/(theta*W*T).  The
     mean is taken as e^(-a*L_min) * (1 - mean(y)) with L_min = min L and
-    y = -expm1(-a*(L - L_min)), so no draw underflows however large a*L
-    gets, and the log is a*L_min - log1p(-mean(y)).  The standard error
+    y = -expm1(-a*(L - L_min)), and its log as a*L_min - log1p(-mean(y)):
+    no draw underflows however large a*L gets, and where a*L is tiny the
+    gap 1 - mean(e^(-a*L)) keeps its digits.  The standard error
     propagates through the log by the delta method.  theta enters only in
     post-processing, so every exponent shares one batch of SINR draws, the
     same batch any call with this seed draws, and the estimates are
