@@ -255,12 +255,20 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
     time, so each survival chunk stays in cache.  A chunk's survival and
     masses are formed once and summed against every exponent's weights by
     a small gemv of its own, so each G has the bytes of a lone pass, and
-    the bytes do not depend on the BLAS thread count.  A G may underflow
-    to 0; pass the one a caller demands through :func:`demand_moment`.
+    the bytes do not depend on the BLAS thread count.
+
+    Chunks run only up to the last interval where some weight is nonzero.
+    Survival lies in [0, 1], so every mass is finite, and a chunk past
+    that point would add only mass * 0.0 = +-0.0 to each sum: skipping it
+    keeps every byte.  A G may underflow to 0; pass the one a caller
+    demands through :func:`demand_moment`.
     """
     c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params, lambda_l)
     log_mid = np.log1p(quantizer.midpoints)
     weights = [np.exp(-a * log_mid) for a in exponents]
+    # read off the weights themselves, so no monotonicity of exp is assumed
+    live = max((int(i[-1]) + 1 for i in map(np.flatnonzero, weights) if i.size),
+               default=0)
     d = np.asarray(d, dtype=float)
     d_sq, d_beta = d ** 2, d ** params.pathloss_exponent
     n = d.shape[-1] if d.ndim else 1
@@ -286,7 +294,7 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
         block = neg_sq.shape[:-1]
         size = math.prod(block)
         sums = [0.0] * len(weights)
-        for b0 in range(0, m, _BOUNDARY_CHUNK):
+        for b0 in range(0, live, _BOUNDARY_CHUNK):
             k = min(_BOUNDARY_CHUNK, m - b0)   # intervals in this chunk
             surv = np.multiply(neg_sq, c1[b0:b0 + k + 1],
                                out=surv_buf[:size * (k + 1)].reshape(block + (k + 1,)))
@@ -296,8 +304,9 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
             mass = np.subtract(surv[..., :-1], surv[..., 1:],
                                out=mass_buf[:size * k].reshape(block + (k,)))
             sums = [s + mass @ w[b0:b0 + k] for s, w in zip(sums, weights)]
+        # below m, the last weight is 0.0 and the fold adds +0.0
         for g, s, w in zip(gs, sums, weights):
-            g[links] = s + surv[..., -1] * w[-1]
+            g[links] = s + surv[..., -1] * w[-1] if live == m else s
     return gs
 
 
@@ -332,24 +341,26 @@ def outage_prob(gamma, d_m: float, lambda_rrh: float, params: RadioParams):
     return float(out) if np.isscalar(gamma) else out
 
 
-def eff_cap_user(theta: float, d_m: float, lambda_rrh: float,
-                 params: RadioParams, quantizer: Quantizer) -> float:
-    """Effective capacity (bit/s/Hz) of a user served from distance d_m.
+def eff_cap_user(thetas, d_m: float, lambda_rrh: float,
+                 params: RadioParams, quantizer: Quantizer) -> list[float]:
+    """Effective capacities (bit/s/Hz) of a user served from distance d_m,
+    one per delay exponent in ``thetas``.
 
     Quantizes the SINR distribution of :func:`outage_prob` and maps the
-    log-moment sum G through -ln(G)/(theta*W*T).  Decreasing in theta and
-    in d_m; bounded by mu*log2(1 + gamma_max).
+    log-moment sum G through -ln(G)/(theta*W*T).  One kernel pass serves
+    every exponent, each G with the bytes of a lone pass.  Decreasing in
+    theta and in d_m; bounded by mu*log2(1 + gamma_max).
     """
-    if theta <= 0:
+    if any(theta <= 0 for theta in thetas):
         raise ParameterError("delay exponent must be strictly positive")
     if d_m < 0:
         raise ParameterError("distance must be non-negative")
     if lambda_rrh <= 0:
         raise ParameterError("RRH intensity must be positive")
-    g, = log_moments(d_m, [log_moment_exponent(params.spectral_efficiency, theta, params)],
-                     lambda_rrh, params, quantizer)
-    g_sum = float(demand_moment(g))
-    return -math.log(g_sum) / (theta * params.bandwidth_hz * params.slot_s)
+    gs = log_moments(d_m, [log_moment_exponent(params.spectral_efficiency, theta, params)
+                           for theta in thetas], lambda_rrh, params, quantizer)
+    return [-math.log(float(demand_moment(g))) / (theta * params.bandwidth_hz * params.slot_s)
+            for theta, g in zip(thetas, gs)]
 
 
 def l_func_limited(gamma, q_ratio: float, beta: float):

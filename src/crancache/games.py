@@ -190,7 +190,7 @@ def coalition_eff_cap(coalition: Iterable[int], content: int,
     k = instance._k_table(content, rru_count)
     # a row max is exact, so the member order cannot move a bit
     value = instance.mu_for(rru_count) * float(
-        k[np.ix_(users, list(members))].max(axis=1).sum())
+        k[users[:, None], list(members)].max(axis=1).sum())
     instance._cap_cache[key] = value
     return value
 

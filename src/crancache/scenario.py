@@ -25,6 +25,11 @@ from .geometry import DensityConfig
 from .qos import QosProfile
 from .simkit import MIN_TRIALS
 
+# Bound on [quantizer] intervals: every kernel pass holds the grid and one
+# weight vector per exponent, so 2^20 (16x the default, an 8 MiB grid)
+# keeps a typo from asking for terabytes.
+MAX_INTERVALS = 1 << 20
+
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
@@ -87,6 +92,9 @@ class Scenario:
             if getattr(self, name) < least:
                 raise ParameterError(f"{name} must be at least {least}, "
                                      f"got {getattr(self, name)!r}")
+        if self.quant_intervals > MAX_INTERVALS:
+            raise ParameterError(f"quant_intervals must be at most {MAX_INTERVALS}, "
+                                 f"got {self.quant_intervals!r}")
         if self.popularity and len(self.popularity) != self.content_count:
             raise ParameterError(f"popularity has {len(self.popularity)} entries "
                                  f"for {self.content_count} contents")

@@ -206,15 +206,17 @@ def k_table_single(instance, a: float) -> np.ndarray:
 
 
 def one_block_log_moment(d, a: float, lambda_rrh: float, params: RadioParams,
-                         quantizer: Quantizer) -> np.ndarray:
-    """Quantized log-moment of links of lengths d at exponent a, with every
-    link in one survival block and the boundary-chunked fold of
-    :func:`_folded_moment`.
+                         quantizer: Quantizer, lambda_l: float | None = None) -> np.ndarray:
+    """Quantized log-moment of links of lengths d at exponent a (the
+    nearest-holder law given ``lambda_l``), with every link in one survival
+    block and the boundary-chunked fold of :func:`_folded_moment` over
+    every chunk.
 
-    ``effcap.log_moments`` inlines this fold and takes links a few at a
-    time; whatever its block edges, it must reproduce this byte for byte.
+    ``effcap.log_moments`` inlines this fold, takes links a few at a time
+    and stops after the last nonzero weight; whatever its block edges and
+    wherever it stops, it must reproduce this byte for byte.
     """
-    c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params)
+    c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params, lambda_l)
     d = np.asarray(d, dtype=float)[..., None]
     d_sq, d_beta = d ** 2, d ** params.pathloss_exponent
     weights = np.exp(-a * np.log1p(quantizer.midpoints))

@@ -41,7 +41,7 @@ def test_criterion_01_analytic_mc_agreement(scenario):
         mcs = simkit.mc_eff_cap(thetas, scenario.user_distance, scenario.lambda_rrh,
                                 params, scenario.mc_trials, seed=scenario.seed)
         for theta, mc in zip(thetas, mcs):
-            ana = effcap.eff_cap_user(theta, scenario.user_distance,
+            ana, = effcap.eff_cap_user([theta], scenario.user_distance,
                                       scenario.lambda_rrh, params, quant)
             err = abs(ana - mc.value)
             tol = max(0.02 * abs(ana), 3.0 * mc.std_error)
@@ -57,9 +57,9 @@ def test_criterion_01_analytic_mc_agreement(scenario):
 def test_criterion_02_monotone_in_pathloss(scenario):
     quant = scenario.user_quantizer()
     for theta in (0.1, 0.6):
-        values = [effcap.eff_cap_user(theta, scenario.user_distance,
+        values = [effcap.eff_cap_user([theta], scenario.user_distance,
                                       scenario.lambda_rrh,
-                                      _user_radio(scenario, beta), quant)
+                                      _user_radio(scenario, beta), quant)[0]
                   for beta in (4.0, 6.0, 8.0)]
         print(f"criterion 2: theta={theta:g} E(beta=4,6,8) = "
               + ", ".join(f"{v:.5f}" for v in values))

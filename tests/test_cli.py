@@ -9,7 +9,7 @@ from crancache.cli import (ALGORITHMS, _parse, build_instance, main,
                            run_allocate, run_analyze, run_sweep, run_validate,
                            write_csv)
 from crancache.errors import CoverageError, ParameterError
-from crancache.scenario import Scenario
+from crancache.scenario import MAX_INTERVALS, Scenario, load_scenario
 
 
 def _read_csv(path):
@@ -225,6 +225,20 @@ def test_validate_over_the_draw_bound_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "draws" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_quantizer_intervals_over_the_bound_exit_2(tmp_path, capsys):
+    # 2^40 intervals used to pass load and end in an 8 TiB grid allocation
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[quantizer]\nintervals = {1 << 40}\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "analyze", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(MAX_INTERVALS) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    at_bound = load_scenario(text=f"[quantizer]\nintervals = {MAX_INTERVALS}\n")
+    assert at_bound.quant_intervals == MAX_INTERVALS
 
 
 def test_main_exit_codes(tmp_path):

@@ -19,7 +19,7 @@ from crancache.effcap import (LN2, Quantizer, a_beta, avg_eff_cap_cluster,
                               eff_cap_user, l_func_limited, log_moments, outage_prob,
                               per_content_eff_caps, required_spectral_efficiency,
                               u_func)
-from crancache.effcap import _LINK_BLOCK, _T_NODES, _T_WEIGHTS, _sinr_coeffs
+from crancache.effcap import _BOUNDARY_CHUNK, _LINK_BLOCK, _T_NODES, _T_WEIGHTS, _sinr_coeffs
 from crancache.errors import DomainError, ParameterError
 from crancache.qos import QosProfile
 from crancache.scenario import Scenario
@@ -208,17 +208,17 @@ def test_eff_cap_user_matches_k_table():
             k = inst._k_table(content, n)
             theta = inst.theta_of(content)
             for (u, r), d in np.ndenumerate(inst._dist):
-                got = eff_cap_user(theta, d, inst.lambda_rrh, params, inst.quantizer)
+                got, = eff_cap_user([theta], d, inst.lambda_rrh, params, inst.quantizer)
                 assert got == pytest.approx(mu * k[u, r], rel=1e-12)
 
 
 def test_eff_cap_monotone_in_theta_and_distance():
     q = wide_quantizer()
     thetas = [0.02, 0.1, 0.5, 2.0]
-    vals = [eff_cap_user(t, 50.0, 5e-6, radio(), q) for t in thetas]
+    vals = eff_cap_user(thetas, 50.0, 5e-6, radio(), q)
     assert all(a > b for a, b in zip(vals, vals[1:]))
     dists = [10.0, 50.0, 200.0]
-    vals = [eff_cap_user(0.1, d, 5e-6, radio(), q) for d in dists]
+    vals = [eff_cap_user([0.1], d, 5e-6, radio(), q)[0] for d in dists]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -226,7 +226,7 @@ def test_eff_cap_increases_with_pathloss_exponent():
     # at 50 m the serving link is strong; steeper decay hurts the (farther)
     # interferers more than the signal, so capacity grows with beta
     q = wide_quantizer()
-    vals = [eff_cap_user(0.1, 50.0, 5e-6, radio(beta=b), q)
+    vals = [eff_cap_user([0.1], 50.0, 5e-6, radio(beta=b), q)[0]
             for b in (4.0, 6.0, 8.0)]
     assert vals[0] < vals[1] < vals[2]
 
@@ -235,8 +235,8 @@ def test_eff_cap_regression_values():
     # anchors cross-checked against Monte Carlo (acceptance suite re-runs
     # that comparison at full trial count)
     q = Quantizer.geometric(1 << 16, 1e12)
-    assert abs(eff_cap_user(0.1, 50.0, 5e-6, radio(), q) - 6.13618) < 2e-4
-    assert abs(eff_cap_user(0.6, 50.0, 5e-6, radio(beta=8.0), q)
+    assert abs(eff_cap_user([0.1], 50.0, 5e-6, radio(), q)[0] - 6.13618) < 2e-4
+    assert abs(eff_cap_user([0.6], 50.0, 5e-6, radio(beta=8.0), q)[0]
                - 4.97376) < 2e-4
 
 
@@ -246,13 +246,13 @@ def test_eff_cap_small_theta_reaches_ergodic_capacity():
     val, _ = integrate.quad(lambda x: math.exp(-k1 * math.sqrt(x)) / (1 + x),
                             0.0, np.inf, epsabs=1e-12, epsrel=1e-10, limit=400)
     ergodic = val / LN2
-    got = eff_cap_user(1e-8, 50.0, 5e-6, radio(), wide_quantizer(1 << 16))
+    got, = eff_cap_user([1e-8], 50.0, 5e-6, radio(), wide_quantizer(1 << 16))
     assert abs(got - ergodic) / ergodic < 0.01
 
 
 def test_eff_cap_bounded_by_grid_ceiling():
     q = Quantizer.geometric(256, 100.0)
-    v = eff_cap_user(0.01, 1.0, 5e-6, radio(), q)
+    v, = eff_cap_user([0.01], 1.0, 5e-6, radio(), q)
     assert v <= 1.0 * math.log2(1.0 + 100.0) + 1e-9
 
 
@@ -300,25 +300,25 @@ def test_k_non_increasing_in_the_exponent(d, a, stretch, noise):
 
 
 def test_eff_cap_quantizer_refinement_converges():
-    coarse = eff_cap_user(0.1, 50.0, 5e-6, radio(), Quantizer.geometric(1 << 12, 1e12))
-    fine = eff_cap_user(0.1, 50.0, 5e-6, radio(), Quantizer.geometric(1 << 17, 1e12))
+    coarse, = eff_cap_user([0.1], 50.0, 5e-6, radio(), Quantizer.geometric(1 << 12, 1e12))
+    fine, = eff_cap_user([0.1], 50.0, 5e-6, radio(), Quantizer.geometric(1 << 17, 1e12))
     assert abs(coarse - fine) / fine < 5e-3
 
 
 def test_eff_cap_equal_width_grid_agrees_at_moderate_exponent():
-    geo = eff_cap_user(0.6, 50.0, 5e-6, radio(), Quantizer.geometric(1 << 16, 5e4))
-    eq = eff_cap_user(0.6, 50.0, 5e-6, radio(), equal_width_quantizer())
+    geo, = eff_cap_user([0.6], 50.0, 5e-6, radio(), Quantizer.geometric(1 << 16, 5e4))
+    eq, = eff_cap_user([0.6], 50.0, 5e-6, radio(), equal_width_quantizer())
     assert abs(geo - eq) / geo < 5e-3
 
 
 def test_eff_cap_guards():
     q = wide_quantizer(256)
     with pytest.raises(ParameterError):
-        eff_cap_user(0.0, 50.0, 5e-6, radio(), q)
+        eff_cap_user([0.0], 50.0, 5e-6, radio(), q)
     with pytest.raises(ParameterError):
-        eff_cap_user(0.1, -1.0, 5e-6, radio(), q)
+        eff_cap_user([0.1], -1.0, 5e-6, radio(), q)
     with pytest.raises(ParameterError):
-        eff_cap_user(0.1, 50.0, 0.0, radio(), q)
+        eff_cap_user([0.1], 50.0, 0.0, radio(), q)
 
 
 def test_eff_cap_underflow_at_zero_distance_is_a_domain_error():
@@ -327,7 +327,7 @@ def test_eff_cap_underflow_at_zero_distance_is_a_domain_error():
     # delivery exponent; the log-moment has no finite capacity
     s = Scenario()
     with pytest.raises(DomainError, match="underflows"):
-        eff_cap_user(0.1, 0.0, 5e-6, s.radio(), s.quantizer())
+        eff_cap_user([0.1], 0.0, 5e-6, s.radio(), s.quantizer())
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.3])
@@ -344,6 +344,68 @@ def test_blocked_log_moments_match_one_block_oracle(noise):
             got, = log_moments(dd, [3.0], 5e-6, p, q)
             assert got.shape == np.shape(dd)
             assert np.array_equal(got, one_block_log_moment(dd, 3.0, 5e-6, p, q))
+
+
+_SKIP_GRID = Quantizer.geometric(1 << 16)
+
+
+def _live(a: float) -> int:
+    """1 + the last interval of _SKIP_GRID whose weight is nonzero at a."""
+    nonzero = np.flatnonzero(np.exp(-a * np.log1p(_SKIP_GRID.midpoints)))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+# where the kernel stops: mid-chunk, just past and exactly on a chunk edge,
+# at the end of the grid (nothing skipped) and before the first interval.
+# The edge exponents put a * ln(1 + midpoint) ~0.2 either side of exp's
+# underflow to 0 at 1075 ln 2; on this grid a = 1e9 would still leave
+# 23,047 live intervals, so the empty case takes a = 1e16
+_SKIP_CASES = [(1.44e5, 38127), (27611.6, 5 * _BOUNDARY_CHUNK + 1),
+               (27627.6, 5 * _BOUNDARY_CHUNK), (3.0, 1 << 16), (1e16, 0)]
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+@pytest.mark.parametrize("beta", [4.0, 6.0])
+@pytest.mark.parametrize("lambda_l", [None, 1e-6])
+def test_skipped_chunks_match_the_every_chunk_oracle(noise, beta, lambda_l):
+    # chunks past the last nonzero weight would add only +-0.0, so the
+    # kernel that stops there must give the every-chunk sum byte for byte
+    p = radio(beta=beta, noise=noise)
+    d = np.random.default_rng(3).uniform(0.5, 800.0, size=2 * _LINK_BLOCK + 1)
+    for a, live in _SKIP_CASES:
+        assert _live(a) == live
+        got, = log_moments(d, [a], 5e-6, p, _SKIP_GRID, lambda_l)
+        assert np.array_equal(got, one_block_log_moment(d, a, 5e-6, p, _SKIP_GRID,
+                                                        lambda_l))
+        if live == 0:
+            with pytest.raises(DomainError, match="underflows"):
+                demand_moment(got)
+        else:
+            assert demand_moment(got) is got
+    for family in ([3.0, 1.44e5, 7.2e5], [1.44e5, 7.2e5, 1e16]):
+        gs = log_moments(d, family, 5e-6, p, _SKIP_GRID, lambda_l)
+        for a, g in zip(family, gs):
+            assert np.array_equal(g, one_block_log_moment(d, a, 5e-6, p, _SKIP_GRID,
+                                                          lambda_l))
+
+
+def test_kernel_evaluates_survival_only_up_to_the_last_nonzero_weight(monkeypatch):
+    # counted, so no timing is involved: the survival exp is the one call
+    # with out=, over (links, chunk boundaries) lanes per chunk
+    real, lanes = np.exp, []
+
+    def counting_exp(x, *args, **kwargs):
+        if "out" in kwargs:
+            lanes.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    chunk = _BOUNDARY_CHUNK + 1
+    for a, most in ((1.44e5, 5 * chunk), (3.0, 8 * chunk)):
+        lanes.clear()
+        log_moments(50.0, [a], 5e-6, radio(), _SKIP_GRID)
+        assert 0 < sum(lanes) <= most
+    assert sum(lanes) == 8 * chunk
 
 
 def test_zero_length_link_in_last_block_is_a_domain_error():
