@@ -274,8 +274,11 @@ def run_sweep(scenario: Scenario, out_dir: str, instances: int,
     """Paired-seed comparison of allocation algorithms.
 
     Every algorithm sees the same realizations (common random numbers), so
-    per-seed welfare differences are directly meaningful.  Empty drops are
-    skipped for every algorithm alike; any other error ends the sweep.
+    per-seed welfare differences are directly meaningful.  The algorithms
+    share one instance per drop, with the blocks each negotiates, so a
+    per-algorithm ``mean_runtime`` counts only the work it adds there.
+    Empty drops are skipped for every algorithm alike; any other error
+    ends the sweep.
     """
     if instances < 1:
         raise ParameterError("need at least one instance")

@@ -79,8 +79,14 @@ class ClusterCache:
 
 def hit_ratio(cache: ClusterCache, catalog: ContentCatalog) -> float:
     """Probability a request is served from the cluster cache: the
-    popularity prefix sum P_1 + ... + P_K of the K = ``cache.size`` objects."""
+    popularity prefix sum P_1 + ... + P_K of the K = ``cache.size`` objects.
+
+    The sum may round a few ulp past 1, or short of it for the full cache;
+    so it is clamped at 1, and a full cache hits every request.
+    """
     if cache.size > catalog.count:
         raise ParameterError(f"cache of {cache.size} objects exceeds the "
                              f"{catalog.count}-object catalog")
-    return float(catalog.popularity[:cache.size].sum())
+    if cache.size == catalog.count:
+        return 1.0
+    return min(float(catalog.popularity[:cache.size].sum()), 1.0)

@@ -244,8 +244,8 @@ def log_moment_exponent(mu: float, theta: float, params: RadioParams) -> float:
 
 def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
                 quantizer: Quantizer, lambda_l: float | None = None) -> list[np.ndarray]:
-    """Quantized log-moments G(d) = E[(1 + SINR)^(-a)] of links of lengths d,
-    one per exponent a, each shaped like d.
+    """Quantized log-moments G(d) = E[(1 + SINR)^(-a)] of the links whose
+    lengths the vector d holds, one vector per exponent a.
 
     The SINR law is :func:`_sinr_coeffs` on the quantizer boundaries (the
     nearest-holder law given ``lambda_l``).  Interval masses are survival
@@ -271,8 +271,7 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
                default=0)
     d = np.asarray(d, dtype=float)
     d_sq, d_beta = d ** 2, d ** params.pathloss_exponent
-    n = d.shape[-1] if d.ndim else 1
-    m = log_mid.size
+    n, m = d.size, log_mid.size
     # numpy sums a 1-row block with a dot routine, not gemv, which rounds
     # differently; so a lone last link joins the block before it
     starts = list(range(0, max(n - 1, 1), _LINK_BLOCK))
@@ -283,30 +282,27 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
     # links) and chunk; a contiguous view over the front of either runs every
     # ufunc and gemv on the same loop, and so to the same bytes, as a fresh
     # array would, without a page-faulted allocation per chunk
-    rows = math.prod(d.shape[:-1]) * (_LINK_BLOCK + 1)
-    surv_buf = np.empty(rows * (min(_BOUNDARY_CHUNK, m) + 1))
-    mass_buf = np.empty(rows * min(_BOUNDARY_CHUNK, m))
-    gs = [np.empty(d.shape) for _ in weights]
+    surv_buf = np.empty((_LINK_BLOCK + 1) * (min(_BOUNDARY_CHUNK, m) + 1))
+    mass_buf = np.empty((_LINK_BLOCK + 1) * min(_BOUNDARY_CHUNK, m))
+    gs = [np.empty(n) for _ in weights]
     for lo, hi in zip(starts, starts[1:] + [n]):
-        links = (..., slice(lo, hi)) if d.ndim else (...,)
         # negating the (block, 1) column saves a pass over each survival chunk
-        neg_sq, bt = -d_sq[links][..., None], d_beta[links][..., None]
-        block = neg_sq.shape[:-1]
-        size = math.prod(block)
+        neg_sq, bt = -d_sq[lo:hi, None], d_beta[lo:hi, None]
+        size = hi - lo
         sums = [0.0] * len(weights)
         for b0 in range(0, live, _BOUNDARY_CHUNK):
             k = min(_BOUNDARY_CHUNK, m - b0)   # intervals in this chunk
             surv = np.multiply(neg_sq, c1[b0:b0 + k + 1],
-                               out=surv_buf[:size * (k + 1)].reshape(block + (k + 1,)))
+                               out=surv_buf[:size * (k + 1)].reshape(size, k + 1))
             if noisy:
                 np.subtract(surv, bt * c2[b0:b0 + k + 1], out=surv)
             np.exp(surv, out=surv)
-            mass = np.subtract(surv[..., :-1], surv[..., 1:],
-                               out=mass_buf[:size * k].reshape(block + (k,)))
+            mass = np.subtract(surv[:, :-1], surv[:, 1:],
+                               out=mass_buf[:size * k].reshape(size, k))
             sums = [s + mass @ w[b0:b0 + k] for s, w in zip(sums, weights)]
         # below m, the last weight is 0.0 and the fold adds +0.0
         for g, s, w in zip(gs, sums, weights):
-            g[links] = s + surv[..., -1] * w[-1] if live == m else s
+            g[lo:hi] = s + surv[:, -1] * w[-1] if live == m else s
     return gs
 
 
@@ -357,9 +353,9 @@ def eff_cap_user(thetas, d_m: float, lambda_rrh: float,
         raise ParameterError("distance must be non-negative")
     if lambda_rrh <= 0:
         raise ParameterError("RRH intensity must be positive")
-    gs = log_moments(d_m, [log_moment_exponent(params.spectral_efficiency, theta, params)
-                           for theta in thetas], lambda_rrh, params, quantizer)
-    return [-math.log(float(demand_moment(g))) / (theta * params.bandwidth_hz * params.slot_s)
+    gs = log_moments([d_m], [log_moment_exponent(params.spectral_efficiency, theta, params)
+                             for theta in thetas], lambda_rrh, params, quantizer)
+    return [-math.log(demand_moment(g)[0]) / (theta * params.bandwidth_hz * params.slot_s)
             for theta, g in zip(thetas, gs)]
 
 

@@ -47,7 +47,9 @@ SPLIT_ENUMERATION_CAP = 12   # largest block whose every bipartition is tried
 
 @dataclass(eq=False)
 class ClusterInstance:
-    """Everything one allocation run needs, with value caches.
+    """Everything one allocation run needs, with value caches: K tables,
+    coalition capacities and negotiated RRU blocks, so the algorithms run
+    on one instance share every game they have in common.
 
     The same cost coefficient prices both the inner and the outer game.
     ``lambda_rrh`` is the intensity used by the analytic per-link capacity;
@@ -70,6 +72,7 @@ class ClusterInstance:
     _users_by_content: list = field(init=False, repr=False)
     _k_cache: dict = field(init=False, repr=False)
     _cap_cache: dict = field(init=False, repr=False)
+    _block_cache: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.cost_coeff < 0:
@@ -88,6 +91,7 @@ class ClusterInstance:
                                   for l in range(self.catalog.count)]
         self._k_cache = {}
         self._cap_cache = {}
+        self._block_cache = {}
 
     # -- value plumbing ----------------------------------------------------
 
@@ -415,17 +419,6 @@ def _catalog_partition(instance: ClusterInstance,
     return state
 
 
-def rru_coalition_utility(coalition: Iterable[int], rrh_partition: RrhPartition,
-                          instance: ClusterInstance, rru_count: int) -> float:
-    """Utility of one RRU: clamped sum of its per-content coalition values."""
-    contents = sorted(coalition)
-    if sorted(rrh_partition.coalitions) != contents:
-        raise ParameterError("RRH partition does not match the RRU's contents")
-    total = sum(coalition_value(rrh_partition.members(c), c, instance, rru_count)
-                for c in contents)
-    return max(total, 0.0)
-
-
 @dataclass
 class AllocationStep:
     index: int
@@ -452,27 +445,28 @@ class AllocationResult:
         return len(self.rru_partition)
 
 
-class _PartitionEvaluator:
-    """Memoized welfare of RRU partitions under the nested inner game."""
+def _block(instance: ClusterInstance, contents: frozenset, rru_count: int):
+    """(psi, RRH partition) of the RRU carrying ``contents`` in a partition
+    of ``rru_count`` RRUs, negotiated once per instance.
 
-    def __init__(self, instance: ClusterInstance):
-        self.instance = instance
-        self._psi: dict = {}
+    psi is the RRU's utility: the clamped sum of its per-content coalition
+    values.  A block whose game raises is not cached.
+    """
+    key = (contents, rru_count)
+    hit = instance._block_cache.get(key)
+    if hit is None:
+        ordered = sorted(contents)
+        partition = hedonic_rrh_association(ordered, instance, rru_count)
+        total = sum(coalition_value(partition.members(c), c, instance, rru_count)
+                    for c in ordered)
+        hit = instance._block_cache[key] = (max(total, 0.0), partition)
+    return hit
 
-    def block(self, contents: frozenset, rru_count: int):
-        key = (contents, rru_count)
-        hit = self._psi.get(key)
-        if hit is None:
-            partition = hedonic_rrh_association(sorted(contents), self.instance,
-                                                rru_count=rru_count)
-            psi = rru_coalition_utility(contents, partition, self.instance, rru_count)
-            hit = (psi, partition)
-            self._psi[key] = hit
-        return hit
 
-    def welfare(self, partition: tuple) -> float:
-        n = len(partition)
-        return sum(self.block(b, n)[0] for b in partition)
+def _welfare(instance: ClusterInstance, partition: tuple) -> float:
+    """Summed RRU utility of a canonical RRU partition."""
+    n = len(partition)
+    return sum(_block(instance, b, n)[0] for b in partition)
 
 
 def _bipartitions(block: frozenset):
@@ -523,14 +517,13 @@ def nested_allocate(instance: ClusterInstance) -> AllocationResult:
     """
     t0 = time.perf_counter()
     state = _one_block_per_content(instance)
-    ev = _PartitionEvaluator(instance)
-    welfare = ev.welfare(state)
+    welfare = _welfare(instance, state)
     seen = {_signature(state)}
     steps = [AllocationStep(0, "init", _signature(state), welfare)]
 
     while True:
         for op, cand in _neighbours(state):
-            cand_w = ev.welfare(cand)
+            cand_w = _welfare(instance, cand)
             if cand_w > welfare:
                 sig = _signature(cand)
                 if sig in seen:
@@ -540,17 +533,17 @@ def nested_allocate(instance: ClusterInstance) -> AllocationResult:
                 steps.append(AllocationStep(len(steps), op, sig, welfare))
                 break
         else:
-            return _finalize("nested", instance, state, ev, steps, t0)
+            return _finalize("nested", instance, state, steps, t0)
 
 
-def _finalize(name: str, instance: ClusterInstance, state: tuple,
-              ev: _PartitionEvaluator, steps: list, t0: float) -> AllocationResult:
+def _finalize(name: str, instance: ClusterInstance, state: tuple, steps: list,
+              t0: float) -> AllocationResult:
     n = len(state)
     rrh_parts = {}
     active: set[int] = set()
     welfare = 0.0
     for block in state:
-        psi, partition = ev.block(block, n)
+        psi, partition = _block(instance, block, n)
         rrh_parts[block] = partition
         welfare += psi
         block_active, _ = prune_sleep_rrhs(partition, instance)
@@ -567,9 +560,8 @@ def evaluate_fixed_partition(name: str, instance: ClusterInstance,
     """Welfare of a hand-picked RRU partition (no outer search)."""
     t0 = time.perf_counter()
     state = _catalog_partition(instance, partition)
-    ev = _PartitionEvaluator(instance)
-    steps = [AllocationStep(0, "fixed", _signature(state), ev.welfare(state))]
-    return _finalize(name, instance, state, ev, steps, t0)
+    steps = [AllocationStep(0, "fixed", _signature(state), _welfare(instance, state))]
+    return _finalize(name, instance, state, steps, t0)
 
 
 def orthogonal_allocate(instance: ClusterInstance) -> AllocationResult:
@@ -682,6 +674,5 @@ def suboptimal_allocate(instance: ClusterInstance) -> AllocationResult:
                                   range(instance.content_count), wants)
 
     final = _canonical(blocks.coalitions.values())
-    ev = _PartitionEvaluator(instance)
-    steps.append(AllocationStep(1, "final", _signature(final), ev.welfare(final)))
-    return _finalize("suboptimal", instance, final, ev, steps, t0)
+    steps.append(AllocationStep(1, "final", _signature(final), _welfare(instance, final)))
+    return _finalize("suboptimal", instance, final, steps, t0)

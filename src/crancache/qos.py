@@ -73,11 +73,6 @@ class QosProfile:
         object.__setattr__(self, "theta_cluster", t)
         object.__setattr__(self, "theta_cloud", c)
 
-    @classmethod
-    def uniform(cls, theta_cluster: float, theta_cloud: float,
-                count: int) -> "QosProfile":
-        return cls(np.full(count, theta_cluster), np.full(count, theta_cloud))
-
     @property
     def count(self) -> int:
         return int(self.theta_cluster.size)

@@ -31,11 +31,14 @@ from crancache.effcap import (_BOUNDARY_CHUNK, LN2, Quantizer, RadioParams, _sin
 from crancache.energy import PowerModel
 from crancache.errors import ParameterError
 from crancache.games import ClusterInstance
-from crancache.geometry import (STREAM_FADING, STREAM_GAME, NetworkRealization,
-                                substream)
+from crancache.geometry import STREAM_FADING, NetworkRealization, substream
 from crancache.qos import QosProfile
 from crancache.scenario import Scenario
 from crancache.simkit import SINR_CAP
+
+# geometry's seed-derivation stream reserved for the game instances and
+# Shapley sampling below; the program draws nothing from it
+STREAM_GAME = 5
 
 
 def l_func_general(gamma: float, lambda_l: float, lambda_rrh: float,
@@ -108,9 +111,9 @@ def _distance_quad(transform, theta: float, lambda_l: float, lambda_rrh: float,
 
     def integrand(u):
         t = math.exp(u)
-        g, = log_moments(math.sqrt(t / (np.pi * lambda_l)), [a], lambda_rrh, params,
+        g, = log_moments([math.sqrt(t / (np.pi * lambda_l))], [a], lambda_rrh, params,
                          quantizer, lambda_l)
-        return t * math.exp(-t) * transform(float(g))
+        return t * math.exp(-t) * transform(float(g[0]))
 
     val, _ = integrate.quad(integrand, -30.0, 4.0, points=range(-29, 4), epsabs=0.0,
                             epsrel=1e-12, limit=400)
@@ -341,6 +344,11 @@ def shapley_by_sampling(instance, rru_count: int, permutations: int, seed: int,
     return mean, se
 
 
+def uniform_qos(theta_cluster: float, theta_cloud: float, count: int) -> QosProfile:
+    """The same cluster and cloud exponent for each of ``count`` contents."""
+    return QosProfile(np.full(count, theta_cluster), np.full(count, theta_cloud))
+
+
 def random_instance(seed: int, n_rrh: int, n_users: int, content_count: int = 5,
                     cache_size: int | None = None, radius: float = 1000.0,
                     zipf_exponent: float = 1.0, theta_cluster: float = 0.1,
@@ -377,7 +385,7 @@ def random_instance(seed: int, n_rrh: int, n_users: int, content_count: int = 5,
     k = content_count if cache_size is None else cache_size
     power = power if power is not None else PowerModel()
     cache = ClusterCache(k)
-    qos = QosProfile.uniform(theta_cluster, theta_cloud, content_count)
+    qos = uniform_qos(theta_cluster, theta_cloud, content_count)
     mu = required_spectral_efficiency(content_count, object_bits, content_count,
                                       bandwidth_hz, slot_s)
     params = RadioParams(pathloss_exponent=pathloss_exponent, noise=noise,

@@ -63,6 +63,20 @@ def test_run_analyze_is_reproducible(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_analyze_on_a_catalog_whose_hit_ratio_rounds_past_one(tmp_path, capsys):
+    # at count = 3 a popularity prefix sum of the Zipf grid reads
+    # 1.0000000000000002, which energy.power_delta used to reject (exit 2)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[content]\ncount = 3\n")
+    assert main(["--config", str(cfg), "analyze", "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    for name in ("effcap_vs_theta.csv", "cluster_vs_cache.csv"):
+        _, rows = _read_csv(tmp_path / "o" / name)
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
+    _, rows = _read_csv(tmp_path / "o" / "cluster_vs_cache.csv")
+    assert all(0.0 <= float(row[2]) <= 1.0 for row in rows)
+
+
 def test_run_validate_and_negative_control(tmp_path, monkeypatch):
     s = replace(Scenario(), mc_trials=20_000)
     assert run_validate(s, str(tmp_path / "ok")) is True

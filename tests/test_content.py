@@ -82,6 +82,17 @@ def test_hit_ratio_top_two_unit_zipf():
     assert abs(hit_ratio(ClusterCache(5), cat) - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0, 2.0])
+def test_hit_ratio_is_a_probability_for_every_catalog_size(exponent):
+    # the prefix sum rounds a few ulp past 1 at some sizes of analyze's
+    # Zipf grid (count 3 at s = 1, for one), and short of 1 at others
+    for n in range(1, 41):
+        cat = ContentCatalog.zipf(1e6, exponent, n)
+        ratios = [hit_ratio(ClusterCache(k), cat) for k in range(n + 1)]
+        assert all(0.0 <= r <= 1.0 for r in ratios)
+        assert ratios[0] == 0.0 and ratios[-1] == 1.0
+
+
 def test_hit_ratio_rejects_object_outside_catalog():
     cat = ContentCatalog.zipf(1e6, 1.0, 3)
     with pytest.raises(ParameterError):

@@ -27,7 +27,8 @@ from crancache.scenario import Scenario
 from conftest import radio
 from oracles import (distance_avg_cap_quad, equal_width_quantizer, k_table_single,
                      l_func_general, moment_avg_cap_quad, one_block_log_moment,
-                     per_content_eff_caps_one_by_one, random_instance, u_func_mpmath)
+                     per_content_eff_caps_one_by_one, random_instance, u_func_mpmath,
+                     uniform_qos)
 
 
 # -- geometry constant ------------------------------------------------------
@@ -339,11 +340,10 @@ def test_blocked_log_moments_match_one_block_oracle(noise):
     p = radio(noise=noise)
     rng = np.random.default_rng(7)
     for links in (1, 2, b - 1, b, b + 1, 2 * b + 1, 3 * b + 1):
-        d = rng.uniform(1.0, 800.0, size=(2, links))
-        for dd in (d[0], d, d[0, 0]):
-            got, = log_moments(dd, [3.0], 5e-6, p, q)
-            assert got.shape == np.shape(dd)
-            assert np.array_equal(got, one_block_log_moment(dd, 3.0, 5e-6, p, q))
+        d = rng.uniform(1.0, 800.0, size=links)
+        got, = log_moments(d, [3.0], 5e-6, p, q)
+        assert got.shape == d.shape
+        assert np.array_equal(got, one_block_log_moment(d, 3.0, 5e-6, p, q))
 
 
 _SKIP_GRID = Quantizer.geometric(1 << 16)
@@ -403,7 +403,7 @@ def test_kernel_evaluates_survival_only_up_to_the_last_nonzero_weight(monkeypatc
     chunk = _BOUNDARY_CHUNK + 1
     for a, most in ((1.44e5, 5 * chunk), (3.0, 8 * chunk)):
         lanes.clear()
-        log_moments(50.0, [a], 5e-6, radio(), _SKIP_GRID)
+        log_moments([50.0], [a], 5e-6, radio(), _SKIP_GRID)
         assert 0 < sum(lanes) <= most
     assert sum(lanes) == 8 * chunk
 
@@ -570,7 +570,7 @@ def test_unrequested_content_needs_no_holders(quick_quantizer):
     p = radio(mu=1e6)
     assert avg_eff_cap_content(0.1, 0.0, 0.0, 5e-6, p, quick_quantizer) == (0.0, 0.0)
     cat = ContentCatalog(1e6, np.array([0.5, 0.5, 0.0]))
-    fc, fl = per_content_eff_caps(cat, QosProfile.uniform(0.1, 0.6, 3),
+    fc, fl = per_content_eff_caps(cat, uniform_qos(0.1, 0.6, 3),
                                   5e-6 * cat.popularity, 5e-6, p, quick_quantizer)
     assert fc[2] == fl[2] == 0.0 and fc[0] > fl[0] > 0.0
     # a requested content still needs holders
@@ -640,7 +640,7 @@ def test_content_capacity_guards(quick_quantizer):
 
 def _cluster_pieces():
     cat = ContentCatalog.zipf(1e6, 1.0, 3)
-    qos = QosProfile.uniform(0.1, 0.6, 3)
+    qos = uniform_qos(0.1, 0.6, 3)
     split = 5e-6 * cat.popularity
     return cat, qos, split
 
@@ -680,7 +680,7 @@ def test_caching_gain_sign_and_zero(quick_quantizer):
     p_hit = hit_ratio(ClusterCache(2), cat)
     fc, fl = per_content_eff_caps(cat, qos, split, 5e-6, p, quick_quantizer)
     assert caching_gain(p_hit, fc, fl) > 0.0
-    flat = QosProfile.uniform(0.3, 0.3, 3)
+    flat = uniform_qos(0.3, 0.3, 3)
     assert caching_gain(p_hit, *per_content_eff_caps(cat, flat, split, 5e-6, p,
                                                      quick_quantizer)) == 0.0
     assert caching_gain(hit_ratio(ClusterCache(), cat), fc, fl) == 0.0
@@ -693,13 +693,13 @@ def _catalogs():
     with_zero = ContentCatalog(1e6, np.array([0.6, 0.4, 0.0]))
     return {
         # five identical contents: one integral pair serves them all
-        "zipf0": (zipf0, QosProfile.uniform(0.1, 0.6, 5), 5e-6 * zipf0.popularity),
+        "zipf0": (zipf0, uniform_qos(0.1, 0.6, 5), 5e-6 * zipf0.popularity),
         "theta-vectors": (ranked, QosProfile(np.array([0.05, 0.1, 0.2, 0.4]),
                                              np.array([0.3, 0.5, 0.7, 0.9])),
                           5e-6 * ranked.popularity),
-        "flat": (flat, QosProfile.uniform(0.3, 0.3, 3), 5e-6 * flat.popularity),
+        "flat": (flat, uniform_qos(0.3, 0.3, 3), 5e-6 * flat.popularity),
         # a zero-popularity content that still has holders
-        "zero-popularity": (with_zero, QosProfile.uniform(0.1, 0.6, 3),
+        "zero-popularity": (with_zero, uniform_qos(0.1, 0.6, 3),
                             np.full(3, 5e-6 / 3)),
     }
 
@@ -714,6 +714,26 @@ def test_per_content_caps_match_lone_integrals_bytewise(quick_quantizer, name):
         assert np.array_equal(g, w)
     if name == "zero-popularity":
         assert got[0][2] == got[1][2] == 0.0
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+@pytest.mark.parametrize("beta", [4.0, 6.0])
+def test_doubling_theta_and_halving_the_object_halves_content_caps_exactly(noise, beta):
+    # halving the object halves mu, so a = mu*theta*W*Tbar and every G keep
+    # their bytes, and -ln G/(theta*W*T) divides by a theta twice as large;
+    # every factor is a power of two, so the halving is exact
+    def caps(s):
+        cat = s.catalog()
+        return per_content_eff_caps(cat, s.qos(), s.lambda_rrh * cat.popularity,
+                                    s.lambda_rrh, s.radio(), s.quantizer())
+
+    base = Scenario(noise=noise, pathloss_exponent=beta)
+    scaled = replace(base, theta_cluster=tuple(2 * t for t in base.theta_cluster),
+                     theta_cloud=tuple(2 * t for t in base.theta_cloud),
+                     object_size_bits=base.object_size_bits / 2)
+    for want, got in zip(caps(base), caps(scaled)):
+        assert np.all(want > 0.0)
+        assert np.array_equal(got, want / 2)
 
 
 def test_per_content_caps_share_kernel_passes(quick_quantizer, monkeypatch):
@@ -735,9 +755,9 @@ def test_per_content_caps_share_kernel_passes(quick_quantizer, monkeypatch):
         assert passes(lambda: avg_eff_cap_content(theta, float(cat.popularity[0]),
                                                   float(split[0]), 5e-6, p,
                                                   quick_quantizer)) == 1
-    assert passes(lambda: per_content_eff_caps(cat, QosProfile.uniform(0.1, 0.6, 5),
+    assert passes(lambda: per_content_eff_caps(cat, uniform_qos(0.1, 0.6, 5),
                                                split, 5e-6, p, quick_quantizer)) == 1
     ranked = ContentCatalog.zipf(1e6, 1.0, 4)
-    assert passes(lambda: per_content_eff_caps(ranked, QosProfile.uniform(0.1, 0.6, 4),
+    assert passes(lambda: per_content_eff_caps(ranked, uniform_qos(0.1, 0.6, 4),
                                                5e-6 * ranked.popularity, 5e-6, p,
                                                quick_quantizer)) == 4

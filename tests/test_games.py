@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from crancache import games
+from crancache.cli import ALGORITHMS, build_instance, run_algorithm
 from crancache.errors import ConvergenceError, DomainError, ParameterError
 from crancache.geometry import NetworkRealization
+from crancache.scenario import Scenario
 from crancache.games import (AllocationResult, ClusterInstance, RrhPartition,
                              check_nash_stable, coalition_eff_cap,
                              coalition_value, evaluate_fixed_partition,
                              full_reuse_allocate, greedy_init_partition,
                              hedonic_rrh_association, nested_allocate,
                              orthogonal_allocate, prefers, prune_sleep_rrhs,
-                             rrh_payoff, rru_coalition_utility,
-                             shapley_conflict_payoff, shapley_values,
+                             rrh_payoff, shapley_conflict_payoff, shapley_values,
                              suboptimal_allocate)
 
 from oracles import random_instance, shapley_by_enumeration, shapley_by_sampling
@@ -234,32 +235,37 @@ def test_prune_keeps_every_served_user_covered(inst):
             coalition_eff_cap(members, content, inst, n)
 
 
-def test_rru_utility_forms_agree(inst):
-    # oracle: capacity and power in one expression instead of the sum of
-    # per-content coalition values
-    contents = frozenset(range(inst.content_count))
-    part = hedonic_rrh_association(sorted(contents), inst, rru_count=1)
-    served = [c for c in contents if part.members(c)]
-    cap = sum(coalition_eff_cap(part.members(c), c, inst, 1) for c in served)
+def _direct_rru_utility(part: RrhPartition, inst, rru_count: int) -> float:
+    """One RRU's utility with capacity and power in one expression, where
+    the library sums per-content coalition values."""
+    served = [c for c in part.coalitions if part.members(c)]
+    cap = sum(coalition_eff_cap(part.members(c), c, inst, rru_count) for c in served)
     n_members = sum(len(part.members(c)) for c in served)
     share = sum(inst.share_power(c) for c in served)
-    direct = max(cap - inst.cost_coeff * (n_members * inst.power.rrh_active + share), 0.0)
-    comp = rru_coalition_utility(contents, part, inst, 1)
-    assert comp > 0
-    assert comp == pytest.approx(direct, rel=1e-12)
+    return max(cap - inst.cost_coeff * (n_members * inst.power.rrh_active + share), 0.0)
 
 
-def test_rru_utility_guards(inst):
-    part = hedonic_rrh_association([0, 1], inst, rru_count=2)
-    with pytest.raises(ParameterError):
-        rru_coalition_utility(frozenset({0, 1, 2}), part, inst, 2)
+def test_rru_utility_forms_agree(inst):
+    full = full_reuse_allocate(inst)
+    contents = frozenset(range(inst.content_count))
+    part = full.rrh_partitions[contents]
+    assert part == hedonic_rrh_association(sorted(contents), inst, rru_count=1)
+    assert full.welfare > 0
+    assert full.welfare == pytest.approx(_direct_rru_utility(part, inst, 1), rel=1e-12)
+    blocks = [frozenset({0, 1}), frozenset({2, 3, 4})]
+    split = evaluate_fixed_partition("split", inst, blocks)
+    direct = sum(_direct_rru_utility(split.rrh_partitions[b], inst, 2) for b in blocks)
+    assert split.welfare == pytest.approx(direct, rel=1e-12)
 
 
 def test_rru_utility_clamps_at_zero():
     # price power high enough and no coalition is worth running
     inst = random_instance(3, 4, 6, content_count=3, cost_coeff=1e6)
-    part = hedonic_rrh_association(range(3), inst, rru_count=1)
-    assert rru_coalition_utility(frozenset(range(3)), part, inst, 1) == 0.0
+    full = full_reuse_allocate(inst)
+    part = full.rrh_partitions[frozenset(range(3))]
+    assert sum(coalition_value(part.members(c), c, inst, 1) for c in range(3)) < 0.0
+    assert full.welfare == 0.0
+    assert full.steps[0].welfare == 0.0
 
 
 def test_shapley_exact_efficiency(inst):
@@ -445,3 +451,69 @@ def test_bipartition_enumeration():
     peels = list(games._bipartitions(big))
     assert len(peels) == len(big)
     assert all(len(r) == 1 for _, r in peels)
+
+
+def _drop(kind: str, seed: int) -> ClusterInstance:
+    if kind == "default":
+        return build_instance(replace(Scenario(), seed=seed))
+    return random_instance(seed, 6, 12)
+
+
+def _outcome(res: AllocationResult) -> tuple:
+    """Everything an allocation reports, with each welfare as its repr
+    (so a -0.0 and the init step's nan compare too)."""
+    return (res.rru_partition,
+            [res.rrh_partitions[b].coalitions for b in res.rru_partition],
+            res.active, res.asleep,
+            [(s.index, s.op, s.partition, repr(s.welfare)) for s in res.steps],
+            repr(res.welfare))
+
+
+@pytest.mark.parametrize("kind, seed", [("random", s) for s in range(4)]
+                         + [("default", s) for s in range(1, 5)])
+def test_algorithms_sharing_an_instance_match_fresh_instances(kind, seed):
+    # negotiated blocks live on the instance, so the later algorithms of a
+    # sweep reuse what the earlier ones negotiated; each must still report
+    # what it reports alone, and each final partition must be worth, on a
+    # fresh instance, what the algorithm reported for it
+    shared = _drop(kind, seed)
+    for alg in ALGORITHMS:
+        res = run_algorithm(shared, alg, Scenario())
+        assert _outcome(res) == _outcome(run_algorithm(_drop(kind, seed), alg, Scenario()))
+        fixed = evaluate_fixed_partition(alg, _drop(kind, seed), res.rru_partition)
+        assert _outcome(fixed)[:4] == _outcome(res)[:4]
+        assert repr(fixed.welfare) == repr(res.welfare)
+
+
+def _count_games(monkeypatch) -> list:
+    real, calls = games.hedonic_rrh_association, []
+
+    def counted(contents, instance, rru_count):
+        calls.append((tuple(contents), rru_count))
+        return real(contents, instance, rru_count)
+
+    monkeypatch.setattr(games, "hedonic_rrh_association", counted)
+    return calls
+
+
+def test_each_block_is_negotiated_once_per_instance(monkeypatch):
+    inst = random_instance(0, 6, 12)
+    calls = _count_games(monkeypatch)
+    first = nested_allocate(inst)
+    assert calls and len(set(calls)) == len(calls)
+    calls.clear()
+    assert _outcome(nested_allocate(inst)) == _outcome(first)
+    orthogonal_allocate(inst)
+    assert calls == []
+
+
+def test_a_block_whose_game_raises_is_not_cached(monkeypatch):
+    inst = random_instance(0, 6, 12)
+    with monkeypatch.context() as patched:
+        patched.setattr(games, "MAX_SWEEPS", 0)
+        with pytest.raises(ConvergenceError):
+            full_reuse_allocate(inst)
+    calls = _count_games(monkeypatch)
+    assert _outcome(full_reuse_allocate(inst)) == \
+        _outcome(full_reuse_allocate(random_instance(0, 6, 12)))
+    assert calls == [((0, 1, 2, 3, 4), 1)] * 2

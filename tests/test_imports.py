@@ -1,9 +1,10 @@
 """Every name a module imports is used in that module, and every public
-function, class, method and property has a caller in the program.
+function, class, method, property and UPPER_CASE constant has a reader in
+the program.
 
 No linter ships with the project, so this parses each ``crancache``
 module and flags imported names that no expression of the module reads,
-and public definitions that no expression of ``src/`` reads.
+and public definitions and constants that no expression of ``src/`` reads.
 """
 
 import ast
@@ -132,13 +133,23 @@ def _loads(tree) -> list[tuple[str, ast.AST]]:
 
 
 def unreached(sources: list[str]) -> list[str]:
-    """Public top-level functions and classes no Name or Attribute load
-    reads, and public methods and properties no Attribute load reads,
-    outside their own definition, across ``sources``."""
+    """Public top-level functions, classes and UPPER_CASE constants no Name
+    or Attribute load reads, and public methods and properties no Attribute
+    load reads, outside their own definition, across ``sources``.
+
+    Reads match by name alone, so a read of any attribute of the same name
+    reaches a method: ``rng.uniform(...)`` would keep a ``uniform`` method
+    alive with no caller.  Give a method a name the program's other
+    attribute reads do not use.
+    """
     trees = [ast.parse(source) for source in sources]
     defs = []   # (qualified name, name, node, reads that count)
     for tree in trees:
         for node in tree.body:
+            if isinstance(node, ast.Assign):
+                defs += [(t.id, t.id, t, (ast.Name, ast.Attribute)) for t in node.targets
+                         if isinstance(t, ast.Name) and t.id.isupper()
+                         and not t.id.startswith("_")]
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     or node.name.startswith("_"):
                 continue
@@ -158,7 +169,11 @@ def unreached(sources: list[str]) -> list[str]:
 
 
 def test_reachability_detector_flags_unread_definitions():
-    library = ("def used(): pass\n"
+    library = ("LIMIT = 3\n"
+               "UNREAD = 4\n"
+               "_HIDDEN = 5\n"
+               "lower = 6\n"
+               "def used(): pass\n"
                "def recursive(n): return recursive(n - 1)\n"
                "def _private(): pass\n"
                "class Box:\n"
@@ -167,11 +182,12 @@ def test_reachability_detector_flags_unread_definitions():
                "    @property\n"
                "    def shadowed(self): return 0\n"
                "    def _own(self): pass\n")
-    caller = ("from lib import used, Box\n"
+    caller = ("import lib\n"
+              "from lib import used, Box\n"
               "shadowed = 1\n"
-              "print(used(), Box().read(), shadowed)\n")
+              "print(used(), Box().read(), shadowed, lib.LIMIT)\n")
     # a local variable of the same name does not reach a method
-    assert unreached([library, caller]) == ["Box.shadowed", "recursive"]
+    assert unreached([library, caller]) == ["Box.shadowed", "UNREAD", "recursive"]
 
 
 def test_every_public_definition_has_a_caller_in_src():

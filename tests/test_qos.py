@@ -8,6 +8,8 @@ from crancache.errors import (DomainError, InfeasibleBackhaulError,
 from crancache.qos import (QosProfile, min_backhaul_rate,
                            theta_cloud_from_cluster)
 
+from oracles import uniform_qos
+
 
 def test_cloud_exponent_reference_numbers():
     # 1 Mbit over 2 hops at 2.4 Mbit/s inside a 1 s budget: load 5/6,
@@ -52,7 +54,7 @@ def test_rate_and_exponent_mappings_invert(theta_t, ratio, bits, budget):
 
 
 def test_profile_construction_and_lookup():
-    q = QosProfile.uniform(0.1, 0.6, 3)
+    q = uniform_qos(0.1, 0.6, 3)
     assert q.count == 3
     assert q.theta_for(1, cached=True) == 0.1
     assert q.theta_for(1, cached=False) == 0.6
