@@ -69,6 +69,7 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
     # cluster capacity, caching gain and energy efficiency vs cache size
     zipf_grid = (0.0, 0.5, 1.0, 2.0)
     qos = scenario.qos()
+    power = scenario.power()
     rows = []
     peak_gain = 0.0
     for s in zipf_grid:
@@ -82,10 +83,9 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
             cap_total = effcap.avg_eff_cap_cluster(p_hit, from_cache, from_cloud)
             gain = effcap.caching_gain(p_hit, from_cache, from_cloud)
             peak_gain = max(peak_gain, gain)
-            delta = energy.power_delta(k, p_hit, scenario.power())
+            delta = energy.power_delta(k, p_hit, power)
             eta = energy.eta_cluster(cap_total, scenario.lambda_rrh,
-                                     scenario.cluster_radius, k, p_hit,
-                                     scenario.power())
+                                     scenario.cluster_radius, k, p_hit, power)
             rows.append((s, k, p_hit, cap_total, gain, delta, eta))
     # every row is computed before anything is written, so a failing
     # scenario leaves no output directory behind
@@ -161,8 +161,8 @@ def run_validate(scenario: Scenario, out_dir: str) -> bool:
     cluster_quant = scenario.quantizer()
     split = lam * catalog.popularity
     for l in range(catalog.count):
-        distance_avg, moment = effcap.avg_eff_cap_content(
-            float(qos.theta_cluster[l]), float(catalog.popularity[l]),
+        (distance_avg, moment), = effcap.avg_eff_cap_content(
+            (float(qos.theta_cluster[l]),), float(catalog.popularity[l]),
             float(split[l]), lam, cluster_params, cluster_quant)
         record(f"content_{l}_distance_avg_vs_moment", distance_avg, moment, 0.0, None)
 

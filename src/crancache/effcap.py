@@ -19,7 +19,7 @@ Conventions used throughout:
 * a content's capacity averages over the nearest-holder distance law on
   a fixed rule in ln t, t = pi * lambda_l * d^2 (:func:`_distance_rule`),
   so one kernel pass over its nodes serves every delay exponent and both
-  estimators (:func:`_content_caps`).
+  estimators (:func:`avg_eff_cap_content`).
 """
 
 from __future__ import annotations
@@ -376,18 +376,6 @@ def l_func_limited(gamma, q_ratio: float, beta: float):
     return float(out) if np.isscalar(gamma) else out
 
 
-def _check_content(thetas, popularity: float, lambda_l: float, lambda_rrh: float):
-    """ParameterError unless every exponent, the popularity and lambda_l are usable.
-
-    A content nobody requests (popularity 0) contributes 0 whatever its
-    holders, so only a requested one needs 0 < lambda_l <= lambda_R.
-    """
-    if any(theta <= 0 for theta in thetas) or not 0 <= popularity <= 1:
-        raise ParameterError("need theta > 0 and popularity in [0, 1]")
-    if popularity > 0 and not 0 < lambda_l <= lambda_rrh:
-        raise ParameterError("need 0 < lambda_l <= lambda_rrh for a requested content")
-
-
 def _distance_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes t and weights of a fixed rule for int_0^inf e^(-t) f(t) dt.
 
@@ -411,55 +399,47 @@ def _distance_rule() -> tuple[np.ndarray, np.ndarray]:
 _T_NODES, _T_WEIGHTS = _distance_rule()
 
 
-def _content_caps(thetas, lambda_l: float, lambda_rrh: float, params: RadioParams,
-                  quantizer: Quantizer) -> list[tuple[float, float]]:
-    """Both capacity estimators of one content, a pair per exponent.
+def avg_eff_cap_content(thetas, popularity: float, lambda_l: float,
+                        lambda_rrh: float, params: RadioParams,
+                        quantizer: Quantizer) -> list[tuple[float, float]]:
+    """Popularity-weighted mean effective capacities of one content class,
+    a (distance_avg, quantized_moment) pair per delay exponent in ``thetas``.
 
+    The user associates with the nearest RRH holding the content (intensity
+    lambda_l inside the full field lambda_R); the remaining holders closer
+    than the noise horizon contribute through the u() correction.
     t = pi*lambda_l*d^2 is Exp(1) under the nearest-holder distance law,
     and one :func:`log_moments` pass on the fixed :func:`_distance_rule`
     nodes gives G(t) at every node and exponent (each G with the bytes of
-    a lone pass).  The pair is
+    a lone pass).  Times the popularity, the pair is
 
     * distance_avg = E_t[-ln G(t)] / (theta*W*T): the per-distance capacity
-      averaged over the distance law;
+      averaged over the distance law, which every curve and game reports;
     * quantized_moment = -ln E_t[G(t)] / (theta*W*T): the capacity of the
       distance-averaged SINR law, whose survival E_t[S_t(gamma)] is the
-      nearest-holder coverage 1 - L(gamma).
+      nearest-holder coverage 1 - L(gamma); the validation command prints
+      both.
 
     The two are orders of one average, so by Jensen (-ln is convex) the
-    first is never below the second.
+    first is never below the second.  A content nobody requests
+    (popularity 0) contributes 0 whatever its holders, with no kernel
+    pass, so only a requested one needs 0 < lambda_l <= lambda_R.
     """
+    if any(theta <= 0 for theta in thetas) or not 0 <= popularity <= 1:
+        raise ParameterError("need theta > 0 and popularity in [0, 1]")
+    if popularity == 0.0:
+        return [(0.0, 0.0)] * len(thetas)
+    if not 0 < lambda_l <= lambda_rrh:
+        raise ParameterError("need 0 < lambda_l <= lambda_rrh for a requested content")
     gs = log_moments(np.sqrt(_T_NODES / (np.pi * lambda_l)),
                      [log_moment_exponent(params.spectral_efficiency, theta, params)
                       for theta in thetas], lambda_rrh, params, quantizer, lambda_l)
     caps = []
     for theta, g in zip(thetas, gs):
         denom = theta * params.bandwidth_hz * params.slot_s
-        caps.append((float(_T_WEIGHTS @ -np.log(demand_moment(g))) / denom,
-                     -math.log(float(_T_WEIGHTS @ g)) / denom))
+        caps.append((popularity * (float(_T_WEIGHTS @ -np.log(demand_moment(g))) / denom),
+                     popularity * (-math.log(float(_T_WEIGHTS @ g)) / denom)))
     return caps
-
-
-def avg_eff_cap_content(theta: float, popularity: float, lambda_l: float,
-                        lambda_rrh: float, params: RadioParams,
-                        quantizer: Quantizer) -> tuple[float, float]:
-    """Popularity-weighted mean effective capacity of one content class.
-
-    The user associates with the nearest RRH holding the content (intensity
-    lambda_l inside the full field lambda_R); the remaining holders closer
-    than the noise horizon contribute through the u() correction.
-
-    Returns (distance_avg, quantized_moment), the two estimators of
-    :func:`_content_caps` from its one kernel pass, each times the
-    popularity.  ``distance_avg`` is the capacity every other caller
-    reports; the validation command prints both.
-    """
-    _check_content((theta,), popularity, lambda_l, lambda_rrh)
-    if popularity == 0.0:
-        return 0.0, 0.0
-    (distance_avg, moment), = _content_caps((theta,), lambda_l, lambda_rrh,
-                                            params, quantizer)
-    return popularity * distance_avg, popularity * moment
 
 
 def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: float,
@@ -467,11 +447,10 @@ def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: flo
                          quantizer: Quantizer) -> tuple[np.ndarray, np.ndarray]:
     """Per-content capacity vectors at the cache exponent and the cloud exponent.
 
-    Entry l is the ``distance_avg`` of :func:`avg_eff_cap_content`, bytes
-    included.  Both exponents of a content come from one
-    :func:`_content_caps` call, so they share its one kernel pass over the
-    fixed distance nodes, and contents with the same (theta_cluster,
-    theta_cloud, lambda_l) share the call itself.
+    Entry l is the ``distance_avg`` of one :func:`avg_eff_cap_content`
+    call on the content's (theta_cluster, theta_cloud), so both exponents
+    share its one kernel pass over the fixed distance nodes.  Contents with
+    the same exponents, popularity and lambda_l share the call itself.
 
     Returns (from_cache, from_cloud); entry l already carries the P_l
     weighting.  Neither depends on what the cache actually holds, so the
@@ -484,17 +463,11 @@ def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: flo
     from_cloud = np.empty(catalog.count)
     caps = {}
     for l in range(catalog.count):
-        p_l = float(catalog.popularity[l])
-        thetas = (float(qos.theta_cluster[l]), float(qos.theta_cloud[l]))
-        lambda_l = float(split[l])
-        _check_content(thetas, p_l, lambda_l, lambda_rrh)
-        if p_l == 0.0:
-            from_cache[l] = from_cloud[l] = 0.0
-            continue
-        if (thetas, lambda_l) not in caps:
-            caps[thetas, lambda_l] = _content_caps(thetas, lambda_l, lambda_rrh,
-                                                   params, quantizer)
-        from_cache[l], from_cloud[l] = (p_l * cap for cap, _ in caps[thetas, lambda_l])
+        key = ((float(qos.theta_cluster[l]), float(qos.theta_cloud[l])),
+               float(catalog.popularity[l]), float(split[l]))
+        if key not in caps:
+            caps[key] = avg_eff_cap_content(*key, lambda_rrh, params, quantizer)
+        (from_cache[l], _), (from_cloud[l], _) = caps[key]
     return from_cache, from_cloud
 
 

@@ -21,7 +21,7 @@ from .effcap import (DEFAULT_INTERVALS, USER_GAMMA_MAX, Quantizer, RadioParams,
                      required_spectral_efficiency)
 from .energy import PowerModel
 from .errors import ParameterError
-from .geometry import DensityConfig
+from .geometry import DEFAULT_SIM_RADIUS, DensityConfig
 from .qos import QosProfile
 from .simkit import MIN_TRIALS
 
@@ -43,7 +43,7 @@ class Scenario:
     lambda_rrh: float = 5e-6
     lambda_user: float = 5e-6
     cluster_radius: float = 1000.0     # assumed default, flagged in outputs
-    sim_radius: float = 2000.0
+    sim_radius: float = DEFAULT_SIM_RADIUS
     # content
     content_count: int = 5
     object_size_bits: float = 1e6

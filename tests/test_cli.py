@@ -389,9 +389,10 @@ def test_validate_with_unrequested_contents(tmp_path):
         assert content[f"content_{l}_distance_avg_vs_moment"] == (0.0, 0.0)
 
 
-def test_validate_content_rows_cost_one_kernel_pass_each(tmp_path, monkeypatch):
-    # both estimators of a content come from one call and one pass over the
-    # distance nodes; counted, so no timing is involved
+def _count_content_integrals(monkeypatch) -> tuple[list, list]:
+    """Lists that grow by one per ``effcap.avg_eff_cap_content`` call and
+    per kernel pass over the distance nodes; counted, so no timing is
+    involved."""
     calls, passes = [], []
     real_content, real_moments = effcap.avg_eff_cap_content, effcap.log_moments
     monkeypatch.setattr(effcap, "avg_eff_cap_content",
@@ -403,9 +404,26 @@ def test_validate_content_rows_cost_one_kernel_pass_each(tmp_path, monkeypatch):
         return real_moments(d, *args, **kwargs)
 
     monkeypatch.setattr(effcap, "log_moments", counted)
+    return calls, passes
+
+
+def test_validate_content_rows_cost_one_kernel_pass_each(tmp_path, monkeypatch):
+    # both estimators of a content come from one call and one pass over the
+    # distance nodes
+    calls, passes = _count_content_integrals(monkeypatch)
     scenario = replace(Scenario(), mc_trials=20000)
     run_validate(scenario, str(tmp_path / "o"))
     assert len(calls) == len(passes) == scenario.content_count
+
+
+def test_analyze_integrals_run_inside_the_content_entry(tmp_path, monkeypatch):
+    # per_content_eff_caps reaches every integral through the module's
+    # avg_eff_cap_content, one call and one pass per distinct content:
+    # the five identical contents of Zipf 0 share one, and the five
+    # contents of each of Zipf 0.5, 1 and 2 differ in popularity
+    calls, passes = _count_content_integrals(monkeypatch)
+    run_analyze(Scenario(), str(tmp_path / "o"))
+    assert len(calls) == len(passes) == 1 + 3 * 5
 
 
 @pytest.mark.parametrize("text, code", [

@@ -555,27 +555,38 @@ def test_distance_rule_averages_the_survival_law_to_the_outage_oracle():
 # -- content-level capacity -------------------------------------------------
 
 
-def test_content_capacity_scales_with_popularity(quick_quantizer):
-    p = radio(mu=1e6)
-    full = avg_eff_cap_content(0.1, 1.0, 1e-6, 5e-6, p, quick_quantizer)
-    half = avg_eff_cap_content(0.1, 0.5, 1e-6, 5e-6, p, quick_quantizer)
-    for h, f in zip(half, full):
-        assert abs(h - 0.5 * f) < 1e-9 * f
-    assert avg_eff_cap_content(0.1, 0.0, 1e-6, 5e-6, p, quick_quantizer) == (0.0, 0.0)
+def test_content_capacity_scales_with_popularity(quick_quantizer, monkeypatch):
+    real, calls = effcap.log_moments, []
+    monkeypatch.setattr(effcap, "log_moments",
+                        lambda *args, **kwargs: calls.append(None) or real(*args, **kwargs))
+    for noise in (0.0, 0.3):
+        p = radio(noise=noise, mu=1e6)
+        (full,) = avg_eff_cap_content((0.1,), 1.0, 1e-6, 5e-6, p, quick_quantizer)
+        (half,) = avg_eff_cap_content((0.1,), 0.5, 1e-6, 5e-6, p, quick_quantizer)
+        for h, f in zip(half, full):
+            assert abs(h - 0.5 * f) < 1e-9 * f
+        # each exponent of a sequence keeps the bytes of a call of its own
+        assert avg_eff_cap_content((0.1, 0.6), 0.5, 1e-6, 5e-6, p, quick_quantizer) \
+            == [half, *avg_eff_cap_content((0.6,), 0.5, 1e-6, 5e-6, p, quick_quantizer)]
+        # popularity 0: a zero pair per exponent, with no kernel pass
+        calls.clear()
+        assert avg_eff_cap_content((0.1, 0.6), 0.0, 1e-6, 5e-6, p, quick_quantizer) \
+            == [(0.0, 0.0)] * 2
+        assert not calls
 
 
 def test_unrequested_content_needs_no_holders(quick_quantizer):
     # a content with P_l = 0 gets no share of the field (lambda_l = 0 under
     # the popularity split) and contributes 0 to both estimators
     p = radio(mu=1e6)
-    assert avg_eff_cap_content(0.1, 0.0, 0.0, 5e-6, p, quick_quantizer) == (0.0, 0.0)
+    assert avg_eff_cap_content((0.1,), 0.0, 0.0, 5e-6, p, quick_quantizer) == [(0.0, 0.0)]
     cat = ContentCatalog(1e6, np.array([0.5, 0.5, 0.0]))
     fc, fl = per_content_eff_caps(cat, uniform_qos(0.1, 0.6, 3),
                                   5e-6 * cat.popularity, 5e-6, p, quick_quantizer)
     assert fc[2] == fl[2] == 0.0 and fc[0] > fl[0] > 0.0
     # a requested content still needs holders
     with pytest.raises(ParameterError):
-        avg_eff_cap_content(0.1, 0.5, 0.0, 5e-6, p, quick_quantizer)
+        avg_eff_cap_content((0.1,), 0.5, 0.0, 5e-6, p, quick_quantizer)
 
 
 @pytest.mark.parametrize("lambda_l", [1.37e-7, 1e-6])
@@ -586,7 +597,7 @@ def test_content_capacity_resolves_mass_at_tiny_distances(quick_quantizer, lambd
     # t = pi*lambda_l*d^2 < 1e-4, far below where the mean distance sits;
     # the integral must still find it there
     p = radio(beta=8.0, noise=1.0, mu=1e6)
-    got, _ = avg_eff_cap_content(theta, 1.0, lambda_l, 5e-6, p, quick_quantizer)
+    (got, _), = avg_eff_cap_content((theta,), 1.0, lambda_l, 5e-6, p, quick_quantizer)
     want = distance_avg_cap_quad(theta, lambda_l, 5e-6, p, quick_quantizer)
     assert abs(got - want) <= 1e-9 * want
 
@@ -600,7 +611,7 @@ def test_moment_estimator_matches_adaptive_quadrature(quick_quantizer, beta, noi
     # -ln E_t[G] on the fixed distance rule against the quad oracle of
     # the same average, up to steep pathloss with a strong noise floor
     p = radio(beta=beta, noise=noise, mu=1e6)
-    _, got = avg_eff_cap_content(theta, 1.0, lambda_l, 5e-6, p, quick_quantizer)
+    (_, got), = avg_eff_cap_content((theta,), 1.0, lambda_l, 5e-6, p, quick_quantizer)
     want = moment_avg_cap_quad(theta, lambda_l, 5e-6, p, quick_quantizer)
     assert abs(got - want) <= tol * want
 
@@ -611,8 +622,8 @@ def test_content_capacity_matches_adaptive_quadrature(scenario, quick_quantizer,
     p = scenario.radio()
     for lambda_l in set((scenario.lambda_rrh * catalog.popularity).tolist()):
         for theta in (scenario.theta_cluster[0], scenario.theta_cloud[0]):
-            got, _ = avg_eff_cap_content(theta, 1.0, lambda_l, scenario.lambda_rrh, p,
-                                         quick_quantizer)
+            (got, _), = avg_eff_cap_content((theta,), 1.0, lambda_l, scenario.lambda_rrh,
+                                            p, quick_quantizer)
             want = distance_avg_cap_quad(theta, lambda_l, scenario.lambda_rrh, p,
                                          quick_quantizer)
             assert abs(got - want) <= 1e-11 * want
@@ -624,18 +635,24 @@ def test_content_capacity_estimator_ordering(quick_quantizer):
     for beta, noise in ((4.0, 0.0), (8.0, 1.0)):
         p = radio(beta=beta, noise=noise, mu=1e6)
         for theta, lam_l in ((0.1, 1e-6), (0.6, 2.5e-6), (0.05, 5e-6)):
-            da, qm = avg_eff_cap_content(theta, 1.0, lam_l, 5e-6, p, quick_quantizer)
+            (da, qm), = avg_eff_cap_content((theta,), 1.0, lam_l, 5e-6, p, quick_quantizer)
             assert da >= qm > 0.0
 
 
 def test_content_capacity_guards(quick_quantizer):
-    p = radio(mu=1e6)
-    with pytest.raises(ParameterError):
-        avg_eff_cap_content(0.0, 1.0, 1e-6, 5e-6, p, quick_quantizer)
-    with pytest.raises(ParameterError):
-        avg_eff_cap_content(0.1, 1.0, 6e-6, 5e-6, p, quick_quantizer)
-    with pytest.raises(ParameterError):
-        avg_eff_cap_content(0.1, 1.5, 1e-6, 5e-6, p, quick_quantizer)
+    for noise in (0.0, 0.3):
+        p = radio(noise=noise, mu=1e6)
+        # an exponent <= 0 anywhere in the sequence, even for an unrequested
+        # content: the exponents are checked before popularity 0 returns
+        for thetas in ((0.0,), (0.1, 0.0), (-0.1, 0.6), (0.1, 0.6, -1e-9)):
+            for popularity in (1.0, 0.0):
+                with pytest.raises(ParameterError):
+                    avg_eff_cap_content(thetas, popularity, 1e-6, 5e-6, p,
+                                        quick_quantizer)
+        with pytest.raises(ParameterError):
+            avg_eff_cap_content((0.1,), 1.0, 6e-6, 5e-6, p, quick_quantizer)
+        with pytest.raises(ParameterError):
+            avg_eff_cap_content((0.1,), 1.5, 1e-6, 5e-6, p, quick_quantizer)
 
 
 def _cluster_pieces():
@@ -651,7 +668,8 @@ def test_per_content_vectors_carry_popularity_weight(quick_quantizer):
     fc, fl = per_content_eff_caps(cat, qos, split, 5e-6, p, quick_quantizer)
     assert fc.shape == fl.shape == (3,)
     assert np.all(fc > fl)      # softer exponent from the cache side
-    bare, _ = avg_eff_cap_content(0.1, 1.0, float(split[0]), 5e-6, p, quick_quantizer)
+    (bare, _), = avg_eff_cap_content((0.1,), 1.0, float(split[0]), 5e-6, p,
+                                     quick_quantizer)
     assert abs(fc[0] - cat.popularity[0] * bare) < 1e-9 * fc[0]
 
 
@@ -751,8 +769,8 @@ def test_per_content_caps_share_kernel_passes(quick_quantizer, monkeypatch):
     p = radio(mu=1e6)
     cat = ContentCatalog.zipf(1e6, 0.0, 5)
     split = 5e-6 * cat.popularity
-    for theta in (0.1, 0.6):
-        assert passes(lambda: avg_eff_cap_content(theta, float(cat.popularity[0]),
+    for thetas in ((0.1,), (0.6,), (0.1, 0.6)):
+        assert passes(lambda: avg_eff_cap_content(thetas, float(cat.popularity[0]),
                                                   float(split[0]), 5e-6, p,
                                                   quick_quantizer)) == 1
     assert passes(lambda: per_content_eff_caps(cat, uniform_qos(0.1, 0.6, 5),
