@@ -1,13 +1,19 @@
 """Coalition formation for RRH association and RRU sharing.
 
 Both coalition games run one hedonic switch rule (Bogomolnaia & Jackson
-2002), :func:`_wants_switch`: a player moves only if its own payoff AND
-the joint value of the two coalitions it touches strictly rise.  The
+2002), :meth:`_SwitchGame.wants`: a player moves only if its own payoff
+AND the joint value of the two coalitions it touches strictly rise.  The
 summed coalition value is then a strict potential, so the sweep
 :func:`_switch_until_stable` always settles into a Nash-stable partition.
+Each game keeps the values that rule reads per coalition and refreshes
+only the two coalitions a move touches.
 
 * inner game: within one resource block (RRU), RRHs choose which of the
-  block's contents to serve (capacity minus power bill).
+  block's contents to serve (capacity minus power bill).  It reads cached
+  join and leave capacities; :func:`coalition_eff_cap`,
+  :func:`coalition_value`, :func:`rrh_payoff` and :func:`prefers` price
+  the same quantities from scratch, and :func:`check_nash_stable` checks
+  an outcome with them.
 * Shapley game, the cheap outer allocation: contents choose a block under
   Shapley-value conflict payoffs; contents whose per-RRH Shapley profiles
   differ share a block at little cost, contents that want the same RRHs
@@ -47,9 +53,9 @@ SPLIT_ENUMERATION_CAP = 12   # largest block whose every bipartition is tried
 
 @dataclass(eq=False)
 class ClusterInstance:
-    """Everything one allocation run needs, with value caches: K tables,
-    coalition capacities and negotiated RRU blocks, so the algorithms run
-    on one instance share every game they have in common.
+    """Everything one allocation run needs, with two value caches: the K
+    tables and the negotiated RRU blocks, so the algorithms run on one
+    instance share every game they have in common.
 
     The same cost coefficient prices both the inner and the outer game.
     ``lambda_rrh`` is the intensity used by the analytic per-link capacity;
@@ -71,7 +77,6 @@ class ClusterInstance:
     _dist: np.ndarray = field(init=False, repr=False)
     _users_by_content: list = field(init=False, repr=False)
     _k_cache: dict = field(init=False, repr=False)
-    _cap_cache: dict = field(init=False, repr=False)
     _block_cache: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -90,7 +95,6 @@ class ClusterInstance:
         self._users_by_content = [np.flatnonzero(r.user_content == l)
                                   for l in range(self.catalog.count)]
         self._k_cache = {}
-        self._cap_cache = {}
         self._block_cache = {}
 
     # -- value plumbing ----------------------------------------------------
@@ -179,24 +183,17 @@ def coalition_eff_cap(coalition: Iterable[int], content: int,
     contribute nothing.  Empty coalition: 0.
     """
     members = frozenset(coalition)
-    key = (content, rru_count, members)
-    cached = instance._cap_cache.get(key)
-    if cached is not None:
-        return cached
     if members and (min(members) < 0 or max(members) >= instance.n_rrh):
         raise ParameterError("coalition member outside the realization")
     if not 0 <= content < instance.content_count:
         raise ParameterError(f"content {content} outside [0, {instance.content_count})")
     users = instance.users_of(content)
     if not members or users.size == 0:
-        instance._cap_cache[key] = 0.0
         return 0.0
     k = instance._k_table(content, rru_count)
     # a row max is exact, so the member order cannot move a bit
-    value = instance.mu_for(rru_count) * float(
+    return instance.mu_for(rru_count) * float(
         k[users[:, None], list(members)].max(axis=1).sum())
-    instance._cap_cache[key] = value
-    return value
 
 
 def coalition_value(coalition: Iterable[int], content: int,
@@ -260,17 +257,12 @@ class RrhPartition:
                 return label
         raise ParameterError(f"player {player} not in any coalition")
 
-    def moved(self, player: int, target: int) -> "RrhPartition":
-        src = self.content_of(player)
-        new = dict(self.coalitions)
-        new[src] = new[src] - {player}
-        new[target] = new[target] | {player}
-        return RrhPartition(new)
-
 
 def _wants_switch(player: int, target: int, partition: RrhPartition,
                   payoff, value) -> bool:
-    """Whether ``player`` strictly gains AND lifts the joint value by moving.
+    """Whether ``player`` strictly gains AND lifts the joint value by moving,
+    priced from scratch on frozensets: the exact form of
+    :meth:`_SwitchGame.wants`.
 
     ``payoff(player, coalition, label)`` is its payoff for joining
     ``coalition``, ``value(coalition, label)`` a coalition's worth.  Any
@@ -290,25 +282,6 @@ def _wants_switch(player: int, target: int, partition: RrhPartition,
     return joint_then > joint_now
 
 
-def _switch_until_stable(partition: RrhPartition, players: Sequence[int],
-                         wants) -> RrhPartition:
-    """Sweep players in order, each moving to the first label ``wants``
-    accepts, until a sweep moves nobody (a Nash-stable partition), or
-    raise ConvergenceError after MAX_SWEEPS sweeps."""
-    labels = sorted(partition.coalitions)
-    for _ in range(MAX_SWEEPS):
-        moved = False
-        for player in players:
-            for target in labels:
-                if wants(player, target, partition):
-                    partition = partition.moved(player, target)
-                    moved = True
-                    break
-        if not moved:
-            return partition
-    raise ConvergenceError(f"no stable partition within {MAX_SWEEPS} sweeps")
-
-
 def prefers(rrh: int, target_content: int, partition: RrhPartition,
             instance: ClusterInstance, rru_count: int) -> bool:
     """Whether the RRH strictly wants to defect to the target coalition.
@@ -321,31 +294,163 @@ def prefers(rrh: int, target_content: int, partition: RrhPartition,
         lambda coalition, c: coalition_value(coalition, c, instance, rru_count))
 
 
-def greedy_init_partition(contents: Sequence[int], instance: ClusterInstance,
-                          rru_count: int) -> RrhPartition:
-    """Seed partition: RRHs in index order each join their best coalition so far.
+class _SwitchGame:
+    """A hedonic game's partition with the numbers its switch rule reads.
 
-    Ties go to the lowest content index.
+    ``label[player]`` is the player's coalition and ``members[label]`` its
+    players.  A subclass prices, from values it keeps per coalition and
+    refreshes on each move, a player's payoff for staying (``stay``) and
+    for joining ``target`` (``join``), and the joint value of the two
+    coalitions a move touches before and after it (``joint``).
     """
-    contents = sorted(contents)
-    coalitions: dict[int, frozenset] = {c: frozenset() for c in contents}
-    for rrh in range(instance.n_rrh):
-        best, best_pay = None, -math.inf
+
+    label: list
+    members: dict
+
+    def wants(self, player: int, target: int) -> bool:
+        """Whether ``player`` strictly gains AND lifts the joint value by
+        moving to ``target``.  Any tie refuses the move, which is what
+        rules out oscillation."""
+        if target == self.label[player] or self.join(player, target) <= self.stay(player):
+            return False
+        now, then = self.joint(player, target)
+        return then > now
+
+    def move(self, player: int, target: int):
+        source = self.label[player]
+        self.members[source].remove(player)
+        self.members[target].add(player)
+        self.label[player] = target
+        self.refresh(source)
+        self.refresh(target)
+
+
+def _switch_until_stable(game: _SwitchGame):
+    """Sweep players in index order, each moving to the first label (in
+    label order) it wants, until a sweep moves nobody (a Nash-stable
+    partition), or raise ConvergenceError after MAX_SWEEPS sweeps."""
+    labels = sorted(game.members)
+    players = range(len(game.label))
+    for _ in range(MAX_SWEEPS):
+        moved = False
+        for player in players:
+            for target in labels:
+                if game.wants(player, target):
+                    game.move(player, target)
+                    moved = True
+                    break
+        if not moved:
+            return
+    raise ConvergenceError(f"no stable partition within {MAX_SWEEPS} sweeps")
+
+
+class _RrhGame(_SwitchGame):
+    """RRHs choosing among the contents of one RRU, on cached capacities.
+
+    Per content it keeps the K rows of its requesters as (RRHs x
+    requesters), each requester's best and second-best member value and
+    the member holding the best, the coalition's capacity, every RRH's
+    capacity on joining it and every member's capacity on leaving it.
+    Payoffs and values are then float arithmetic in the operation order of
+    :func:`rrh_payoff` and :func:`coalition_value`, on capacities summed
+    over the same per-user maxima as :func:`coalition_eff_cap`, so every
+    comparison sees the bytes those exact functions give.
+    """
+
+    def __init__(self, contents: list, instance: ClusterInstance, rru_count: int):
+        count = instance.content_count
+        self.mu = instance.mu_for(rru_count)
+        self.c0 = instance.cost_coeff
+        self.rrh_power = instance.power.rrh_active
+        self.share, self.k = {}, {}
         for c in contents:
-            pay = rrh_payoff(rrh, coalitions[c], c, instance, rru_count)
-            if pay > best_pay:
-                best, best_pay = c, pay
-        coalitions[best] = coalitions[best] | {rrh}
-    return RrhPartition(coalitions)
+            if not 0 <= c < count:
+                raise ParameterError(f"content {c} outside [0, {count})")
+            users = instance.users_of(c)
+            self.share[c] = instance.share_power(c)
+            # a content nobody requests reads no K table: every capacity is 0
+            self.k[c] = (np.ascontiguousarray(instance._k_table(c, rru_count)[users].T)
+                         if users.size else np.empty((instance.n_rrh, 0)))
+        self.members = {c: set() for c in contents}
+        self.cap = dict.fromkeys(contents, 0.0)
+        self.join_cap, self.leave_cap = {}, {}
+        # greedy seed: RRHs in index order each join their best coalition so
+        # far, ties to the lowest content
+        best = {c: np.full(self.k[c].shape[1], -np.inf) for c in contents}
+        self.label = []
+        for rrh in range(instance.n_rrh):
+            choice, choice_pay, choice_cap = None, -math.inf, 0.0
+            for c in contents:
+                joined = self.mu * float(np.maximum(best[c], self.k[c][rrh]).sum())
+                pay = self._payoff(joined, self.cap[c], len(self.members[c]) + 1, c)
+                if pay > choice_pay:
+                    choice, choice_pay, choice_cap = c, pay, joined
+            np.maximum(best[choice], self.k[choice][rrh], out=best[choice])
+            self.cap[choice] = choice_cap
+            self.members[choice].add(rrh)
+            self.label.append(choice)
+        for c in contents:
+            self.refresh(c)
+
+    def _payoff(self, joined_cap: float, cap: float, size: int, content: int) -> float:
+        """:func:`rrh_payoff` for joining a coalition of capacity ``cap``
+        that has ``size`` members after the join."""
+        return (joined_cap - cap) - self.c0 * (self.rrh_power + self.share[content] / size)
+
+    def _value(self, cap: float, size: int, content: int) -> float:
+        """:func:`coalition_value` of ``size`` members with capacity ``cap``."""
+        if not size:
+            return 0.0
+        return cap - self.c0 * (size * self.rrh_power + self.share[content])
+
+    def refresh(self, content: int):
+        k, members = self.k[content], sorted(self.members[content])
+        if members:
+            rows = k[members]
+            top = rows.argmax(axis=0)
+            cols = np.arange(k.shape[1])
+            best = rows[top, cols]
+            rows[top, cols] = -np.inf
+            second = rows.max(axis=0)
+            holder = np.asarray(members)[top]
+            cap = self.mu * float(best.sum())
+        else:
+            best, cap = np.full(k.shape[1], -np.inf), 0.0
+        self.cap[content] = cap
+        # a row max is exact, so each sum adds the values coalition_eff_cap
+        # adds, in the same order
+        self.join_cap[content] = (self.mu * np.maximum(best, k).sum(axis=1)).tolist()
+        if len(members) > 1:
+            left = np.where(holder == np.asarray(members)[:, None], second, best)
+            self.leave_cap[content] = dict(zip(members, (self.mu * left.sum(axis=1)).tolist()))
+        else:
+            self.leave_cap[content] = dict.fromkeys(members, 0.0)
+
+    def stay(self, rrh: int) -> float:
+        c = self.label[rrh]
+        return self._payoff(self.cap[c], self.leave_cap[c][rrh], len(self.members[c]), c)
+
+    def join(self, rrh: int, target: int) -> float:
+        return self._payoff(self.join_cap[target][rrh], self.cap[target],
+                            len(self.members[target]) + 1, target)
+
+    def joint(self, rrh: int, target: int) -> tuple[float, float]:
+        c = self.label[rrh]
+        a, b = len(self.members[target]), len(self.members[c])
+        now = self._value(self.cap[target], a, target) + self._value(self.cap[c], b, c)
+        then = (self._value(self.join_cap[target][rrh], a + 1, target)
+                + self._value(self.leave_cap[c][rrh], b - 1, c))
+        return now, then
 
 
 def hedonic_rrh_association(contents: Sequence[int], instance: ClusterInstance,
                             rru_count: int) -> RrhPartition:
     """Negotiate RRH coalitions for the contents sharing one RRU.
 
-    Starts from :func:`greedy_init_partition` and sweeps RRHs in index
-    order; each moves to the first coalition (by content index) it
-    strictly prefers.  Stops at the first sweep with no move, i.e. at a
+    Starts from a greedy seed (RRHs in index order each join their best
+    coalition so far, ties to the lowest content index) and sweeps RRHs
+    in index order; each moves to the first coalition (by content index)
+    it strictly prefers.  Stops at the first sweep with no move, i.e. at a
     Nash-stable partition.  Every accepted move raises the summed
     coalition value, so with the sweep cap as a safety net the loop always
     terminates.
@@ -353,10 +458,9 @@ def hedonic_rrh_association(contents: Sequence[int], instance: ClusterInstance,
     contents = sorted(contents)
     if not contents:
         raise ParameterError("an RRU must carry at least one content")
-    # prefers is looked up at call time, so a wrapper bound on the module sees each call
-    return _switch_until_stable(
-        greedy_init_partition(contents, instance, rru_count), range(instance.n_rrh),
-        lambda rrh, target, part: prefers(rrh, target, part, instance, rru_count))
+    game = _RrhGame(contents, instance, rru_count)
+    _switch_until_stable(game)
+    return RrhPartition({c: frozenset(m) for c, m in game.members.items()})
 
 
 def check_nash_stable(partition: RrhPartition, instance: ClusterInstance,
@@ -624,28 +728,53 @@ def _acquisition_cost(contents: frozenset, instance: ClusterInstance) -> float:
                                      + fetched * power.backhaul))
 
 
-def shapley_conflict_payoff(content: int, coalition: frozenset,
-                            shapley: np.ndarray, instance: ClusterInstance) -> float:
-    """Payoff of a content for sharing an RRU with ``coalition``.
+class _ContentGame(_SwitchGame):
+    """Contents choosing an RRU under Shapley conflict payoffs, from one
+    block per content; emptied blocks stay as targets, so a content may
+    leave to go alone.
 
-    Sum over members of the L1 distance between rows of the
-    :func:`shapley_values` array ``shapley`` (dissimilar RRH preferences
-    make good roommates), minus the block's acquisition cost evaluated on
-    the post-join coalition.
+    A content's payoff for sharing a block with ``coalition`` is the sum,
+    over members in index order, of the L1 distance between their rows of
+    the :func:`shapley_values` array (dissimilar RRH preferences make good
+    roommates), minus the block's acquisition cost after the join.  A
+    block's value is the sum of its members' payoffs.  The distances are
+    taken once per game and each block's value is kept per block.
     """
-    if content in coalition:
-        raise ParameterError("payoff is defined for a joining content, not a member")
-    conflict = sum(float(np.abs(shapley[content] - shapley[other]).sum())
-                   for other in sorted(coalition))
-    return conflict - _acquisition_cost(coalition | {content}, instance)
 
+    def __init__(self, shapley: np.ndarray, instance: ClusterInstance):
+        n = len(shapley)
+        self.instance = instance
+        self.conflict = [[float(np.abs(shapley[c] - shapley[o]).sum()) for o in range(n)]
+                         for c in range(n)]
+        self.label = list(range(n))
+        self.members = {c: {c} for c in range(n)}
+        self.value = {c: self._utility(self.members[c]) for c in range(n)}
 
-def _conflict_utility(coalition: frozenset, shapley: np.ndarray,
-                      instance: ClusterInstance) -> float:
-    if not coalition:
-        return 0.0
-    return sum(shapley_conflict_payoff(c, coalition - {c}, shapley, instance)
-               for c in sorted(coalition))
+    def payoff(self, content: int, coalition: set) -> float:
+        row = self.conflict[content]
+        return (sum(row[other] for other in sorted(coalition))
+                - _acquisition_cost(coalition | {content}, self.instance))
+
+    def _utility(self, coalition: set) -> float:
+        if not coalition:
+            return 0.0
+        return sum(self.payoff(c, coalition - {c}) for c in sorted(coalition))
+
+    def refresh(self, block: int):
+        self.value[block] = self._utility(self.members[block])
+
+    def stay(self, content: int) -> float:
+        return self.payoff(content, self.members[self.label[content]] - {content})
+
+    def join(self, content: int, target: int) -> float:
+        return self.payoff(content, self.members[target])
+
+    def joint(self, content: int, target: int) -> tuple[float, float]:
+        source = self.label[content]
+        now = self.value[target] + self.value[source]
+        then = (self._utility(self.members[target] | {content})
+                + self._utility(self.members[source] - {content}))
+        return now, then
 
 
 def suboptimal_allocate(instance: ClusterInstance) -> AllocationResult:
@@ -654,25 +783,16 @@ def suboptimal_allocate(instance: ClusterInstance) -> AllocationResult:
     Starts from one block per content.  Step 1: Shapley values per
     content (at the starting RRU count's rate requirement).  Step 2:
     contents negotiate RRU membership hedonically under the conflict
-    payoff, same two-condition preference as the RRH game.  Step 3: the inner RRH game and idle pruning run once on the
-    final partition.  Reported welfare uses the same utility as the nested
-    search so results are comparable.
+    payoff, by the same switch rule and sweep as the RRH game.  Step 3:
+    the inner RRH game and idle pruning run once on the final partition.
+    Reported welfare uses the same utility as the nested search so results
+    are comparable.
     """
     t0 = time.perf_counter()
     state = _one_block_per_content(instance)
-    shapley = shapley_values(instance, rru_count=len(state))
+    game = _ContentGame(shapley_values(instance, rru_count=len(state)), instance)
     steps = [AllocationStep(0, "init", _signature(state), math.nan)]
-
-    def wants(content, block, part):
-        return _wants_switch(
-            content, block, part,
-            lambda c, coalition, _: shapley_conflict_payoff(c, coalition, shapley, instance),
-            lambda coalition, _: _conflict_utility(coalition, shapley, instance))
-
-    # emptied blocks stay as targets: a content may leave to go alone
-    blocks = _switch_until_stable(RrhPartition(dict(enumerate(state))),
-                                  range(instance.content_count), wants)
-
-    final = _canonical(blocks.coalitions.values())
+    _switch_until_stable(game)
+    final = _canonical(game.members.values())
     steps.append(AllocationStep(1, "final", _signature(final), _welfare(instance, final)))
     return _finalize("suboptimal", instance, final, steps, t0)

@@ -7,6 +7,8 @@ its fixed distance rule, an equal-width SINR
 grid where it uses a geometric one, an explicit per-RRH SINR draw where
 it samples whole interference fields, every set partition where it runs
 a local search, every coalition where it uses the Shapley closed form,
+each coalition game priced from scratch on frozensets where the library
+keeps join and leave values per coalition,
 one exponent per kernel pass where it builds a family or shares one
 pass across exponents and contents, every link in one survival block
 where it takes links a few at a time), so agreement is evidence for both.
@@ -24,13 +26,14 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
+from crancache import games
 from crancache.content import ClusterCache, ContentCatalog
 from crancache.effcap import (_BOUNDARY_CHUNK, LN2, Quantizer, RadioParams, _sinr_coeffs,
                               avg_eff_cap_content, log_moment_exponent, log_moments,
                               required_spectral_efficiency)
 from crancache.energy import PowerModel
-from crancache.errors import ParameterError
-from crancache.games import ClusterInstance
+from crancache.errors import ConvergenceError, ParameterError
+from crancache.games import ClusterInstance, RrhPartition
 from crancache.geometry import STREAM_FADING, NetworkRealization, substream
 from crancache.qos import QosProfile
 from crancache.scenario import Scenario
@@ -195,6 +198,95 @@ def enumerate_partitions(items, max_items: int = 12) -> Iterator[list[frozenset]
         blocks.pop()
 
     yield from rec(elems, [])
+
+
+def moved(partition: RrhPartition, player: int, target: int) -> RrhPartition:
+    """The partition with ``player`` moved to coalition ``target``."""
+    source = partition.content_of(player)
+    coalitions = dict(partition.coalitions)
+    coalitions[source] = coalitions[source] - {player}
+    coalitions[target] = coalitions[target] | {player}
+    return RrhPartition(coalitions)
+
+
+def switch_until_stable(partition: RrhPartition, players, wants) -> RrhPartition:
+    """The switch sweep on frozensets: players in order, each moving to the
+    first label ``wants(player, label, partition)`` accepts, until a sweep
+    moves nobody; ConvergenceError after ``games.MAX_SWEEPS`` sweeps."""
+    labels = sorted(partition.coalitions)
+    for _ in range(games.MAX_SWEEPS):
+        changed = False
+        for player in players:
+            for target in labels:
+                if wants(player, target, partition):
+                    partition = moved(partition, player, target)
+                    changed = True
+                    break
+        if not changed:
+            return partition
+    raise ConvergenceError(f"no stable partition within {games.MAX_SWEEPS} sweeps")
+
+
+def greedy_init_partition(contents, instance, rru_count: int) -> RrhPartition:
+    """Seed partition: RRHs in index order each join their best coalition
+    so far, by ``games.rrh_payoff``; ties go to the lowest content index."""
+    contents = sorted(contents)
+    coalitions = {c: frozenset() for c in contents}
+    for rrh in range(instance.n_rrh):
+        best, best_pay = None, -math.inf
+        for c in contents:
+            pay = games.rrh_payoff(rrh, coalitions[c], c, instance, rru_count)
+            if pay > best_pay:
+                best, best_pay = c, pay
+        coalitions[best] = coalitions[best] | {rrh}
+    return RrhPartition(coalitions)
+
+
+def hedonic_by_frozensets(contents, instance, rru_count: int) -> RrhPartition:
+    """The RRH game priced from scratch: the greedy seed, then the sweep
+    with ``games.prefers`` deciding every move."""
+    return switch_until_stable(
+        greedy_init_partition(contents, instance, rru_count), range(instance.n_rrh),
+        lambda rrh, target, part: games.prefers(rrh, target, part, instance, rru_count))
+
+
+def block_utility(partition: RrhPartition, instance, rru_count: int) -> float:
+    """psi of an RRU: its clamped sum of ``games.coalition_value`` per content."""
+    total = sum(games.coalition_value(partition.members(c), c, instance, rru_count)
+                for c in sorted(partition.coalitions))
+    return max(total, 0.0)
+
+
+def shapley_conflict_payoff(content: int, coalition: frozenset, shapley: np.ndarray,
+                            instance) -> float:
+    """A content's payoff for sharing an RRU with ``coalition``: the L1
+    distances between its row of ``shapley`` and each member's, summed in
+    member order, minus the acquisition cost of the block after joining."""
+    if content in coalition:
+        raise ParameterError("payoff is defined for a joining content, not a member")
+    conflict = sum(float(np.abs(shapley[content] - shapley[other]).sum())
+                   for other in sorted(coalition))
+    return conflict - games._acquisition_cost(coalition | {content}, instance)
+
+
+def conflict_utility(coalition: frozenset, shapley: np.ndarray, instance) -> float:
+    """A block's worth in the content game: its members' conflict payoffs."""
+    if not coalition:
+        return 0.0
+    return sum(shapley_conflict_payoff(c, coalition - {c}, shapley, instance)
+               for c in sorted(coalition))
+
+
+def content_game_by_frozensets(instance, shapley: np.ndarray) -> RrhPartition:
+    """The Shapley content game priced from scratch, from one block per
+    content: conflicts recomputed for every member on every evaluation."""
+    n = instance.content_count
+    return switch_until_stable(
+        RrhPartition({c: frozenset({c}) for c in range(n)}), range(n),
+        lambda content, block, part: games._wants_switch(
+            content, block, part,
+            lambda c, coalition, _: shapley_conflict_payoff(c, coalition, shapley, instance),
+            lambda coalition, _: conflict_utility(coalition, shapley, instance)))
 
 
 def k_table_single(instance, a: float) -> np.ndarray:

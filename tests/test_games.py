@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -12,13 +13,15 @@ from crancache.scenario import Scenario
 from crancache.games import (AllocationResult, ClusterInstance, RrhPartition,
                              check_nash_stable, coalition_eff_cap,
                              coalition_value, evaluate_fixed_partition,
-                             full_reuse_allocate, greedy_init_partition,
-                             hedonic_rrh_association, nested_allocate,
-                             orthogonal_allocate, prefers, prune_sleep_rrhs,
-                             rrh_payoff, shapley_conflict_payoff, shapley_values,
+                             full_reuse_allocate, hedonic_rrh_association,
+                             nested_allocate, orthogonal_allocate, prefers,
+                             prune_sleep_rrhs, rrh_payoff, shapley_values,
                              suboptimal_allocate)
 
-from oracles import random_instance, shapley_by_enumeration, shapley_by_sampling
+from oracles import (block_utility, conflict_utility, content_game_by_frozensets,
+                     greedy_init_partition, hedonic_by_frozensets, moved,
+                     random_instance, shapley_by_enumeration, shapley_by_sampling,
+                     shapley_conflict_payoff)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +70,9 @@ def test_member_range_checked_before_the_no_requester_shortcut(inst):
         coalition_eff_cap([99], 2, inst, n)
     with pytest.raises(ParameterError, match="outside the realization"):
         rrh_payoff(99, [], 2, inst, n)
-    assert (2, n, frozenset({99})) not in inst._cap_cache
+    # nothing is remembered for a refused coalition: asking again raises again
+    with pytest.raises(ParameterError, match="outside the realization"):
+        coalition_eff_cap([99], 2, inst, n)
 
 
 def test_content_outside_the_catalog_is_rejected(inst):
@@ -82,7 +87,12 @@ def test_content_outside_the_catalog_is_rejected(inst):
             rrh_payoff(0, [1], content, inst, n)
         with pytest.raises(ParameterError, match="content"):
             inst._k_table(content, n)
-        assert (content, n, frozenset({0})) not in inst._cap_cache
+        # the RRH game checks the range itself, content 2 having no requesters
+        for contents in ([content], [0, content], [2, content]):
+            with pytest.raises(ParameterError, match="content"):
+                hedonic_rrh_association(contents, inst, n)
+        with pytest.raises(ParameterError, match="content"):
+            coalition_eff_cap([0], content, inst, n)
 
 
 def test_rru_count_outside_the_catalog_is_rejected(inst):
@@ -104,12 +114,13 @@ def test_coalition_eff_cap_monotone_in_members(inst):
         assert solo <= pair <= full
 
 
-def test_coalition_eff_cap_order_insensitive_and_cached(inst):
+def test_coalition_eff_cap_order_insensitive(inst):
+    # nothing is memoized, so each order is priced afresh and none may move a bit
     n = inst.content_count
-    a = coalition_eff_cap([3, 0, 5], 1, inst, n)
-    b = coalition_eff_cap([5, 3, 0], 1, inst, n)
-    assert a == b
-    assert (1, n, frozenset({0, 3, 5})) in inst._cap_cache
+    for content in (0, 1, 4):
+        caps = {coalition_eff_cap(order, content, inst, n).hex()
+                for order in itertools.permutations([3, 0, 5])}
+        assert len(caps) == 1
 
 
 def test_coalition_value_decomposition(inst):
@@ -140,9 +151,9 @@ def test_rrh_partition_plumbing():
     part = RrhPartition({0: frozenset({1, 2}), 1: frozenset({0})})
     assert part.members(0) == frozenset({1, 2})
     assert part.content_of(0) == 1
-    moved = part.moved(2, 1)
-    assert moved.members(0) == frozenset({1})
-    assert moved.members(1) == frozenset({0, 2})
+    after = moved(part, 2, 1)
+    assert after.members(0) == frozenset({1})
+    assert after.members(1) == frozenset({0, 2})
     assert part.members(1) == frozenset({0})   # original untouched
     with pytest.raises(ParameterError):
         RrhPartition({0: frozenset({1}), 1: frozenset({1})})
@@ -163,6 +174,9 @@ def test_greedy_init_covers_all_rrhs(inst):
     assert sorted(part.coalitions) == list(range(n))
     placed = sorted(r for m in part.coalitions.values() for r in m)
     assert placed == list(range(inst.n_rrh))
+    # the game's own seed, on cached capacities, is the same partition
+    seed = games._RrhGame(list(range(n)), inst, n)
+    assert RrhPartition({c: frozenset(m) for c, m in seed.members.items()}) == part
 
 
 def test_manual_negotiation_is_a_potential_climb(inst):
@@ -177,16 +191,16 @@ def test_manual_negotiation_is_a_potential_climb(inst):
 
     part = greedy_init_partition(contents, inst, n)
     for _ in range(200):
-        moved = False
+        changed = False
         for rrh in range(inst.n_rrh):
             for target in contents:
                 if prefers(rrh, target, part, inst, n):
                     before = total_value(part)
-                    part = part.moved(rrh, target)
+                    part = moved(part, rrh, target)
                     assert total_value(part) > before
-                    moved = True
+                    changed = True
                     break
-        if not moved:
+        if not changed:
             break
     assert part == hedonic_rrh_association(contents, inst, n)
 
@@ -199,6 +213,86 @@ def test_hedonic_outcome_is_nash_stable():
         assert stable and witness is None
         placed = sorted(r for m in part.coalitions.values() for r in m)
         assert placed == list(range(5))
+
+
+# name -> (instance builder, whether some block's sweep must move an RRH)
+HEDONIC_CASES = {
+    "random-3-12-40": (lambda: random_instance(3, 12, 40), True),
+    "random-4-20-60": (lambda: random_instance(4, 20, 60), True),
+    "random-5-3-9": (lambda: random_instance(5, 3, 9), True),
+    "default-drop": (lambda: build_instance(replace(Scenario(), seed=2)), True),
+    "twin-rrhs": (lambda: _with_twins(random_instance(3, 12, 40), (0, 1), (4, 5), (4, 9)),
+                  True),
+    "content-nobody-requests": (lambda: random_instance(42, 6, 12), True),
+    # three unrequested contents of equal power: the greedy seed ties exactly
+    "contents-nobody-requests": (lambda: random_instance(1, 8, 2), True),
+    "one-rrh": (lambda: random_instance(6, 1, 8), False),
+    "free-power": (lambda: random_instance(3, 12, 40, cost_coeff=0.0), True),
+    "no-join-pays": (lambda: random_instance(3, 12, 40, cost_coeff=1e6), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEDONIC_CASES))
+def test_hedonic_matches_the_frozenset_oracle(case):
+    # the game on cached join/leave capacities must settle, move by move,
+    # where the sweep priced from scratch by prefers settles, and its
+    # block utility must carry the same bytes
+    build, must_move = HEDONIC_CASES[case]
+    probe = build()
+    n = probe.content_count
+    if case == "content-nobody-requests":
+        assert probe.users_of(2).size == 0
+    blocks = [(tuple(range(n)), 1), (tuple(range(n)), n), ((0, 2, 4), 2), ((1, 3), 2)]
+    any_moved = False
+    for contents, rru_count in blocks:
+        expect = hedonic_by_frozensets(contents, probe, rru_count)
+        any_moved |= expect != greedy_init_partition(contents, probe, rru_count)
+        assert hedonic_rrh_association(contents, probe, rru_count) == expect
+        psi, part = games._block(build(), frozenset(contents), rru_count)
+        assert part == expect
+        assert psi.hex() == block_utility(expect, probe, rru_count).hex()
+    assert any_moved == must_move
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_content_game_matches_the_frozenset_oracle(seed):
+    # conflicts taken once and block values kept per block must settle where
+    # the sweep that recomputes every conflict on every evaluation settles
+    inst = random_instance(seed, 6 + seed, 12 + 4 * seed, content_count=3 + seed % 4,
+                           cost_coeff=[1e-3, 0.0, 1e-2][seed % 3])
+    shapley = shapley_values(inst, inst.content_count)
+    game = games._ContentGame(shapley, inst)
+    games._switch_until_stable(game)
+    expect = content_game_by_frozensets(inst, shapley)
+    assert {b: frozenset(m) for b, m in game.members.items()} == expect.coalitions
+    for block, members in expect.coalitions.items():
+        assert game.value[block].hex() == conflict_utility(members, shapley, inst).hex()
+    for content in range(inst.content_count):
+        others = [c for c in range(inst.content_count) if c != content]
+        for size in range(len(others) + 1):
+            for coalition in itertools.combinations(others, size):
+                assert game.payoff(content, set(coalition)).hex() == shapley_conflict_payoff(
+                    content, frozenset(coalition), shapley, inst).hex()
+    assert suboptimal_allocate(inst).rru_partition == games._canonical(
+        expect.coalitions.values())
+
+
+def test_hedonic_game_never_prices_from_scratch(monkeypatch):
+    # the sweep reads cached capacities; the exact pricers stay the checker
+    calls = []
+    for name in ("coalition_eff_cap", "coalition_value", "rrh_payoff", "prefers"):
+        real = getattr(games, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(games, name, counted)
+    inst = random_instance(3, 12, 40)
+    n = inst.content_count
+    for rru_count in (1, n):
+        hedonic_rrh_association(range(n), inst, rru_count)
+    assert calls == []
 
 
 def test_hedonic_guards(inst, monkeypatch):
@@ -280,19 +374,24 @@ def test_shapley_exact_efficiency(inst):
             assert values[content].sum() == pytest.approx(grand, rel=1e-12)
 
 
-def test_shapley_exact_symmetry_for_twin_rrhs():
-    # two RRHs at identical positions are interchangeable, so their
-    # Shapley values must match exactly on every content
-    base = random_instance(15, 4, 10, content_count=3)
+def _with_twins(base: ClusterInstance, *pairs) -> ClusterInstance:
+    """``base`` with RRH ``b`` moved onto RRH ``a`` for each (a, b)."""
     r = base.realization
     rrh_xy = r.rrh_xy.copy()
-    rrh_xy[1] = rrh_xy[0]
-    twin = ClusterInstance(
+    for a, b in pairs:
+        rrh_xy[b] = rrh_xy[a]
+    return ClusterInstance(
         realization=NetworkRealization(r.cluster_radius, rrh_xy, r.user_xy,
                                        r.user_content, r.seed),
         catalog=base.catalog, cache=base.cache, qos=base.qos, params=base.params,
         power=base.power, lambda_rrh=base.lambda_rrh, quantizer=base.quantizer,
         cost_coeff=base.cost_coeff)
+
+
+def test_shapley_exact_symmetry_for_twin_rrhs():
+    # two RRHs at identical positions are interchangeable, so their
+    # Shapley values must match exactly on every content
+    twin = _with_twins(random_instance(15, 4, 10, content_count=3), (0, 1))
     values = shapley_values(twin, twin.content_count)
     assert np.array_equal(values[:, 0], values[:, 1])
 
@@ -346,6 +445,9 @@ def test_conflict_payoff_hand_check(inst):
     assert got == pytest.approx(7.0 - cost, rel=1e-15)
     with pytest.raises(ParameterError):
         shapley_conflict_payoff(1, frozenset({1, 2}), values, inst)
+    # the content game prices the same join from its distances, taken once
+    game = games._ContentGame(values, inst)
+    assert game.payoff(0, {1, 2}).hex() == got.hex()
 
 
 def test_nested_welfare_climbs_without_repeats(inst):
@@ -403,7 +505,7 @@ def test_suboptimal_outcome_admits_no_content_switch():
             return shapley_conflict_payoff(content, coalition, shapley, inst)
 
         def value(coalition, _block):
-            return games._conflict_utility(coalition, shapley, inst)
+            return conflict_utility(coalition, shapley, inst)
 
         for content in range(n):
             for target in range(n):
