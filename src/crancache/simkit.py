@@ -6,6 +6,7 @@ fresh interference fields per trial and exact SINR (no quantization).
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,9 +23,14 @@ SINR_CAP = 1e12
 MIN_TRIALS = 100
 
 # Bound on a batch's expected links, trials * (lambda_R*pi*sim_radius^2 + 1):
-# every trial's interferers plus its serving link, each an array entry.
+# every trial's interferers plus its serving link, each one random draw.
+# The batch streams in chunks, so this bounds its time, not its memory:
 # 2^26 is 10x the default load and holds 10^6 trials at default density.
 MAX_DRAWS = 1 << 26
+
+# Interferer draws per chunk of the trial walk: each of a chunk's radius,
+# fading and term arrays is ~1 MiB, at any density (~2,000 default trials).
+CHUNK_DRAWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,15 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
     (counts, interferer radii, interferer fading, serving fading) so a
     given generator state always yields the same sample.  A batch whose
     expected links exceed MAX_DRAWS raises ParameterError before any draw.
+
+    The trials are walked in chunks of about CHUNK_DRAWS interferers, so
+    memory stays bounded at any trial count and density.  The radii come
+    from a copy of the generator taken after the counts, and the
+    interferer fading from the original advanced past them: a PCG64
+    generator (as ``substream`` gives) spends one output per double, so
+    every draw keeps its stream position and the sample is the one a
+    single pass over all interferers draws.  Advancing drops a pending
+    32-bit half-output; nothing here draws 32-bit values.
     """
     if d_m <= 0:
         raise ParameterError("serving distance must be positive")
@@ -59,20 +74,30 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
                              "or sim_radius")
     beta = params.pathloss_exponent
     counts = rng.poisson(lambda_rrh * np.pi * sim_radius ** 2, size=trials)
-    total = int(counts.sum())
-    radii = sim_radius * np.sqrt(rng.uniform(size=total))
-    h_int = rng.standard_exponential(total)
-    h_srv = rng.standard_exponential(trials)
-
-    # per-trial segment sums; a running cumsum-and-difference is unusable here
-    # because terms span ~beta*13 orders of magnitude and small trials cancel
-    terms = radii ** (-beta) * h_int
     ends = np.cumsum(counts)
     starts = ends - counts
+    total = int(ends[-1])
+    radius_rng = copy.deepcopy(rng)
+    rng.bit_generator.advance(total)
+
+    # chunk edges fall after the last trial that ends within each multiple
+    # of CHUNK_DRAWS, so a chunk draws at most CHUNK_DRAWS past its first
+    # trial's draws.  Each non-empty trial sums its own segment: terms span
+    # ~beta*13 orders of magnitude, so a running cumsum-and-difference
+    # would cancel them.
+    edges = np.searchsorted(ends, np.arange(CHUNK_DRAWS, total, CHUNK_DRAWS),
+                            side="right")
     interference = np.zeros(trials)
-    if total:
-        seg = np.add.reduceat(terms, np.minimum(starts, total - 1))
-        interference = np.where(counts > 0, seg, 0.0)
+    for lo, hi in zip([0, *edges], [*edges, trials]):
+        busy = lo + np.flatnonzero(counts[lo:hi])
+        if busy.size == 0:
+            continue
+        first = starts[busy[0]]
+        size = int(ends[busy[-1]] - first)
+        radii = sim_radius * np.sqrt(radius_rng.uniform(size=size))
+        terms = radii ** (-beta) * rng.standard_exponential(size)
+        interference[busy] = np.add.reduceat(terms, starts[busy] - first)
+    h_srv = rng.standard_exponential(trials)
 
     signal = d_m ** (-beta) * h_srv
     denom = interference + params.noise

@@ -5,19 +5,24 @@ library gets another way (40-digit mpmath where the library sums a
 double-precision series, adaptive quadrature where the library uses
 its fixed distance rule, an equal-width SINR
 grid where it uses a geometric one, an explicit per-RRH SINR draw where
-it samples whole interference fields, every set partition where it runs
-a local search, every coalition where it uses the Shapley closed form,
-each coalition game priced from scratch on frozensets where the library
-keeps join and leave values per coalition,
-one exponent per kernel pass where it builds a family or shares one
-pass across exponents and contents, every link in one survival block
-where it takes links a few at a time), so agreement is evidence for both.
-``shapley_by_sampling`` is the Monte Carlo estimate of the Shapley
-values over random join orders, with per-entry standard errors, for RRH
-counts beyond the reach of enumeration.  ``random_instance`` builds the
-small game instances the game tests and criteria 7-9 run on.
+it samples whole interference fields, every interferer of a Monte Carlo
+batch in one pass where the library walks the batch in chunks, every set
+partition and every RRH assignment where it runs a local search, every
+coalition where it uses the Shapley closed form, each coalition game
+priced from scratch on frozensets where the library keeps join and leave
+values per coalition, one exponent per kernel pass where it builds a
+family or shares one pass across exponents and contents, every link in
+one survival block where it takes links a few at a time), so agreement
+is evidence for both.  ``shapley_by_sampling`` is the Monte Carlo
+estimate of the Shapley values over random join orders, with per-entry
+standard errors, for RRH counts beyond the reach of enumeration.
+``joint_optimum`` is the best welfare any allocation of a small drop
+reaches, the yardstick the algorithms are measured against.
+``random_instance`` builds the small game instances the game tests and
+criteria 7-9 run on.
 """
 
+import itertools
 import math
 import warnings
 from typing import Iterator
@@ -171,6 +176,42 @@ def simulate_sinr(realization: NetworkRealization, user_index: int,
     return float(min(signal / denom, SINR_CAP))
 
 
+def sample_sinr_batch_in_one_pass(d_m: float, lambda_rrh: float, params: RadioParams,
+                                  trials: int, rng: np.random.Generator,
+                                  sim_radius: float) -> np.ndarray:
+    """``simkit.sample_sinr_batch`` drawing every interferer of the batch
+    at once: counts, then all radii, all interferer fading and the serving
+    fading in stream order, one array entry per interferer.
+
+    The streamed sampler must match it bit for bit, and leave the
+    generator in the same state.  Each non-empty trial's terms are summed
+    over its own segment, so empty trials at the end of the batch take no
+    term from the trial before them.
+    """
+    beta = params.pathloss_exponent
+    counts = rng.poisson(lambda_rrh * np.pi * sim_radius ** 2, size=trials)
+    total = int(counts.sum())
+    radii = sim_radius * np.sqrt(rng.uniform(size=total))
+    h_int = rng.standard_exponential(total)
+    h_srv = rng.standard_exponential(trials)
+
+    terms = radii ** (-beta) * h_int
+    starts = np.cumsum(counts) - counts
+    busy = counts > 0
+    interference = np.zeros(trials)
+    if total:
+        interference[busy] = np.add.reduceat(terms, starts[busy])
+
+    signal = d_m ** (-beta) * h_srv
+    denom = interference + params.noise
+    with np.errstate(divide="ignore"):
+        sinr = np.where(denom > 0.0, signal / np.maximum(denom, 1e-300), np.inf)
+    if np.any(denom == 0.0):
+        warnings.warn("trial with empty interference field and zero noise; "
+                      f"SINR capped at {SINR_CAP:g}", stacklevel=2)
+    return np.minimum(sinr, SINR_CAP)
+
+
 def enumerate_partitions(items, max_items: int = 12) -> Iterator[list[frozenset]]:
     """All set partitions of ``items``, in a deterministic order.
 
@@ -198,6 +239,41 @@ def enumerate_partitions(items, max_items: int = 12) -> Iterator[list[frozenset]
         blocks.pop()
 
     yield from rec(elems, [])
+
+
+def joint_optimum(instance) -> float:
+    """Largest welfare any allocation reaches: the best, over every RRU
+    partition of the contents, of the summed block utilities, each block
+    maximized over every assignment of the RRHs to its contents.
+
+    A block is priced as the library prices it: ``games.coalition_value``
+    per content at the partition's RRU count, summed and clamped at 0.
+    Each block tables its contents' values over every RRH subset, so a
+    block of k contents costs k^R lookups; the size is capped at 4 contents and 7
+    RRHs (4^7 = 16,384 assignments per block).
+    """
+    n, r = instance.content_count, instance.n_rrh
+    if n > 4 or r > 7:
+        raise ParameterError(f"joint optimum capped at 4 contents and 7 RRHs, "
+                             f"got {n} and {r}")
+    bits = 1 << np.arange(r)
+    best = -math.inf
+    for partition in enumerate_partitions(range(n)):
+        m = len(partition)
+        welfare = 0.0
+        for block in partition:
+            contents = sorted(block)
+            choice = np.array(list(itertools.product(range(len(contents)), repeat=r)))
+            total = np.zeros(len(choice))
+            for i, c in enumerate(contents):
+                table = np.array([
+                    games.coalition_value([j for j in range(r) if mask >> j & 1], c,
+                                          instance, m)
+                    for mask in range(1 << r)])
+                total += table[(choice == i) @ bits]
+            welfare += max(float(total.max()), 0.0)
+        best = max(best, welfare)
+    return best
 
 
 def moved(partition: RrhPartition, player: int, target: int) -> RrhPartition:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,11 +9,12 @@ from scipy import stats
 
 from crancache.effcap import RadioParams, a_beta, log_moment_exponent
 from crancache.errors import ParameterError
-from crancache.geometry import (STREAM_FADING, NetworkRealization, substream)
+from crancache.geometry import (DEFAULT_SIM_RADIUS, STREAM_FADING, NetworkRealization,
+                                substream)
 from crancache import simkit
 from crancache.simkit import MIN_TRIALS, SINR_CAP, mc_eff_cap, sample_sinr_batch
 
-from oracles import enumerate_partitions, simulate_sinr
+from oracles import enumerate_partitions, sample_sinr_batch_in_one_pass, simulate_sinr
 
 
 def _params(beta=4.0, noise=0.0, mu=1.0):
@@ -66,6 +69,84 @@ def test_default_draw_bound_admits_a_million_default_trials():
 
     assert links(1_000_000, 5e-6) < simkit.MAX_DRAWS
     assert links(100_000, 1e-2) > simkit.MAX_DRAWS
+
+
+# (trials, lambda_rrh, beta, noise, CHUNK_DRAWS or None for the module's,
+# chunks the seed-1 batch walks)
+STREAMED_CASES = {
+    "one-default-chunk": (2000, 5e-6, 4.0, 0.0, None, 1),
+    "just-past-one-chunk": (2200, 5e-6, 4.0, 0.0, None, 2),
+    "default-chunks-noisy": (8193, 5e-6, 4.0, 0.3, None, 4),
+    "many-small-chunks": (3000, 5e-6, 4.0, 0.3, 1000, 189),
+    "trials-over-the-budget": (500, 5e-6, 4.0, 0.0, 50, 634),
+    "beta-3": (4000, 5e-6, 3.0, 0.3, 4096, 62),
+    "beta-6": (4000, 5e-6, 6.0, 0.0, 4096, 62),
+    "ten-times-density": (1000, 5e-5, 4.0, 0.0, None, 5),
+    # ~0.25 interferers a trial: 76% of trials and 61 chunks draw nothing
+    "sparse": (2000, 2e-8, 4.0, 0.0, 1, 532),
+    "sparse-noisy": (2000, 2e-8, 4.0, 0.3, 1, 532),
+    "no-interferer-at-all": (50, 1e-12, 4.0, 0.0, None, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAMED_CASES))
+def test_streamed_batch_matches_the_one_pass_oracle(case, monkeypatch):
+    # the chunked walk must return the one-pass sample bit for bit, leave
+    # the generator where one pass leaves it, and warn as one pass warns
+    trials, lam, beta, noise, chunk, chunks = STREAMED_CASES[case]
+    if chunk is not None:
+        monkeypatch.setattr(simkit, "CHUNK_DRAWS", chunk)
+    counts = substream(1, STREAM_FADING).poisson(lam * math.pi * DEFAULT_SIM_RADIUS ** 2,
+                                                 size=trials)
+    assert len(range(simkit.CHUNK_DRAWS, int(counts.sum()), simkit.CHUNK_DRAWS)) + 1 == chunks
+    p = _params(beta=beta, noise=noise)
+    results = []
+    for sampler in (sample_sinr_batch, sample_sinr_batch_in_one_pass):
+        rng = substream(1, STREAM_FADING)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sinr = sampler(50.0, lam, p, trials, rng, DEFAULT_SIM_RADIUS)
+        results.append((sinr, rng.bit_generator.state, [str(w.message) for w in caught]))
+    (got, got_state, got_warned), (expect, expect_state, expect_warned) = results
+    assert np.array_equal(got, expect)
+    assert got_state == expect_state
+    assert got_warned == expect_warned
+    assert bool(got_warned) == (noise == 0.0 and not counts.all())
+    if case == "no-interferer-at-all":
+        assert np.all(got == SINR_CAP)
+
+
+def test_sample_batch_keeps_every_interferer_of_the_trial_before_empty_ones():
+    # replay the draw protocol by hand and sum each trial's terms on its
+    # own: a batch whose last trials draw no interferer must still count
+    # the last interferer of the trial before them
+    p = _params(noise=0.0)
+    trials, lam = 200, 1e-7
+    rng = substream(16, STREAM_FADING)
+    counts = rng.poisson(lam * math.pi * DEFAULT_SIM_RADIUS ** 2, size=trials)
+    assert list(counts[-3:]) == [2, 5, 0]
+    total = int(counts.sum())
+    radii = DEFAULT_SIM_RADIUS * np.sqrt(rng.uniform(size=total))
+    terms = radii ** -4.0 * rng.standard_exponential(total)
+    signal = 50.0 ** -4.0 * rng.standard_exponential(trials)
+    ends = np.cumsum(counts)
+    expect = [min(s / math.fsum(terms[e - c:e]), SINR_CAP) if c else SINR_CAP
+              for s, c, e in zip(signal, counts, ends)]
+    with pytest.warns(UserWarning, match="capped"):
+        got = sample_sinr_batch(50.0, lam, p, trials, substream(16, STREAM_FADING))
+    assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def test_default_batch_holds_a_bounded_share_of_its_draws():
+    # numpy reports its buffers to tracemalloc, so the peak is exact: one
+    # default batch draws ~6.3e6 interferers, ~50 MB per array if held at once
+    tracemalloc.start()
+    try:
+        sample_sinr_batch(50.0, 5e-6, _params(), 100_000, substream(1, STREAM_FADING))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_sample_batch_noise_only_is_exponential():
