@@ -57,7 +57,8 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
     user_quant = scenario.user_quantizer()
 
     # per-user effective capacity across delay exponents and pathloss slopes
-    # one kernel pass per slope serves all 25 exponents
+    # one kernel pass per slope serves all 25 exponents, whose weights the
+    # per-user grid keeps for the next slope
     thetas = np.geomspace(1e-3, 1.0, 25).tolist()
     betas = (4.0, 6.0, 8.0)
     columns = [effcap.eff_cap_user(thetas, scenario.user_distance, scenario.lambda_rrh,
@@ -65,6 +66,7 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
                                    user_quant)
                for beta in betas]
     user_rows = list(zip(thetas, *columns))
+    del user_quant   # its kept weights are of no use to the cluster curves
 
     # cluster capacity, caching gain and energy efficiency vs cache size
     zipf_grid = (0.0, 0.5, 1.0, 2.0)
@@ -147,10 +149,10 @@ def run_validate(scenario: Scenario, out_dir: str) -> bool:
         record(f"eff_cap_theta_{label}", ana, mc.value, mc.std_error,
                abs(ana - mc.value) <= tol)
 
-    ergodic = params.spectral_efficiency * float(np.mean(np.log2(1 + sinr)))
+    log2_sinr = np.log2(1 + sinr)
+    ergodic = params.spectral_efficiency * float(np.mean(log2_sinr))
     record("ergodic_limit", ana0, ergodic,
-           params.spectral_efficiency * float(np.std(np.log2(1 + sinr)))
-           / math.sqrt(trials),
+           params.spectral_efficiency * float(np.std(log2_sinr)) / math.sqrt(trials),
            abs(ana0 - ergodic) <= 0.01 * ergodic)
 
     # both per-content estimators, side by side (informational);
@@ -176,7 +178,10 @@ def run_validate(scenario: Scenario, out_dir: str) -> bool:
 # -- allocate ---------------------------------------------------------------
 
 
-def build_instance(scenario: Scenario) -> games.ClusterInstance:
+def build_instance(scenario: Scenario,
+                   quantizer: effcap.Quantizer | None = None) -> games.ClusterInstance:
+    """The drop of ``scenario``'s seed as an allocation instance, on
+    ``quantizer`` if given (a grid of the scenario's) or a fresh grid."""
     realization = sample_network(scenario.density(), scenario.cluster_radius,
                                  scenario.seed)
     if realization.n_rrh == 0 or realization.n_user == 0:
@@ -186,7 +191,8 @@ def build_instance(scenario: Scenario) -> games.ClusterInstance:
         realization=realization, catalog=scenario.catalog(),
         cache=scenario.cache(), qos=scenario.qos(), params=scenario.radio(),
         power=scenario.power(), lambda_rrh=scenario.lambda_rrh,
-        quantizer=scenario.quantizer(), cost_coeff=scenario.cost_coeff)
+        quantizer=scenario.quantizer() if quantizer is None else quantizer,
+        cost_coeff=scenario.cost_coeff)
 
 
 def run_algorithm(instance: games.ClusterInstance, algorithm: str,
@@ -277,8 +283,10 @@ def run_sweep(scenario: Scenario, out_dir: str, instances: int,
     per-seed welfare differences are directly meaningful.  The algorithms
     share one instance per drop, with the blocks each negotiates, so a
     per-algorithm ``mean_runtime`` counts only the work it adds there.
-    Empty drops are skipped for every algorithm alike; any other error
-    ends the sweep.
+    Every drop runs on one SINR grid, so the kernel's set-up on it (the
+    moment weights of the K-table exponents, the powers of the
+    boundaries) is built once per sweep.  Empty drops are skipped for
+    every algorithm alike; any other error ends the sweep.
     """
     if instances < 1:
         raise ParameterError("need at least one instance")
@@ -292,11 +300,12 @@ def run_sweep(scenario: Scenario, out_dir: str, instances: int,
     rows = []
     welfare: dict[str, list[float]] = {alg: [] for alg in algorithms}
     runtime: dict[str, list[float]] = {alg: [] for alg in algorithms}
+    quant = scenario.quantizer()
     for i in range(instances):
         seed = scenario.seed + i
         sc = replace(scenario, seed=seed)
         try:
-            instance = build_instance(sc)
+            instance = build_instance(sc, quant)
         except CoverageError:
             continue
         for alg in algorithms:

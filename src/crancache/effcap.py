@@ -25,7 +25,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -181,25 +181,66 @@ class Quantizer:
 
     ``boundaries`` has n+1 entries, starts at exactly 0 and increases
     strictly; interval n is [boundaries[n], boundaries[n+1]) with typical
-    value at the arithmetic midpoint.
+    value at the arithmetic midpoint.  The grid holds a read-only copy of
+    the boundaries, so a caller mutating its own array moves nothing here.
+
+    A grid also keeps the kernel's set-up on it, each part built on first
+    use and then held, read-only, for as long as the grid lives: ln(1 +
+    midpoint), per log-moment exponent a the weights (1 + midpoint)^(-a)
+    and their live limit, and per pathloss exponent beta the powers
+    gamma^(2/beta) and u(gamma).  Each depends on the grid and one scalar
+    only, so a kept part has the bits of a fresh one.
     """
 
     boundaries: np.ndarray
+    _kept: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=float)
+        b = np.array(self.boundaries, dtype=float)
         if b.ndim != 1 or b.size < 2:
             raise ParameterError("need at least one interval")
         if b[0] != 0.0:
             raise ParameterError("first boundary must be exactly 0")
         if np.any(np.diff(b) <= 0):
             raise ParameterError("boundaries must increase strictly")
+        b.setflags(write=False)
         object.__setattr__(self, "boundaries", b)
+        object.__setattr__(self, "_kept", {})
 
     @property
     def midpoints(self) -> np.ndarray:
         b = self.boundaries
         return 0.5 * (b[:-1] + b[1:])
+
+    def _keep(self, key, make):
+        """``make()`` on the first request for ``key``, the kept value after."""
+        if key not in self._kept:
+            value = make()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            self._kept[key] = value
+        return self._kept[key]
+
+    def _weights(self, a: float) -> np.ndarray:
+        """Moment weights (1 + midpoint)^(-a), one per interval."""
+        return self._keep(("weights", a), lambda: np.exp(
+            -a * self._keep("log_mid", lambda: np.log1p(self.midpoints))))
+
+    def _live(self, a: float) -> int:
+        """1 + the last interval whose weight at ``a`` is nonzero (0 if none)."""
+        def last_nonzero():
+            # read off the weights themselves, so no monotonicity of exp is assumed
+            nonzero = np.flatnonzero(self._weights(a))
+            return int(nonzero[-1]) + 1 if nonzero.size else 0
+        return self._keep(("live", a), last_nonzero)
+
+    def _power(self, beta: float) -> np.ndarray:
+        """gamma^(2/beta) at every boundary."""
+        return self._keep(("power", beta), lambda: self.boundaries ** (2.0 / beta))
+
+    def _u(self, beta: float) -> np.ndarray:
+        """u(gamma) of :func:`u_func` at every boundary."""
+        return self._keep(("u", beta), lambda: u_func(self.boundaries, beta))
 
     @classmethod
     def geometric(cls, intervals: int = DEFAULT_INTERVALS,
@@ -226,13 +267,22 @@ def _sinr_coeffs(gamma, lambda_rrh: float, params: RadioParams,
     content holders, so the other holders lie beyond d: the remaining
     lambda_R - lambda_l of the field interferes as before and the holders
     add pi*lambda_l*u(gamma).
+
+    ``gamma`` is an array of thresholds or a :class:`Quantizer`, whose
+    boundaries are then the thresholds and whose kept gamma^(2/beta) and
+    u(gamma) serve in place of fresh ones; c1 and c2 are formed on every
+    call, in the same order either way, so their bits do not depend on it.
     """
     beta = params.pathloss_exponent
-    g = np.asarray(gamma, dtype=float)
+    if isinstance(gamma, Quantizer):
+        g, power, u = gamma.boundaries, gamma._power, gamma._u
+    else:
+        g = np.asarray(gamma, dtype=float)
+        power, u = (lambda b: g ** (2.0 / b)), (lambda b: u_func(g, b))
     lam = lambda_rrh if lambda_l is None else lambda_rrh - lambda_l
-    c1 = 2.0 * np.pi * a_beta(beta) * lam * g ** (2.0 / beta)
+    c1 = 2.0 * np.pi * a_beta(beta) * lam * power(beta)
     if lambda_l is not None:
-        c1 = c1 + np.pi * lambda_l * u_func(g, beta)
+        c1 = c1 + np.pi * lambda_l * u(beta)
     return c1, g * params.noise
 
 
@@ -255,7 +305,10 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
     time, so each survival chunk stays in cache.  A chunk's survival and
     masses are formed once and summed against every exponent's weights by
     a small gemv of its own, so each G has the bytes of a lone pass, and
-    the bytes do not depend on the BLAS thread count.
+    the bytes do not depend on the BLAS thread count.  The weights, their
+    live limits and the SINR law's powers of the boundaries are the
+    grid's kept set-up (:class:`Quantizer`), so a call builds only c1 and
+    c2 and the survival chunks.
 
     Chunks run only up to the last interval where some weight is nonzero.
     Survival lies in [0, 1], so every mass is finite, and a chunk past
@@ -263,15 +316,12 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
     keeps every byte.  A G may underflow to 0; pass the one a caller
     demands through :func:`demand_moment`.
     """
-    c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params, lambda_l)
-    log_mid = np.log1p(quantizer.midpoints)
-    weights = [np.exp(-a * log_mid) for a in exponents]
-    # read off the weights themselves, so no monotonicity of exp is assumed
-    live = max((int(i[-1]) + 1 for i in map(np.flatnonzero, weights) if i.size),
-               default=0)
+    c1, c2 = _sinr_coeffs(quantizer, lambda_rrh, params, lambda_l)
+    weights = [quantizer._weights(a) for a in exponents]
+    live = max((quantizer._live(a) for a in exponents), default=0)
     d = np.asarray(d, dtype=float)
     d_sq, d_beta = d ** 2, d ** params.pathloss_exponent
-    n, m = d.size, log_mid.size
+    n, m = d.size, c1.size - 1
     # numpy sums a 1-row block with a dot routine, not gemv, which rounds
     # differently; so a lone last link joins the block before it
     starts = list(range(0, max(n - 1, 1), _LINK_BLOCK))

@@ -87,15 +87,26 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
     # would cancel them.
     edges = np.searchsorted(ends, np.arange(CHUNK_DRAWS, total, CHUNK_DRAWS),
                             side="right")
+    # A chunk's trials end at or below one multiple of CHUNK_DRAWS and its
+    # first starts less than a trial's count below the multiple before, so
+    # two buffers of CHUNK_DRAWS plus the largest count hold every chunk's
+    # radii and fading.  random(out=) draws uniform()'s bits (uniform is
+    # 0.0 + 1.0 * x), and the terms form in place in the order of the
+    # formula, sim_radius * sqrt(x), then ** -beta, then times the fading.
     interference = np.zeros(trials)
+    width = min(total, CHUNK_DRAWS + int(counts.max()))
+    radii_buf, fading_buf = np.empty(width), np.empty(width)
     for lo, hi in zip([0, *edges], [*edges, trials]):
         busy = lo + np.flatnonzero(counts[lo:hi])
         if busy.size == 0:
             continue
         first = starts[busy[0]]
         size = int(ends[busy[-1]] - first)
-        radii = sim_radius * np.sqrt(radius_rng.uniform(size=size))
-        terms = radii ** (-beta) * rng.standard_exponential(size)
+        terms = radius_rng.random(out=radii_buf[:size])
+        np.sqrt(terms, out=terms)
+        terms *= sim_radius
+        np.power(terms, -beta, out=terms)
+        terms *= rng.standard_exponential(out=fading_buf[:size])
         interference[busy] = np.add.reduceat(terms, starts[busy] - first)
     h_srv = rng.standard_exponential(trials)
 

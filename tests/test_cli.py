@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from crancache import effcap, simkit
+from crancache import cli, effcap, simkit
 from crancache.cli import (ALGORITHMS, _parse, build_instance, main,
                            run_allocate, run_analyze, run_sweep, run_validate,
                            write_csv)
@@ -165,6 +166,43 @@ def test_allocate_that_cannot_run_leaves_no_out_dir(tmp_path, config):
     out = tmp_path / "o"
     assert main(["--config", str(cfg), "allocate", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_sweep_drops_share_one_grid(tmp_path, monkeypatch):
+    # one grid per sweep, so the kernel's set-up on it is built once
+    grids, instances = [], []
+    real_quantizer, real_run = Scenario.quantizer, cli.run_algorithm
+
+    def counting_quantizer(scenario):
+        grids.append(real_quantizer(scenario))
+        return grids[-1]
+
+    def recording_run(instance, algorithm, scenario):
+        instances.append(instance)
+        return real_run(instance, algorithm, scenario)
+
+    monkeypatch.setattr(Scenario, "quantizer", counting_quantizer)
+    monkeypatch.setattr(cli, "run_algorithm", recording_run)
+    run_sweep(Scenario(), str(tmp_path), 3, algorithms=("orthogonal", "full_reuse"))
+    assert len(grids) == 1
+    assert len(instances) == 6 and len({id(i) for i in instances}) == 3
+    assert all(i.quantizer is grids[0] for i in instances)
+    # a lone build still makes a grid of its own
+    assert build_instance(Scenario()).quantizer is not grids[0]
+
+
+def test_analyze_traced_memory_stays_bounded(tmp_path):
+    # numpy reports its buffers to tracemalloc, so the peak is exact.  The
+    # per-user grid keeps 25 weight vectors of 0.5 MiB; run_analyze lets
+    # it go before the cluster curves, and no kept set-up is keyed on an
+    # intensity, so the peak stays near the one kernel pass's working set
+    tracemalloc.start()
+    try:
+        run_analyze(Scenario(), str(tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
 
 
 def test_sweep_skips_only_empty_drops(tmp_path):

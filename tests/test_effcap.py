@@ -160,6 +160,29 @@ def test_quantizer_validation():
         Quantizer.geometric(16, 1e-3, 1e-2)      # min above max
 
 
+def test_quantizer_keeps_a_read_only_copy_of_its_boundaries():
+    # the grid's kept set-up derives from its boundaries, so neither the
+    # caller's array nor the grid's own may change them after the fact
+    b = np.array([0.0, 1.0, 2.0, 4.0])
+    q = Quantizer(b)
+    b[1] = 1.5
+    assert q.boundaries.tolist() == [0.0, 1.0, 2.0, 4.0]
+    with pytest.raises(ValueError, match="read-only"):
+        q.boundaries[1] = 1.5
+    assert q.boundaries.tolist() == [0.0, 1.0, 2.0, 4.0]
+
+
+def test_kept_set_up_is_read_only():
+    q = Quantizer.geometric(512)
+    log_moments([50.0], [3.0], 5e-6, radio(noise=0.3), q, 1e-6)
+    kept = [v for v in q._kept.values() if isinstance(v, np.ndarray)]
+    assert len(kept) == 4          # ln(1 + midpoint), weights, power, u
+    for v in kept:
+        assert not v.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 1.0
+
+
 # -- fixed-distance outage --------------------------------------------------
 
 
@@ -387,6 +410,60 @@ def test_skipped_chunks_match_the_every_chunk_oracle(noise, beta, lambda_l):
         for a, g in zip(family, gs):
             assert np.array_equal(g, one_block_log_moment(d, a, 5e-6, p, _SKIP_GRID,
                                                           lambda_l))
+
+
+# One grid serving call after call: pathloss exponents switch back and
+# forth, lambda_l comes and goes, noise is off and on, and the exponent
+# lists overlap in different orders, so each call mixes kept weights with
+# new ones.  (beta, noise, lambda_l, exponents)
+_REUSE_CASES = [(4.0, 0.0, None, [3.0, 1.44e5]),
+                (4.0, 0.0, 1e-6, [1.44e5, 3.0]),
+                (6.0, 0.3, 1e-6, [3.0, 50.0, 7.2e5]),
+                (8.0, 0.3, None, [50.0]),
+                (4.0, 0.3, 1e-6, [7.2e5, 1.44e5, 3.0]),
+                (6.0, 0.0, None, [1.44e5, 50.0]),
+                (8.0, 0.0, 1e-6, [3.0, 7.2e5, 0.0144])]
+
+
+@pytest.mark.parametrize("grid", ["quantizer", "user_quantizer"])
+def test_one_grid_reused_across_calls_keeps_every_bit(grid):
+    # G from the grid's kept set-up must be the G of a fresh grid and of
+    # the oracle, which forms the SINR law and the weights from scratch
+    make = getattr(Scenario(quant_intervals=1 << 14), grid)
+    kept = make()
+    d = np.random.default_rng(11).uniform(0.5, 800.0, size=2 * _LINK_BLOCK + 1)
+    for beta, noise, lambda_l, family in _REUSE_CASES:
+        p = radio(beta=beta, noise=noise)
+        got = log_moments(d, family, 5e-6, p, kept, lambda_l)
+        fresh = log_moments(d, family, 5e-6, p, make(), lambda_l)
+        for a, g, f in zip(family, got, fresh):
+            assert np.array_equal(g, f)
+            assert np.array_equal(g, one_block_log_moment(d, a, 5e-6, p, make(),
+                                                          lambda_l))
+
+
+def test_a_grid_builds_its_set_up_once(monkeypatch):
+    # u(gamma) once per pathloss exponent, each live limit once per
+    # exponent, however many calls the grid serves
+    counts = {"u": 0, "live": 0}
+    real_u, real_flatnonzero = effcap.u_func, np.flatnonzero
+
+    def counting_u(*args):
+        counts["u"] += 1
+        return real_u(*args)
+
+    def counting_flatnonzero(*args):
+        counts["live"] += 1
+        return real_flatnonzero(*args)
+
+    monkeypatch.setattr(effcap, "u_func", counting_u)
+    monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
+    q = Quantizer.geometric(4096)
+    for _ in range(3):
+        for beta in (4.0, 6.0):
+            log_moments([20.0, 50.0], [3.0, 50.0], 5e-6, radio(beta=beta), q, 1e-6)
+            log_moments([20.0, 50.0], [50.0], 5e-6, radio(beta=beta), q)
+    assert counts == {"u": 2, "live": 2}
 
 
 def test_kernel_evaluates_survival_only_up_to_the_last_nonzero_weight(monkeypatch):

@@ -131,6 +131,15 @@ def test_quantizer_modes():
     assert wide.boundaries[-1] == pytest.approx(1e12)
 
 
+def test_every_quantizer_call_builds_a_fresh_grid():
+    # a grid keeps the set-up of every call it serves, so a scenario hands
+    # out a new one per call and no run inherits another's kept set-up
+    s = Scenario(quant_intervals=256)
+    assert Scenario().quantizer() is not Scenario().quantizer()
+    assert s.quantizer() is not s.quantizer()
+    assert s.user_quantizer() is not s.user_quantizer()
+
+
 def test_density_split_matches_popularity():
     s = Scenario()
     d = s.density()
