@@ -25,6 +25,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +42,17 @@ DEFAULT_GAMMA_MIN = 1e-12
 # Top boundary of the grid for per-user curves (Scenario.user_quantizer).
 USER_GAMMA_MAX = 1e12
 
-# Boundaries per survival chunk and links per block: the block x chunk
-# survival scratch (8 x 8,193 doubles, ~0.5 MiB) stays in L2 cache.
+# Boundaries per survival chunk and links per block: a worker's block x
+# chunk survival and mass scratch (2 x 9 x 8,193 doubles, ~1.1 MiB) stays
+# in the L2 cache of the core it runs on, one set per worker.
 _BOUNDARY_CHUNK = 1 << 13
 _LINK_BLOCK = 8
+# Fewest live intervals at which the link blocks run on several threads.
+# Below it each ufunc and gemv of a block is too short for the GIL it
+# releases to pay for passing the GIL between threads: on a 2-vCPU Xeon,
+# 3,808 links ran 2x slower on a 512-interval grid, even at 2,048 and
+# 1.3x faster at 4,096.
+_PARALLEL_LIVE = 1 << 12
 
 # Terms past the first of the incomplete-beta series behind u_func
 # (_beta_series): each is below half the one before, so 55 reach 2^-55.
@@ -310,6 +318,19 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
     grid's kept set-up (:class:`Quantizer`), so a call builds only c1 and
     c2 and the survival chunks.
 
+    The link blocks run in parallel, one contiguous span of them per CPU
+    this process may run on (``os.sched_getaffinity``, else
+    ``os.cpu_count``), the calling thread working the first span.  A call
+    with one block (``eff_cap_user``) or under _PARALLEL_LIVE live
+    intervals stays on the calling thread.  The set-up is built before
+    any worker starts, each worker has its own scratch, and numpy's exp
+    and gemv release the GIL.  A block's sums are those of a serial pass
+    whoever runs it: the block edges, the chunk order and each gemv are
+    the same.  The gemv is ``np.dot`` into a scratch vector, which calls
+    the BLAS routine ``@`` calls but, unlike ``@``, releases the GIL.  So
+    the bytes do not depend on the worker count either.  Every worker
+    thread ends with the call.
+
     Chunks run only up to the last interval where some weight is nonzero.
     Survival lies in [0, 1], so every mass is finite, and a chunk past
     that point would add only mass * 0.0 = +-0.0 to each sum: skipping it
@@ -325,35 +346,65 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
     # numpy sums a 1-row block with a dot routine, not gemv, which rounds
     # differently; so a lone last link joins the block before it
     starts = list(range(0, max(n - 1, 1), _LINK_BLOCK))
+    blocks = list(zip(starts, starts[1:] + [n]))
     # without noise c2 is all 0.0 and x - bt*c2 == x bit for bit, so skip it;
     # c2 = gamma*noise grows along the boundaries, so its last entry tells
     noisy = bool(c2[-1])
-    # one survival and one mass buffer for the largest block (_LINK_BLOCK + 1
-    # links) and chunk; a contiguous view over the front of either runs every
-    # ufunc and gemv on the same loop, and so to the same bytes, as a fresh
-    # array would, without a page-faulted allocation per chunk
-    surv_buf = np.empty((_LINK_BLOCK + 1) * (min(_BOUNDARY_CHUNK, m) + 1))
-    mass_buf = np.empty((_LINK_BLOCK + 1) * min(_BOUNDARY_CHUNK, m))
     gs = [np.empty(n) for _ in weights]
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        # negating the (block, 1) column saves a pass over each survival chunk
-        neg_sq, bt = -d_sq[lo:hi, None], d_beta[lo:hi, None]
-        size = hi - lo
-        sums = [0.0] * len(weights)
-        for b0 in range(0, live, _BOUNDARY_CHUNK):
-            k = min(_BOUNDARY_CHUNK, m - b0)   # intervals in this chunk
-            surv = np.multiply(neg_sq, c1[b0:b0 + k + 1],
-                               out=surv_buf[:size * (k + 1)].reshape(size, k + 1))
-            if noisy:
-                np.subtract(surv, bt * c2[b0:b0 + k + 1], out=surv)
-            np.exp(surv, out=surv)
-            mass = np.subtract(surv[:, :-1], surv[:, 1:],
-                               out=mass_buf[:size * k].reshape(size, k))
-            sums = [s + mass @ w[b0:b0 + k] for s, w in zip(sums, weights)]
-        # below m, the last weight is 0.0 and the fold adds +0.0
-        for g, s, w in zip(gs, sums, weights):
-            g[lo:hi] = s + surv[:, -1] * w[-1] if live == m else s
+
+    def run(span):
+        # the worker's own survival, mass and partial-sum buffers, sized for
+        # the largest block (_LINK_BLOCK + 1 links) and chunk; a contiguous
+        # view over the front of one runs every ufunc and gemv on the same
+        # loop, and so to the same bytes, as a fresh array would, without a
+        # page-faulted allocation per chunk
+        surv_buf = np.empty((_LINK_BLOCK + 1) * (min(_BOUNDARY_CHUNK, m) + 1))
+        mass_buf = np.empty((_LINK_BLOCK + 1) * min(_BOUNDARY_CHUNK, m))
+        part_buf = np.empty(_LINK_BLOCK + 1)
+        for lo, hi in span:
+            # negating the (block, 1) column saves a pass over each survival chunk
+            neg_sq, bt = -d_sq[lo:hi, None], d_beta[lo:hi, None]
+            size = hi - lo
+            part = part_buf[:size]
+            sums = [0.0] * len(weights)
+            for b0 in range(0, live, _BOUNDARY_CHUNK):
+                k = min(_BOUNDARY_CHUNK, m - b0)   # intervals in this chunk
+                surv = np.multiply(neg_sq, c1[b0:b0 + k + 1],
+                                   out=surv_buf[:size * (k + 1)].reshape(size, k + 1))
+                if noisy:
+                    np.subtract(surv, bt * c2[b0:b0 + k + 1], out=surv)
+                np.exp(surv, out=surv)
+                mass = np.subtract(surv[:, :-1], surv[:, 1:],
+                                   out=mass_buf[:size * k].reshape(size, k))
+                sums = [s + np.dot(mass, w[b0:b0 + k], out=part)
+                        for s, w in zip(sums, weights)]
+            # below m, the last weight is 0.0 and the fold adds +0.0
+            for g, s, w in zip(gs, sums, weights):
+                g[lo:hi] = s + surv[:, -1] * w[-1] if live == m else s
+
+    spans = _spans(blocks) if live >= _PARALLEL_LIVE else [blocks]
+    if len(spans) == 1:
+        run(spans[0])
+    else:
+        # imported here: concurrent.futures loads logging, ~7 ms that every
+        # command would pay at start-up whether or not it builds a K table
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(len(spans) - 1) as pool:
+            workers = [pool.submit(run, span) for span in spans[1:]]
+            run(spans[0])
+            for worker in workers:
+                worker.result()
     return gs
+
+
+def _spans(blocks: list) -> list[list]:
+    """``blocks`` cut into one contiguous span per CPU this process may run
+    on, as even as the count allows; no more spans than blocks."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    count = min(cpus, len(blocks))
+    edges = [len(blocks) * i // count for i in range(count + 1)]
+    return [blocks[lo:hi] for lo, hi in zip(edges, edges[1:])]
 
 
 def demand_moment(g: np.ndarray) -> np.ndarray:

@@ -385,7 +385,10 @@ def one_block_log_moment(d, a: float, lambda_rrh: float, params: RadioParams,
 
     ``effcap.log_moments`` inlines this fold, takes links a few at a time
     and stops after the last nonzero weight; whatever its block edges and
-    wherever it stops, it must reproduce this byte for byte.
+    wherever it stops, it must reproduce this byte for byte.  That holds
+    on one BLAS thread: OpenBLAS splits a gemv over more links than a
+    kernel block across its own threads, and the tail rows of each part
+    round differently (at 500 links on two threads, 4 of the 500 G move).
     """
     c1, c2 = _sinr_coeffs(quantizer.boundaries, lambda_rrh, params, lambda_l)
     d = np.asarray(d, dtype=float)[..., None]

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,8 @@ from crancache.effcap import (LN2, Quantizer, a_beta, avg_eff_cap_cluster,
                               eff_cap_user, l_func_limited, log_moments, outage_prob,
                               per_content_eff_caps, required_spectral_efficiency,
                               u_func)
-from crancache.effcap import _BOUNDARY_CHUNK, _LINK_BLOCK, _T_NODES, _T_WEIGHTS, _sinr_coeffs
+from crancache.effcap import (_BOUNDARY_CHUNK, _LINK_BLOCK, _PARALLEL_LIVE, _T_NODES,
+                              _T_WEIGHTS, _sinr_coeffs)
 from crancache.errors import DomainError, ParameterError
 from crancache.qos import QosProfile
 from crancache.scenario import Scenario
@@ -444,7 +446,8 @@ def test_one_grid_reused_across_calls_keeps_every_bit(grid):
 
 def test_a_grid_builds_its_set_up_once(monkeypatch):
     # u(gamma) once per pathloss exponent, each live limit once per
-    # exponent, however many calls the grid serves
+    # exponent, however many calls the grid serves and however many
+    # workers share its 20 link blocks
     counts = {"u": 0, "live": 0}
     real_u, real_flatnonzero = effcap.u_func, np.flatnonzero
 
@@ -458,11 +461,13 @@ def test_a_grid_builds_its_set_up_once(monkeypatch):
 
     monkeypatch.setattr(effcap, "u_func", counting_u)
     monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
-    q = Quantizer.geometric(4096)
+    _report_cpus(monkeypatch, 4)
+    q = Quantizer.geometric(_PARALLEL_LIVE)
+    d = np.linspace(20.0, 50.0, 20 * _LINK_BLOCK)
     for _ in range(3):
         for beta in (4.0, 6.0):
-            log_moments([20.0, 50.0], [3.0, 50.0], 5e-6, radio(beta=beta), q, 1e-6)
-            log_moments([20.0, 50.0], [50.0], 5e-6, radio(beta=beta), q)
+            log_moments(d, [3.0, 50.0], 5e-6, radio(beta=beta), q, 1e-6)
+            log_moments(d, [50.0], 5e-6, radio(beta=beta), q)
     assert counts == {"u": 2, "live": 2}
 
 
@@ -552,21 +557,172 @@ print(hashlib.sha256(table.tobytes()).hexdigest())
 """
 
 
+def _child(script: str, *args: str, **env: str) -> str:
+    """Standard output of ``script`` run by a fresh interpreter that sees
+    this package and the test helpers, with ``env`` added to its
+    environment (so set before numpy loads)."""
+    src = str(Path(crancache.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src, tests, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_k_table_bytes_do_not_depend_on_blas_threads():
     # outputs are a function of (config, seed) alone; a gemv split across
     # BLAS threads sums its rows in another order, so each child sets the
     # thread count before numpy loads
-    src = str(Path(crancache.__file__).resolve().parents[1])
-    tests = str(Path(__file__).resolve().parent)
     digests = set()
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, tests,
-                                               os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run([sys.executable, "-c", _K_TABLE_DIGEST], env=env,
-                             capture_output=True, text=True, check=True)
-        digests.add(run.stdout)
+        digests.add(_child(_K_TABLE_DIGEST, OPENBLAS_NUM_THREADS=threads))
     assert len(digests) == 1
+
+
+# -- link blocks on several threads ------------------------------------------
+
+
+def _report_cpus(monkeypatch, count: int) -> None:
+    """Make the kernel see ``count`` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+_ORACLE_CHECK = """
+import itertools, os
+import numpy as np
+from conftest import radio
+from oracles import one_block_log_moment
+from crancache.effcap import _PARALLEL_LIVE, log_moments
+from crancache.scenario import Scenario
+scenario = Scenario(quant_intervals=1 << 13)
+# (grid, exponents, stops early): the cluster grid stops before its top
+# interval, the per-user grid runs to it and folds in the mass beyond it
+for grid, family, stops in (("quantizer", [1.44e5, 7.2e5], True),
+                            ("user_quantizer", [3.0, 0.0144], False)):
+    q = getattr(scenario, grid)()
+    live = max(q._live(a) for a in family)
+    assert live >= _PARALLEL_LIVE and (live < q.boundaries.size - 1) == stops
+    for noise, lambda_l in itertools.product((0.0, 0.3), (None, 1e-6)):
+        p = radio(noise=noise)
+        rng = np.random.default_rng(5)
+        for links in (0, 1, 2, 8, 9, 17, 500):
+            d = rng.uniform(0.5, 800.0, size=links)
+            want = [one_block_log_moment(d, a, 5e-6, p, q, lambda_l) for a in family]
+            for cpus in (1, 2, 3):
+                os.sched_getaffinity = lambda pid: set(range(cpus))
+                got = log_moments(d, family, 5e-6, p, q, lambda_l)
+                if not all(np.array_equal(g, w) for g, w in zip(got, want)):
+                    print("differs:", grid, noise, lambda_l, links, cpus)
+print("checked")
+"""
+
+
+def test_threaded_log_moments_match_the_one_block_oracle():
+    # however many workers split the blocks, each G is the oracle's, which
+    # sums every link in one block on one thread.  OpenBLAS splits a gemv
+    # of more links than a kernel block over its own threads, and the tail
+    # rows of each part round differently, so this runs on one BLAS thread
+    assert _child(_ORACLE_CHECK, OPENBLAS_NUM_THREADS="1") == "checked\n"
+
+
+_K_FAMILY_DIGEST = """
+import hashlib, os, sys
+if sys.argv[1:] == ["pin"]:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from crancache.effcap import Quantizer
+from oracles import random_instance
+inst = random_instance(3, 11, 23, noise=0.2, quantizer=Quantizer.geometric(1 << 14, 1e6))
+inst._k_table(0, 2)
+digest = hashlib.sha256()
+for key in sorted(inst._k_cache):
+    digest.update(inst._k_cache[key].tobytes())
+print(len(os.sched_getaffinity(0)), digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_k_family_bytes_do_not_depend_on_the_cpu_count():
+    # the kernel runs one worker per CPU it may use: a child pinned to one
+    # CPU and one left on all of them must build the same family
+    (pinned, one), (free, other) = (_child(_K_FAMILY_DIGEST, *pin).split()
+                                    for pin in (["pin"], []))
+    assert (int(pinned), int(free)) == (1, len(os.sched_getaffinity(0)))
+    assert one == other
+
+
+def _threaded_call(q: Quantizer) -> list[np.ndarray]:
+    """A call whose 20 link blocks the kernel spreads over its workers."""
+    d = np.linspace(20.0, 500.0, 20 * _LINK_BLOCK)
+    return log_moments(d, [3.0, 50.0], 5e-6, radio(noise=0.3), q)
+
+
+def _in_thread(call):
+    """What ``call()`` returns or raises, run on a thread of its own that
+    must end within a minute."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(call())
+        except Exception as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=target)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    return outcome[0]
+
+
+def test_threaded_calls_keep_every_byte_and_leave_no_thread(monkeypatch):
+    # more workers than cores, with the GIL passed on every microsecond:
+    # each worker writes only its own links and reads only the kept
+    # set-up, so every G is the serial pass's, and no worker outlives the call
+    q = Quantizer.geometric(_PARALLEL_LIVE)
+    _report_cpus(monkeypatch, 1)
+    serial = _threaded_call(q)
+    real_dot, runners = np.dot, set()
+
+    def recording_dot(*args, **kwargs):
+        runners.add(threading.get_ident())
+        return real_dot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", recording_dot)
+    _report_cpus(monkeypatch, 8)
+    before = threading.enumerate()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _in_thread(lambda: _threaded_call(q))
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(runners) > 1   # a worker free again may take another span
+    assert threading.enumerate() == before
+    assert all(np.array_equal(g, s) for g, s in zip(got, serial))
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_an_error_in_one_block_leaves_the_call(monkeypatch, where):
+    # the failing block's error reaches the caller once every worker has
+    # ended, so nothing hangs and no thread is left running
+    q = Quantizer.geometric(_PARALLEL_LIVE)
+    real_dot, caller = np.dot, []
+
+    def failing_dot(*args, **kwargs):
+        if (threading.get_ident() in caller) == (where == "caller"):
+            raise RuntimeError(f"block failed on the {where}")
+        return real_dot(*args, **kwargs)
+
+    def call():
+        caller.append(threading.get_ident())
+        return _threaded_call(q)
+
+    monkeypatch.setattr(np, "dot", failing_dot)
+    _report_cpus(monkeypatch, 3)
+    before = threading.enumerate()
+    error = _in_thread(call)
+    assert isinstance(error, RuntimeError) and where in str(error)
+    assert threading.enumerate() == before
 
 
 # -- nearest-holder outage --------------------------------------------------
