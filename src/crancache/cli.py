@@ -56,9 +56,9 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
     user_params = scenario.user_radio()
     user_quant = scenario.user_quantizer()
 
-    # per-user effective capacity across delay exponents and pathloss slopes
-    # one kernel pass per slope serves all 25 exponents, whose weights the
-    # per-user grid keeps for the next slope
+    # per-user effective capacity across delay exponents and pathloss slopes:
+    # one kernel pass per slope serves all 25 exponents, whose live limits
+    # the per-user grid keeps for the next slope
     thetas = np.geomspace(1e-3, 1.0, 25).tolist()
     betas = (4.0, 6.0, 8.0)
     columns = [effcap.eff_cap_user(thetas, scenario.user_distance, scenario.lambda_rrh,
@@ -66,7 +66,7 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
                                    user_quant)
                for beta in betas]
     user_rows = list(zip(thetas, *columns))
-    del user_quant   # its kept weights are of no use to the cluster curves
+    del user_quant   # its kept powers are of no use to the cluster curves
 
     # cluster capacity, caching gain and energy efficiency vs cache size
     zipf_grid = (0.0, 0.5, 1.0, 2.0)
@@ -154,6 +154,9 @@ def run_validate(scenario: Scenario, out_dir: str) -> bool:
     record("ergodic_limit", ana0, ergodic,
            params.spectral_efficiency * float(np.std(log2_sinr)) / math.sqrt(trials),
            abs(ana0 - ergodic) <= 0.01 * ergodic)
+    # the single-link checks are done: their grid and batch are of no use
+    # to the per-content checks, which build a grid of their own
+    del quant, sinr, log2_sinr
 
     # both per-content estimators, side by side (informational);
     # these are cluster-context quantities, so they use the delivery mu
@@ -284,7 +287,7 @@ def run_sweep(scenario: Scenario, out_dir: str, instances: int,
     share one instance per drop, with the blocks each negotiates, so a
     per-algorithm ``mean_runtime`` counts only the work it adds there.
     Every drop runs on one SINR grid, so the kernel's set-up on it (the
-    moment weights of the K-table exponents, the powers of the
+    live limits of the K-table exponents, the powers of the
     boundaries) is built once per sweep.  Empty drops are skipped for
     every algorithm alike; any other error ends the sweep.
     """

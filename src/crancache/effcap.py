@@ -194,10 +194,12 @@ class Quantizer:
 
     A grid also keeps the kernel's set-up on it, each part built on first
     use and then held, read-only, for as long as the grid lives: ln(1 +
-    midpoint), per log-moment exponent a the weights (1 + midpoint)^(-a)
-    and their live limit, and per pathloss exponent beta the powers
-    gamma^(2/beta) and u(gamma).  Each depends on the grid and one scalar
-    only, so a kept part has the bits of a fresh one.
+    midpoint), per pathloss exponent beta the powers gamma^(2/beta) and
+    u(gamma), and per log-moment exponent a one scalar, the live limit of
+    its weights (1 + midpoint)^(-a).  The weights themselves are not kept:
+    the kernel forms them a chunk at a time, so what a grid keeps does not
+    grow with the exponents its callers ask for.  Each part depends on the
+    grid and one scalar only, so a kept part has the bits of a fresh one.
     """
 
     boundaries: np.ndarray
@@ -229,16 +231,17 @@ class Quantizer:
             self._kept[key] = value
         return self._kept[key]
 
-    def _weights(self, a: float) -> np.ndarray:
-        """Moment weights (1 + midpoint)^(-a), one per interval."""
-        return self._keep(("weights", a), lambda: np.exp(
-            -a * self._keep("log_mid", lambda: np.log1p(self.midpoints))))
+    def _log_mid(self) -> np.ndarray:
+        """ln(1 + midpoint), one per interval; the moment weight of
+        interval i at exponent a is exp(-a * ln(1 + midpoint_i))."""
+        return self._keep("log_mid", lambda: np.log1p(self.midpoints))
 
     def _live(self, a: float) -> int:
         """1 + the last interval whose weight at ``a`` is nonzero (0 if none)."""
         def last_nonzero():
-            # read off the weights themselves, so no monotonicity of exp is assumed
-            nonzero = np.flatnonzero(self._weights(a))
+            # read off the weights themselves, formed once and let go, so
+            # no monotonicity of exp is assumed
+            nonzero = np.flatnonzero(np.exp(-a * self._log_mid()))
             return int(nonzero[-1]) + 1 if nonzero.size else 0
         return self._keep(("live", a), last_nonzero)
 
@@ -313,18 +316,27 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
     time, so each survival chunk stays in cache.  A chunk's survival and
     masses are formed once and summed against every exponent's weights by
     a small gemv of its own, so each G has the bytes of a lone pass, and
-    the bytes do not depend on the BLAS thread count.  The weights, their
-    live limits and the SINR law's powers of the boundaries are the
-    grid's kept set-up (:class:`Quantizer`), so a call builds only c1 and
-    c2 and the survival chunks.
+    the bytes do not depend on the BLAS thread count.
+
+    The walk goes chunk by chunk, and within a chunk block by block.  At
+    the start of a chunk its weights for every exponent are formed from
+    the grid's kept ln(1 + midpoint), so a call holds exponents x chunk
+    weights per worker, never a weight vector over the grid.  Each
+    block's sums carry from chunk to chunk in its slice of G, 0.0 + p0 +
+    p1 + ..., the additions and order of a block that ran every chunk in
+    one go; the top-interval fold joins at the last chunk.  The live
+    limits and the SINR law's powers of the boundaries are the grid's
+    kept set-up (:class:`Quantizer`), so a call builds only c1 and c2,
+    the chunk weights and the survival chunks.
 
     The link blocks run in parallel, one contiguous span of them per CPU
     this process may run on (``os.sched_getaffinity``, else
     ``os.cpu_count``), the calling thread working the first span.  A call
     with one block (``eff_cap_user``) or under _PARALLEL_LIVE live
     intervals stays on the calling thread.  The set-up is built before
-    any worker starts, each worker has its own scratch, and numpy's exp
-    and gemv release the GIL.  A block's sums are those of a serial pass
+    any worker starts, each worker forms its own chunk weights and
+    scratch and writes only its own links' sums, and numpy's exp and gemv
+    release the GIL.  A block's sums are those of a serial pass
     whoever runs it: the block edges, the chunk order and each gemv are
     the same.  The gemv is ``np.dot`` into a scratch vector, which calls
     the BLAS routine ``@`` calls but, unlike ``@``, releases the GIL.  So
@@ -338,10 +350,11 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
     demands through :func:`demand_moment`.
     """
     c1, c2 = _sinr_coeffs(quantizer, lambda_rrh, params, lambda_l)
-    weights = [quantizer._weights(a) for a in exponents]
+    log_mid = quantizer._log_mid()
     live = max((quantizer._live(a) for a in exponents), default=0)
     d = np.asarray(d, dtype=float)
-    d_sq, d_beta = d ** 2, d ** params.pathloss_exponent
+    # negating the (links, 1) column saves a pass over each survival chunk
+    neg_sq, bt = -d[:, None] ** 2, d[:, None] ** params.pathloss_exponent
     n, m = d.size, c1.size - 1
     # numpy sums a 1-row block with a dot routine, not gemv, which rounds
     # differently; so a lone last link joins the block before it
@@ -350,7 +363,8 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
     # without noise c2 is all 0.0 and x - bt*c2 == x bit for bit, so skip it;
     # c2 = gamma*noise grows along the boundaries, so its last entry tells
     noisy = bool(c2[-1])
-    gs = [np.empty(n) for _ in weights]
+    # each block's running sums, 0.0 before its first chunk
+    gs = [np.zeros(n) for _ in exponents]
 
     def run(span):
         # the worker's own survival, mass and partial-sum buffers, sized for
@@ -361,26 +375,27 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
         surv_buf = np.empty((_LINK_BLOCK + 1) * (min(_BOUNDARY_CHUNK, m) + 1))
         mass_buf = np.empty((_LINK_BLOCK + 1) * min(_BOUNDARY_CHUNK, m))
         part_buf = np.empty(_LINK_BLOCK + 1)
-        for lo, hi in span:
-            # negating the (block, 1) column saves a pass over each survival chunk
-            neg_sq, bt = -d_sq[lo:hi, None], d_beta[lo:hi, None]
-            size = hi - lo
-            part = part_buf[:size]
-            sums = [0.0] * len(weights)
-            for b0 in range(0, live, _BOUNDARY_CHUNK):
-                k = min(_BOUNDARY_CHUNK, m - b0)   # intervals in this chunk
-                surv = np.multiply(neg_sq, c1[b0:b0 + k + 1],
+        for b0 in range(0, live, _BOUNDARY_CHUNK):
+            k = min(_BOUNDARY_CHUNK, m - b0)   # intervals in this chunk
+            # the bits of the whole-grid weights exp(-a * ln(1 + midpoint))
+            weights = [np.exp(-a * log_mid[b0:b0 + k]) for a in exponents]
+            for lo, hi in span:
+                size = hi - lo
+                part = part_buf[:size]
+                surv = np.multiply(neg_sq[lo:hi], c1[b0:b0 + k + 1],
                                    out=surv_buf[:size * (k + 1)].reshape(size, k + 1))
                 if noisy:
-                    np.subtract(surv, bt * c2[b0:b0 + k + 1], out=surv)
+                    np.subtract(surv, bt[lo:hi] * c2[b0:b0 + k + 1], out=surv)
                 np.exp(surv, out=surv)
                 mass = np.subtract(surv[:, :-1], surv[:, 1:],
                                    out=mass_buf[:size * k].reshape(size, k))
-                sums = [s + np.dot(mass, w[b0:b0 + k], out=part)
-                        for s, w in zip(sums, weights)]
-            # below m, the last weight is 0.0 and the fold adds +0.0
-            for g, s, w in zip(gs, sums, weights):
-                g[lo:hi] = s + surv[:, -1] * w[-1] if live == m else s
+                for g, w in zip(gs, weights):
+                    g[lo:hi] += np.dot(mass, w, out=part)
+                    # the chunk ending at the top interval folds in the mass
+                    # beyond gamma_max; where no weight is live up there, the
+                    # last weight is 0.0 and the fold adds +0.0
+                    if b0 + k == m:
+                        g[lo:hi] += surv[:, -1] * w[-1]
 
     spans = _spans(blocks) if live >= _PARALLEL_LIVE else [blocks]
     if len(spans) == 1:

@@ -26,9 +26,9 @@ from .qos import QosProfile
 from .simkit import MIN_TRIALS
 
 # Bound on [quantizer] intervals: a grid holds, for as long as it lives, its
-# boundaries, one weight vector per exponent it has served and two power
-# vectors per pathloss exponent, each of its size, so 2^20 (16x the
-# default, 8 MiB per vector) keeps a typo from asking for terabytes.
+# boundaries, ln(1 + midpoint) and two power vectors per pathloss exponent,
+# each of its size, so 2^20 (16x the default, 8 MiB per vector) keeps a
+# typo from asking for terabytes.
 MAX_INTERVALS = 1 << 20
 
 

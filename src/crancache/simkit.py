@@ -73,6 +73,28 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
                              f"the {MAX_DRAWS} bound; lower mc_trials, lambda_rrh "
                              "or sim_radius")
     beta = params.pathloss_exponent
+    denom = _interference(lambda_rrh, beta, trials, rng, sim_radius)
+    # the walk's counts and chunk buffers are gone with its frame, and the
+    # SINR forms in place in the order of np.where(denom > 0, signal /
+    # max(denom, 1e-300), inf) capped at SINR_CAP, so its bits are the formula's
+    sinr = rng.standard_exponential(trials)
+    sinr *= d_m ** (-beta)
+    denom += params.noise
+    empty = ~(denom > 0.0)
+    if np.any(denom == 0.0):
+        warnings.warn("trial with empty interference field and zero noise; "
+                      f"SINR capped at {SINR_CAP:g}", stacklevel=2)
+    np.maximum(denom, 1e-300, out=denom)
+    sinr /= denom
+    sinr[empty] = np.inf
+    return np.minimum(sinr, SINR_CAP, out=sinr)
+
+
+def _interference(lambda_rrh: float, beta: float, trials: int,
+                  rng: np.random.Generator, sim_radius: float) -> np.ndarray:
+    """Each trial's interference power: the counts, interferer radii and
+    interferer fading of :func:`sample_sinr_batch`, drawn from ``rng`` in
+    its order, which leaves ``rng`` just before the serving fading."""
     counts = rng.poisson(lambda_rrh * np.pi * sim_radius ** 2, size=trials)
     ends = np.cumsum(counts)
     starts = ends - counts
@@ -108,16 +130,7 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
         np.power(terms, -beta, out=terms)
         terms *= rng.standard_exponential(out=fading_buf[:size])
         interference[busy] = np.add.reduceat(terms, starts[busy] - first)
-    h_srv = rng.standard_exponential(trials)
-
-    signal = d_m ** (-beta) * h_srv
-    denom = interference + params.noise
-    with np.errstate(divide="ignore"):
-        sinr = np.where(denom > 0.0, signal / np.maximum(denom, 1e-300), np.inf)
-    if np.any(denom == 0.0):
-        warnings.warn("trial with empty interference field and zero noise; "
-                      f"SINR capped at {SINR_CAP:g}", stacklevel=2)
-    return np.minimum(sinr, SINR_CAP)
+    return interference
 
 
 def mc_eff_cap(thetas, d_m: float, lambda_rrh: float, params: RadioParams,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -31,3 +33,14 @@ def radio(beta: float = 4.0, mu: float = 1.0, noise: float = 0.0) -> RadioParams
 @pytest.fixture
 def make_radio():
     return radio
+
+
+def traced_peak_mib(call) -> float:
+    """Peak traced memory of ``call()`` in MiB.  numpy reports its buffers
+    to tracemalloc, so the peak is exact."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +10,8 @@ from crancache.cli import (ALGORITHMS, _parse, build_instance, main,
                            write_csv)
 from crancache.errors import CoverageError, ParameterError
 from crancache.scenario import MAX_INTERVALS, Scenario, load_scenario
+
+from conftest import traced_peak_mib
 
 
 def _read_csv(path):
@@ -192,17 +193,19 @@ def test_sweep_drops_share_one_grid(tmp_path, monkeypatch):
 
 
 def test_analyze_traced_memory_stays_bounded(tmp_path):
-    # numpy reports its buffers to tracemalloc, so the peak is exact.  The
-    # per-user grid keeps 25 weight vectors of 0.5 MiB; run_analyze lets
-    # it go before the cluster curves, and no kept set-up is keyed on an
-    # intensity, so the peak stays near the one kernel pass's working set
-    tracemalloc.start()
-    try:
-        run_analyze(Scenario(), str(tmp_path))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 2 ** 20
+    # no grid keeps a weight vector per exponent, run_analyze lets the
+    # per-user grid go before the cluster curves, and no kept set-up is
+    # keyed on an intensity, so the peak stays near the one kernel pass's
+    # working set: a grid's four 0.5 MiB vectors and a chunk of weights
+    # per exponent
+    assert traced_peak_mib(lambda: run_analyze(Scenario(), str(tmp_path))) < 10
+
+
+def test_validate_traced_memory_stays_bounded(tmp_path):
+    # the Monte Carlo batch forms its SINR in place once its chunk walk is
+    # gone, and run_validate lets the per-user grid and its SINR batch go
+    # before the per-content checks build the cluster grid
+    assert traced_peak_mib(lambda: run_validate(Scenario(), str(tmp_path))) < 8
 
 
 def test_sweep_skips_only_empty_drops(tmp_path):

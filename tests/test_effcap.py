@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -26,7 +27,7 @@ from crancache.errors import DomainError, ParameterError
 from crancache.qos import QosProfile
 from crancache.scenario import Scenario
 
-from conftest import radio
+from conftest import radio, traced_peak_mib
 from oracles import (distance_avg_cap_quad, equal_width_quantizer, k_table_single,
                      l_func_general, moment_avg_cap_quad, one_block_log_moment,
                      per_content_eff_caps_one_by_one, random_instance, u_func_mpmath,
@@ -178,7 +179,7 @@ def test_kept_set_up_is_read_only():
     q = Quantizer.geometric(512)
     log_moments([50.0], [3.0], 5e-6, radio(noise=0.3), q, 1e-6)
     kept = [v for v in q._kept.values() if isinstance(v, np.ndarray)]
-    assert len(kept) == 4          # ln(1 + midpoint), weights, power, u
+    assert len(kept) == 3          # ln(1 + midpoint), power, u
     for v in kept:
         assert not v.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -280,6 +281,18 @@ def test_eff_cap_bounded_by_grid_ceiling():
     q = Quantizer.geometric(256, 100.0)
     v, = eff_cap_user([0.01], 1.0, 5e-6, radio(), q)
     assert v <= 1.0 * math.log2(1.0 + 100.0) + 1e-9
+
+
+def test_a_per_user_pass_keeps_no_weight_vector_per_exponent():
+    # one pass over 25 exponents on a fresh default per-user grid: the grid
+    # keeps four vectors of 0.5 MiB (boundaries, ln(1 + midpoint), the
+    # power and u), the call adds c1, c2 and one chunk of weights per
+    # exponent (25 x 64 KiB); a weight vector per exponent would add 12.5 MiB
+    s = Scenario()
+    thetas = np.geomspace(1e-3, 1.0, 25).tolist()
+    peak = traced_peak_mib(lambda: eff_cap_user(thetas, s.user_distance, s.lambda_rrh,
+                                                s.user_radio(), s.user_quantizer()))
+    assert peak < 8
 
 
 _PROPERTY_GRID = Quantizer.geometric(512)
@@ -588,41 +601,57 @@ def _report_cpus(monkeypatch, count: int) -> None:
 
 
 _ORACLE_CHECK = """
-import itertools, os
+import itertools, json, os, sys
 import numpy as np
 from conftest import radio
 from oracles import one_block_log_moment
-from crancache.effcap import _PARALLEL_LIVE, log_moments
+from crancache.effcap import log_moments
 from crancache.scenario import Scenario
-scenario = Scenario(quant_intervals=1 << 13)
-# (grid, exponents, stops early): the cluster grid stops before its top
-# interval, the per-user grid runs to it and folds in the mass beyond it
-for grid, family, stops in (("quantizer", [1.44e5, 7.2e5], True),
-                            ("user_quantizer", [3.0, 0.0144], False)):
-    q = getattr(scenario, grid)()
-    live = max(q._live(a) for a in family)
-    assert live >= _PARALLEL_LIVE and (live < q.boundaries.size - 1) == stops
-    for noise, lambda_l in itertools.product((0.0, 0.3), (None, 1e-6)):
-        p = radio(noise=noise)
-        rng = np.random.default_rng(5)
-        for links in (0, 1, 2, 8, 9, 17, 500):
-            d = rng.uniform(0.5, 800.0, size=links)
-            want = [one_block_log_moment(d, a, 5e-6, p, q, lambda_l) for a in family]
-            for cpus in (1, 2, 3):
-                os.sched_getaffinity = lambda pid: set(range(cpus))
-                got = log_moments(d, family, 5e-6, p, q, lambda_l)
-                if not all(np.array_equal(g, w) for g, w in zip(got, want)):
-                    print("differs:", grid, noise, lambda_l, links, cpus)
+grid, intervals, family, live = json.loads(sys.argv[1])
+q = getattr(Scenario(quant_intervals=intervals), grid)()
+assert max(q._live(a) for a in family) == live
+for noise, lambda_l in itertools.product((0.0, 0.3), (None, 1e-6)):
+    p = radio(noise=noise)
+    rng = np.random.default_rng(5)
+    for links in (0, 1, 2, 8, 9, 17, 500):
+        d = rng.uniform(0.5, 800.0, size=links)
+        want = [one_block_log_moment(d, a, 5e-6, p, q, lambda_l) for a in family]
+        for cpus in (1, 2, 3):
+            os.sched_getaffinity = lambda pid: set(range(cpus))
+            got = log_moments(d, family, 5e-6, p, q, lambda_l)
+            if not all(np.array_equal(g, w) for g, w in zip(got, want)):
+                print("differs:", noise, lambda_l, links, cpus)
 print("checked")
 """
 
+# (grid, intervals, exponents, live limit).  The cluster grid stops before
+# its top interval: mid-chunk, exactly on a chunk edge (a = 68.957 puts
+# the last nonzero weight on interval 8,191) or before the first interval.
+# The per-user grid runs to its top and folds in the mass beyond it.  The
+# ragged grids end on a part-chunk of 3 and 5 intervals, and neither count
+# is a multiple of _LINK_BLOCK.
+_ORACLE_CASES = {
+    "cluster-mid-chunk": ("quantizer", 1 << 13, [1.44e5, 7.2e5], 4766),
+    "cluster-ragged-mid-chunk": ("quantizer", (1 << 13) + 3, [1.44e5, 7.2e5], 4768),
+    "cluster-ragged-chunk-edge": ("quantizer", (1 << 13) + 3, [68.957, 7.2e5],
+                                  _BOUNDARY_CHUNK),
+    "cluster-ragged-nothing-live": ("quantizer", (1 << 13) + 3, [1e16], 0),
+    "user-top": ("user_quantizer", 1 << 13, [3.0, 0.0144], 1 << 13),
+    "user-ragged-top": ("user_quantizer", (1 << 14) + 5, [3.0, 0.0144], (1 << 14) + 5),
+}
 
-def test_threaded_log_moments_match_the_one_block_oracle():
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_threaded_log_moments_match_the_one_block_oracle(case):
     # however many workers split the blocks, each G is the oracle's, which
-    # sums every link in one block on one thread.  OpenBLAS splits a gemv
-    # of more links than a kernel block over its own threads, and the tail
-    # rows of each part round differently, so this runs on one BLAS thread
-    assert _child(_ORACLE_CHECK, OPENBLAS_NUM_THREADS="1") == "checked\n"
+    # sums every link in one block on one thread over every chunk.
+    # OpenBLAS splits a gemv of more links than a kernel block over its own
+    # threads, and the tail rows of each part round differently, so this
+    # runs on one BLAS thread
+    grid, intervals, family, live = _ORACLE_CASES[case]
+    assert live == 0 or live >= _PARALLEL_LIVE   # the threaded path, where any runs
+    assert _child(_ORACLE_CHECK, json.dumps(_ORACLE_CASES[case]),
+                  OPENBLAS_NUM_THREADS="1") == "checked\n"
 
 
 _K_FAMILY_DIGEST = """

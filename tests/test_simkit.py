@@ -137,6 +137,14 @@ def test_sample_batch_keeps_every_interferer_of_the_trial_before_empty_ones():
     assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
+def test_an_empty_trial_reads_the_cap_however_weak_its_signal():
+    # from 1e80 m the signal is ~1e-320, and signal / 1e-300 falls far below
+    # the cap: only the inf fill of an empty, noiseless trial puts it there
+    with pytest.warns(UserWarning, match="capped"):
+        got = sample_sinr_batch(1e80, 1e-20, _params(), 100, substream(1, STREAM_FADING))
+    assert np.all(got == SINR_CAP)
+
+
 def test_default_batch_holds_a_bounded_share_of_its_draws():
     # numpy reports its buffers to tracemalloc, so the peak is exact: one
     # default batch draws ~6.3e6 interferers, ~50 MB per array if held at once
