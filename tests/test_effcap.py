@@ -285,9 +285,9 @@ def test_eff_cap_bounded_by_grid_ceiling():
 
 def test_a_per_user_pass_keeps_no_weight_vector_per_exponent():
     # one pass over 25 exponents on a fresh default per-user grid: the grid
-    # keeps four vectors of 0.5 MiB (boundaries, ln(1 + midpoint), the
-    # power and u), the call adds c1, c2 and one chunk of weights per
-    # exponent (25 x 64 KiB); a weight vector per exponent would add 12.5 MiB
+    # keeps three vectors of 0.5 MiB (boundaries, ln(1 + midpoint) and the
+    # power), the call adds c1, c2 and one chunk of weights per exponent
+    # (25 x 64 KiB); a weight vector per exponent would add 12.5 MiB
     s = Scenario()
     thetas = np.geomspace(1e-3, 1.0, 25).tolist()
     peak = traced_peak_mib(lambda: eff_cap_user(thetas, s.user_distance, s.lambda_rrh,
@@ -648,7 +648,7 @@ def test_threaded_log_moments_match_the_one_block_oracle(case):
     # OpenBLAS splits a gemv of more links than a kernel block over its own
     # threads, and the tail rows of each part round differently, so this
     # runs on one BLAS thread
-    grid, intervals, family, live = _ORACLE_CASES[case]
+    live = _ORACLE_CASES[case][-1]
     assert live == 0 or live >= _PARALLEL_LIVE   # the threaded path, where any runs
     assert _child(_ORACLE_CHECK, json.dumps(_ORACLE_CASES[case]),
                   OPENBLAS_NUM_THREADS="1") == "checked\n"
