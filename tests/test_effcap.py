@@ -607,20 +607,20 @@ from conftest import radio
 from oracles import one_block_log_moment
 from crancache.effcap import log_moments
 from crancache.scenario import Scenario
-grid, intervals, family, live = json.loads(sys.argv[1])
-q = getattr(Scenario(quant_intervals=intervals), grid)()
-assert max(q._live(a) for a in family) == live
-for noise, lambda_l in itertools.product((0.0, 0.3), (None, 1e-6)):
-    p = radio(noise=noise)
-    rng = np.random.default_rng(5)
-    for links in (0, 1, 2, 8, 9, 17, 500):
-        d = rng.uniform(0.5, 800.0, size=links)
-        want = [one_block_log_moment(d, a, 5e-6, p, q, lambda_l) for a in family]
-        for cpus in (1, 2, 3):
-            os.sched_getaffinity = lambda pid: set(range(cpus))
-            got = log_moments(d, family, 5e-6, p, q, lambda_l)
-            if not all(np.array_equal(g, w) for g, w in zip(got, want)):
-                print("differs:", noise, lambda_l, links, cpus)
+for case, (grid, intervals, family, live) in json.loads(sys.argv[1]).items():
+    q = getattr(Scenario(quant_intervals=intervals), grid)()
+    assert max(q._live(a) for a in family) == live, case
+    for noise, lambda_l in itertools.product((0.0, 0.3), (None, 1e-6)):
+        p = radio(noise=noise)
+        rng = np.random.default_rng(5)
+        for links in (0, 1, 2, 8, 9, 17, 500):
+            d = rng.uniform(0.5, 800.0, size=links)
+            want = [one_block_log_moment(d, a, 5e-6, p, q, lambda_l) for a in family]
+            for cpus in (1, 2, 3):
+                os.sched_getaffinity = lambda pid: set(range(cpus))
+                got = log_moments(d, family, 5e-6, p, q, lambda_l)
+                if not all(np.array_equal(g, w) for g, w in zip(got, want)):
+                    print("differs:", case, noise, lambda_l, links, cpus)
 print("checked")
 """
 
@@ -641,16 +641,15 @@ _ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
-def test_threaded_log_moments_match_the_one_block_oracle(case):
+def test_threaded_log_moments_match_the_one_block_oracle():
     # however many workers split the blocks, each G is the oracle's, which
     # sums every link in one block on one thread over every chunk.
     # OpenBLAS splits a gemv of more links than a kernel block over its own
     # threads, and the tail rows of each part round differently, so this
     # runs on one BLAS thread
-    live = _ORACLE_CASES[case][-1]
-    assert live == 0 or live >= _PARALLEL_LIVE   # the threaded path, where any runs
-    assert _child(_ORACLE_CHECK, json.dumps(_ORACLE_CASES[case]),
+    # every case with live intervals takes the threaded path
+    assert all(live == 0 or live >= _PARALLEL_LIVE for *_, live in _ORACLE_CASES.values())
+    assert _child(_ORACLE_CHECK, json.dumps(_ORACLE_CASES),
                   OPENBLAS_NUM_THREADS="1") == "checked\n"
 
 
