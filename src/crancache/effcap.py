@@ -47,12 +47,12 @@ USER_GAMMA_MAX = 1e12
 # in the L2 cache of the core it runs on, one set per worker.
 _BOUNDARY_CHUNK = 1 << 13
 _LINK_BLOCK = 8
-# Fewest live intervals at which the link blocks run on several threads.
+# Fewest grid intervals at which the link blocks run on several threads.
 # Below it each ufunc and gemv of a block is too short for the GIL it
 # releases to pay for passing the GIL between threads: on a 2-vCPU Xeon,
 # 3,808 links ran 2x slower on a 512-interval grid, even at 2,048 and
 # 1.3x faster at 4,096.
-_PARALLEL_LIVE = 1 << 12
+_PARALLEL_INTERVALS = 1 << 12
 
 # Terms past the first of the incomplete-beta series behind u_func
 # (_beta_series): each is below half the one before, so 55 reach 2^-55.
@@ -194,12 +194,12 @@ class Quantizer:
 
     A grid also keeps the kernel's set-up on it, each part built on first
     use and then held, read-only, for as long as the grid lives: ln(1 +
-    midpoint), per pathloss exponent beta the powers gamma^(2/beta) and
-    u(gamma), and per log-moment exponent a one scalar, the live limit of
-    its weights (1 + midpoint)^(-a).  The weights themselves are not kept:
-    the kernel forms them a chunk at a time, so what a grid keeps does not
-    grow with the exponents its callers ask for.  Each part depends on the
-    grid and one scalar only, so a kept part has the bits of a fresh one.
+    midpoint) and, per pathloss exponent beta, the powers gamma^(2/beta)
+    and u(gamma).  Nothing is kept per log-moment exponent: the kernel
+    forms the weights (1 + midpoint)^(-a) a chunk at a time, so what a
+    grid keeps does not grow with the exponents its callers ask for.  Each
+    part depends on the grid and at most one scalar, so a kept part has
+    the bits of a fresh one.
     """
 
     boundaries: np.ndarray
@@ -235,15 +235,6 @@ class Quantizer:
         """ln(1 + midpoint), one per interval; the moment weight of
         interval i at exponent a is exp(-a * ln(1 + midpoint_i))."""
         return self._keep("log_mid", lambda: np.log1p(self.midpoints))
-
-    def _live(self, a: float) -> int:
-        """1 + the last interval whose weight at ``a`` is nonzero (0 if none)."""
-        def last_nonzero():
-            # read off the weights themselves, formed once and let go, so
-            # no monotonicity of exp is assumed
-            nonzero = np.flatnonzero(np.exp(-a * self._log_mid()))
-            return int(nonzero[-1]) + 1 if nonzero.size else 0
-        return self._keep(("live", a), last_nonzero)
 
     def _power(self, beta: float) -> np.ndarray:
         """gamma^(2/beta) at every boundary."""
@@ -324,34 +315,34 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
     weights per worker, never a weight vector over the grid.  Each
     block's sums carry from chunk to chunk in its slice of G, 0.0 + p0 +
     p1 + ..., the additions and order of a block that ran every chunk in
-    one go; the top-interval fold joins at the last chunk.  The live
-    limits and the SINR law's powers of the boundaries are the grid's
+    one go; the top-interval fold joins at the last chunk.  ln(1 +
+    midpoint) and the SINR law's powers of the boundaries are the grid's
     kept set-up (:class:`Quantizer`), so a call builds only c1 and c2,
     the chunk weights and the survival chunks.
 
     The link blocks run in parallel, one contiguous span of them per CPU
     this process may run on (``os.sched_getaffinity``, else
     ``os.cpu_count``), the calling thread working the first span.  A call
-    with one block (``eff_cap_user``) or under _PARALLEL_LIVE live
-    intervals stays on the calling thread.  The set-up is built before
-    any worker starts, each worker forms its own chunk weights and
-    scratch and writes only its own links' sums, and numpy's exp and gemv
-    release the GIL.  A block's sums are those of a serial pass
+    with one block (``eff_cap_user``) or on a grid of under
+    _PARALLEL_INTERVALS intervals stays on the calling thread.  The
+    set-up is built before any worker starts, each worker forms its own
+    chunk weights and scratch and writes only its own links' sums, and
+    numpy's exp and gemv release the GIL.  A block's sums are those of a serial pass
     whoever runs it: the block edges, the chunk order and each gemv are
     the same.  The gemv is ``np.dot`` into a scratch vector, which calls
     the BLAS routine ``@`` calls but, unlike ``@``, releases the GIL.  So
     the bytes do not depend on the worker count either.  Every worker
     thread ends with the call.
 
-    Chunks run only up to the last interval where some weight is nonzero.
-    Survival lies in [0, 1], so every mass is finite, and a chunk past
-    that point would add only mass * 0.0 = +-0.0 to each sum: skipping it
-    keeps every byte.  A G may underflow to 0; pass the one a caller
-    demands through :func:`demand_moment`.
+    A chunk where every exponent's weights are all 0.0 is skipped, wherever
+    it falls; the weights do not increase along the grid, so only the
+    chunks past the last nonzero weight are.  Survival lies in [0, 1], so
+    every mass is finite, and such a chunk would add only mass * 0.0 =
+    +-0.0 to each sum: skipping it keeps every byte.  A G may underflow to
+    0; pass the one a caller demands through :func:`demand_moment`.
     """
     c1, c2 = _sinr_coeffs(quantizer, lambda_rrh, params, lambda_l)
     log_mid = quantizer._log_mid()
-    live = max((quantizer._live(a) for a in exponents), default=0)
     d = np.asarray(d, dtype=float)
     # negating the (links, 1) column saves a pass over each survival chunk
     neg_sq, bt = -d[:, None] ** 2, d[:, None] ** params.pathloss_exponent
@@ -375,10 +366,12 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
         surv_buf = np.empty((_LINK_BLOCK + 1) * (min(_BOUNDARY_CHUNK, m) + 1))
         mass_buf = np.empty((_LINK_BLOCK + 1) * min(_BOUNDARY_CHUNK, m))
         part_buf = np.empty(_LINK_BLOCK + 1)
-        for b0 in range(0, live, _BOUNDARY_CHUNK):
+        for b0 in range(0, m, _BOUNDARY_CHUNK):
             k = min(_BOUNDARY_CHUNK, m - b0)   # intervals in this chunk
             # the bits of the whole-grid weights exp(-a * ln(1 + midpoint))
             weights = [np.exp(-a * log_mid[b0:b0 + k]) for a in exponents]
+            if not any(w.any() for w in weights):
+                continue
             for lo, hi in span:
                 size = hi - lo
                 part = part_buf[:size]
@@ -392,12 +385,12 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
                 for g, w in zip(gs, weights):
                     g[lo:hi] += np.dot(mass, w, out=part)
                     # the chunk ending at the top interval folds in the mass
-                    # beyond gamma_max; where no weight is live up there, the
-                    # last weight is 0.0 and the fold adds +0.0
+                    # beyond gamma_max; where the last weight is 0.0, the
+                    # fold adds +0.0
                     if b0 + k == m:
                         g[lo:hi] += surv[:, -1] * w[-1]
 
-    spans = _spans(blocks) if live >= _PARALLEL_LIVE else [blocks]
+    spans = _spans(blocks) if m >= _PARALLEL_INTERVALS else [blocks]
     if len(spans) == 1:
         run(spans[0])
     else:
@@ -473,23 +466,6 @@ def eff_cap_user(thetas, d_m: float, lambda_rrh: float,
                              for theta in thetas], lambda_rrh, params, quantizer)
     return [-math.log(demand_moment(g)[0]) / (theta * params.bandwidth_hz * params.slot_s)
             for theta, g in zip(thetas, gs)]
-
-
-def l_func_limited(gamma, q_ratio: float, beta: float):
-    """Interference-limited outage of the nearest-content-holder link.
-
-    1 - 1/(2*A(beta)*gamma^(2/beta)*(q-1) + u(gamma) + 1) with
-    q = lambda_R / lambda_l >= 1.  Exact once noise is dropped; vectorized
-    over gamma.
-    """
-    if q_ratio < 1:
-        raise ParameterError("q_ratio = lambda_R/lambda_l cannot be below 1")
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
-        raise ParameterError("SINR threshold must be non-negative")
-    denom = 2.0 * a_beta(beta) * g ** (2.0 / beta) * (q_ratio - 1.0) + u_func(g, beta) + 1.0
-    out = 1.0 - 1.0 / denom
-    return float(out) if np.isscalar(gamma) else out
 
 
 def _distance_rule() -> tuple[np.ndarray, np.ndarray]:

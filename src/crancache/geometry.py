@@ -9,9 +9,10 @@ law, through lambda_l; no drop marks which content an RRH holds.
 All randomness flows from a single 64-bit master seed.  Sub-streams are
 derived as ``default_rng(SeedSequence(master, spawn_key=path))`` where
 ``path`` is a tuple of small integers naming the consumer (see the
-``STREAM_*`` constants; stream 5 is reserved for the test oracles' game
-instances); the same (seed, path) pair always reproduces the same draws,
-independent of call order.
+``STREAM_*`` constants: RRH positions 0, user positions 2, user content
+marks 3, fading 4, and ``validate``'s single-link SINR batch 11; stream 5
+is reserved for the test oracles' game instances); the same (seed, path)
+pair always reproduces the same draws, independent of call order.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ STREAM_RRH_POS = 0
 STREAM_USER_POS = 2
 STREAM_USER_MARK = 3
 STREAM_FADING = 4
+STREAM_VALIDATE_SINR = 11
 
 # Simulation window, meters.  Interference beyond this radius is dropped.
 # It is below the serving signal, but not small next to the interference

