@@ -41,6 +41,19 @@ STREAM_VALIDATE_SINR = 11
 # in (4.00356 against 3.98982).
 DEFAULT_SIM_RADIUS = 2000.0
 
+# Bounds on a drop's expected size, both checked before any point is drawn.
+# Links are users x RRHs: an allocation instance holds a distance per link
+# and, per delay exponent it prices, a K-table entry from the log-moment
+# kernel.  2^20 links is 275x the benchmark's dense drop (3,808 links,
+# ~0.3 s to allocate) and 8 MiB per table, so a typo such as cluster_radius
+# = 1e5 (2.5e10 links, a 184 GiB distance array) exits 2 instead.
+MAX_LINKS = 1 << 20
+# Drawing a field holds ~6 doubles per point, 48 MiB at 2^20 points.  Within
+# the links bound a field passes it only when the other expects under one
+# point, as with cluster_radius = 1e7 and lambda_user = 1e-20 (1.6e9 RRHs
+# for a drop that is likely empty).
+MAX_POINTS = 1 << 20
+
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Derive an independent generator from the master seed and a stream path."""
@@ -145,8 +158,20 @@ def thin_by_content(points: np.ndarray, probabilities: np.ndarray,
 def sample_network(density: DensityConfig, radius: float, seed: int) -> NetworkRealization:
     """Sample a full drop from the master seed using the documented streams.
 
-    User request marks follow ``density.lambda_split``.
+    User request marks follow ``density.lambda_split``.  A drop whose
+    expected points per field exceed MAX_POINTS, or whose expected links
+    exceed MAX_LINKS, raises ParameterError before any draw.
     """
+    area = np.pi * radius * radius     # radius ** 2 raises OverflowError past 1e154
+    rrhs, users = density.lambda_rrh * area, density.lambda_user * area
+    fix = "lower cluster_radius, lambda_rrh or lambda_user"
+    if max(rrhs, users) > MAX_POINTS:
+        raise ParameterError(f"a {radius:g} m cluster expects ~{rrhs:.3g} RRHs and "
+                             f"~{users:.3g} users, over the {MAX_POINTS} points per "
+                             f"field bound; {fix}")
+    if rrhs * users > MAX_LINKS:
+        raise ParameterError(f"a {radius:g} m cluster expects ~{rrhs * users:.3g} links "
+                             f"(users x RRHs), over the {MAX_LINKS} bound; {fix}")
     split_frac = density.lambda_split / density.lambda_rrh
     rrh_xy = sample_ppp(density.lambda_rrh, radius, substream(seed, STREAM_RRH_POS))
     user_xy = sample_ppp(density.lambda_user, radius, substream(seed, STREAM_USER_POS))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,43 +36,51 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
+# parser of a config value, by the annotation of the field it sets
+_PARSERS = {"float": float, "int": int, "int | None": int, "tuple": _floats}
+
+
+def _setting(section: str, default, key: str | None = None):
+    """A Scenario field set by ``key`` (default: the field's name) in a
+    config file's ``[section]``."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Fully resolved run parameters; every field has a working default."""
+    """Fully resolved run parameters; every field has a working default.
 
-    # geometry
-    lambda_rrh: float = 5e-6
-    lambda_user: float = 5e-6
-    cluster_radius: float = 1000.0     # assumed default, flagged in outputs
-    sim_radius: float = DEFAULT_SIM_RADIUS
-    # content
-    content_count: int = 5
-    object_size_bits: float = 1e6
-    zipf_exponent: float = 1.0
-    popularity: tuple = ()             # explicit override; empty -> Zipf
-    cache_size: int | None = None      # None: cache the whole catalog
-    # qos
-    theta_cluster: tuple = (0.1,)
-    theta_cloud: tuple = (0.6,)
-    # radio
-    noise: float = 0.0                 # relative to RRH power; 0 -> interference-limited
-    pathloss_exponent: float = 4.0
-    bandwidth_hz: float = 1000.0
-    slot_s: float = 1e-3
-    rru_count: int = 5                 # reference block count fixing mu
-    # quantizer
-    quant_intervals: int = DEFAULT_INTERVALS
-    # power
-    rrh_active_w: float = 104.0
-    rrh_sleep_w: float = 56.0
-    cache_per_object_w: float = 0.15
-    backhaul_w: float = 10.0
-    # games
-    cost_coeff: float = 1e-4
-    # run
-    seed: int = 1
-    mc_trials: int = 100_000
-    user_distance: float = 50.0        # typical-user serving distance, meters
+    Each field is one config setting: ``_setting`` declares its section,
+    and its key where the key is not the field's name, so the fields are
+    the only list of what a config file may set.
+    """
+
+    lambda_rrh: float = _setting("geometry", 5e-6)
+    lambda_user: float = _setting("geometry", 5e-6)
+    cluster_radius: float = _setting("geometry", 1000.0)  # assumed default, flagged in outputs
+    sim_radius: float = _setting("geometry", DEFAULT_SIM_RADIUS)
+    content_count: int = _setting("content", 5, "count")
+    object_size_bits: float = _setting("content", 1e6)
+    zipf_exponent: float = _setting("content", 1.0)
+    popularity: tuple = _setting("content", ())          # explicit override; empty -> Zipf
+    cache_size: int | None = _setting("content", None)   # None: cache the whole catalog
+    theta_cluster: tuple = _setting("qos", (0.1,))
+    theta_cloud: tuple = _setting("qos", (0.6,))
+    # relative to RRH power; 0 -> interference-limited
+    noise: float = _setting("radio", 0.0)
+    pathloss_exponent: float = _setting("radio", 4.0)
+    bandwidth_hz: float = _setting("radio", 1000.0)
+    slot_s: float = _setting("radio", 1e-3)
+    rru_count: int = _setting("radio", 5)                # reference block count fixing mu
+    quant_intervals: int = _setting("quantizer", DEFAULT_INTERVALS, "intervals")
+    rrh_active_w: float = _setting("power", 104.0, "rrh_active")
+    rrh_sleep_w: float = _setting("power", 56.0, "rrh_sleep")
+    cache_per_object_w: float = _setting("power", 0.15, "cache_per_object")
+    backhaul_w: float = _setting("power", 10.0, "backhaul")
+    cost_coeff: float = _setting("games", 1e-4)
+    seed: int = _setting("run", 1)
+    mc_trials: int = _setting("run", 100_000)
+    user_distance: float = _setting("run", 50.0)         # typical-user serving distance, meters
 
     def __post_init__(self):
         if self.seed < 0:
@@ -196,37 +204,11 @@ class Scenario:
         return lines
 
 
-_SCHEMA = {
-    "geometry": {"lambda_rrh": float, "lambda_user": float,
-                 "cluster_radius": float, "sim_radius": float},
-    "content": {"count": int, "object_size_bits": float, "zipf_exponent": float,
-                "popularity": _floats, "cache_size": int},
-    "qos": {"theta_cluster": _floats, "theta_cloud": _floats},
-    "radio": {"noise": float, "pathloss_exponent": float,
-              "bandwidth_hz": float, "slot_s": float, "rru_count": int},
-    "quantizer": {"intervals": int},
-    "power": {"rrh_active": float, "rrh_sleep": float, "cache_per_object": float,
-              "backhaul": float},
-    "games": {"cost_coeff": float},
-    "run": {"seed": int, "mc_trials": int, "user_distance": float},
-}
-
-# (section, key) -> Scenario field name, where they differ
-_FIELD_MAP = {
-    ("content", "count"): "content_count",
-    ("quantizer", "intervals"): "quant_intervals",
-    ("power", "rrh_active"): "rrh_active_w",
-    ("power", "rrh_sleep"): "rrh_sleep_w",
-    ("power", "cache_per_object"): "cache_per_object_w",
-    ("power", "backhaul"): "backhaul_w",
-}
-
-
 def load_scenario(path: str | None = None, text: str | None = None) -> Scenario:
     """Parse a config file (or literal text) into a Scenario.
 
-    Sections and keys outside the schema raise ParameterError; a missing
-    file is an error, an empty file yields pure defaults.
+    Sections and keys no Scenario field declares raise ParameterError; a
+    missing file is an error, an empty file yields pure defaults.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -239,17 +221,19 @@ def load_scenario(path: str | None = None, text: str | None = None) -> Scenario:
     except (configparser.Error, UnicodeDecodeError) as exc:
         # configparser spreads some messages over several lines
         raise ParameterError("malformed config: " + " ".join(str(exc).split())) from exc
+    settings = {(f.metadata["section"], f.metadata["key"] or f.name): f
+                for f in fields(Scenario)}
+    known_sections = {section for section, _ in settings}
     values = {}
     for section, items in sections:
-        if section not in _SCHEMA:
+        if section not in known_sections:
             raise ParameterError(f"unknown config section [{section}]")
         for key, raw in items:
-            caster = _SCHEMA[section].get(key)
-            if caster is None:
+            setting = settings.get((section, key))
+            if setting is None:
                 raise ParameterError(f"unknown key {key!r} in section [{section}]")
-            name = _FIELD_MAP.get((section, key), key)
             try:
-                values[name] = caster(raw)
+                values[setting.name] = _PARSERS[setting.type](raw)
             except ValueError as exc:
                 raise ParameterError(f"bad value for [{section}] {key}: {raw!r}") from exc
     scenario = Scenario(**values)

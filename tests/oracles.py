@@ -19,7 +19,10 @@ is evidence for both.  ``shapley_by_sampling`` is the Monte Carlo
 estimate of the Shapley values over random join orders, with per-entry
 standard errors, for RRH counts beyond the reach of enumeration.
 ``joint_optimum`` is the best welfare any allocation of a small drop
-reaches, the yardstick the algorithms are measured against.
+reaches, the yardstick the algorithms are measured against;
+``milp_optimum`` reaches the same value at default scale, solving each
+block as a mixed-integer program where ``joint_optimum`` tries every
+assignment.
 ``random_instance`` builds the small game instances the game tests and
 criteria 7-9 run on.
 """
@@ -32,6 +35,7 @@ from typing import Iterator
 import mpmath
 import numpy as np
 from scipy import integrate
+from scipy.optimize import LinearConstraint, milp
 
 from crancache import games
 from crancache.content import ClusterCache, ContentCatalog
@@ -292,6 +296,77 @@ def joint_optimum(instance) -> float:
                 total += table[(choice == i) @ bits]
             welfare += max(float(total.max()), 0.0)
         best = max(best, welfare)
+    return best
+
+
+def _block_optimum(instance, contents: list, rru_count: int) -> float:
+    """Utility psi of the best assignment of every RRH to one of
+    ``contents``, from one mixed-integer program, re-priced exactly and
+    clamped at 0 as the library clamps a block's utility.
+
+    Binary x[r, c] puts RRH r on content c, with sum_c x[r, c] = 1; binary
+    z[c] >= x[r, c] marks c's coalition non-empty; y[u, r] in [0, 1], with
+    y[u, r] <= x[r, c] and sum_r y[u, r] <= 1, lets requester u of c take
+    member r.  The program maximizes sum mu_N K_c[u, r] y[u, r]
+    - c0 P_rrh sum x - c0 sum_c share_c z[c]; as K >= 0, each requester
+    takes its best member, so this is the block's summed coalition value.
+    """
+    r, k = instance.n_rrh, len(contents)
+    requesters = [(i, u) for i, c in enumerate(contents) for u in instance.users_of(c)]
+    nx, ny = r * k, len(requesters) * r
+    n = nx + k + ny
+    x = np.arange(nx).reshape(r, k)
+    y = nx + k + np.arange(ny).reshape(len(requesters), r)
+    gain = np.zeros(n)
+    gain[:nx] = -instance.cost_coeff * instance.power.rrh_active
+    gain[nx:nx + k] = [-instance.cost_coeff * instance.share_power(c) for c in contents]
+    for j, (i, u) in enumerate(requesters):
+        gain[y[j]] = instance.mu_for(rru_count) * instance._k_table(contents[i], rru_count)[u]
+    owner = np.array([i for i, _ in requesters], dtype=int)
+
+    def rows(*terms) -> np.ndarray:
+        """Constraint rows, one per row of each term's 2-D column array,
+        with the term's coefficient in each of those columns."""
+        a = np.zeros((len(terms[0][0]), n))
+        for columns, coeff in terms:
+            a[np.arange(len(a))[:, None], columns] = coeff
+        return a
+
+    one_content = rows((x, 1.0))
+    marks = rows((x.reshape(-1, 1), 1.0), (nx + np.tile(np.arange(k), r)[:, None], -1.0))
+    members = rows((y.reshape(-1, 1), 1.0), (x.T[owner].reshape(-1, 1), -1.0))
+    one_member = rows((y, 1.0))
+    constraint = LinearConstraint(
+        np.vstack([one_content, marks, members, one_member]),
+        np.r_[np.ones(r), np.full(nx + ny + len(requesters), -np.inf)],
+        np.r_[np.ones(r), np.zeros(nx + ny), np.ones(len(requesters))])
+    result = milp(-gain, integrality=np.r_[np.ones(nx + k), np.zeros(ny)],
+                  bounds=(0.0, 1.0), constraints=constraint,
+                  options={"mip_rel_gap": 0.0})
+    if result.status != 0:
+        raise ConvergenceError(f"block MILP did not solve: {result.message}")
+    choice = result.x[x].argmax(axis=1)
+    total = sum(games.coalition_value(np.flatnonzero(choice == i), c, instance, rru_count)
+                for i, c in enumerate(contents))
+    return max(total, 0.0)
+
+
+def milp_optimum(instance) -> float:
+    """Largest welfare any allocation reaches, at default scale: the best,
+    over every RRU partition of the contents, of the summed block
+    utilities, each block's best RRH assignment found by a mixed-integer
+    program (``scipy.optimize.milp``, HiGHS, zero relative gap) and
+    re-priced with ``games.coalition_value``, so the value is the exact
+    welfare of a real allocation.  Each (block, RRU count) is solved once.
+    """
+    blocks = {}
+    best = -math.inf
+    for partition in enumerate_partitions(range(instance.content_count)):
+        m = len(partition)
+        for block in partition:
+            if (block, m) not in blocks:
+                blocks[block, m] = _block_optimum(instance, sorted(block), m)
+        best = max(best, sum(blocks[block, m] for block in partition))
     return best
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crancache import cli, effcap, simkit
+from crancache import cli, effcap, geometry, simkit
 from crancache.cli import (ALGORITHMS, _parse, build_instance, main,
                            run_allocate, run_analyze, run_sweep, run_validate,
                            write_csv)
@@ -99,6 +99,34 @@ def test_build_instance_rejects_empty_field():
     s = replace(Scenario(), lambda_rrh=1e-12, lambda_user=1e-12)
     with pytest.raises(CoverageError):
         build_instance(s)
+
+
+def test_build_instance_refuses_a_drop_past_either_size_bound():
+    # each drop is just past one bound and builds in ~0.1 s and under 100 MB
+    # without it; the bounds refuse them before any point is drawn
+    area = math.pi * Scenario().cluster_radius ** 2
+    per_field = math.sqrt(1.01 * geometry.MAX_LINKS)
+    links = replace(Scenario(), lambda_rrh=per_field / area, lambda_user=per_field / area)
+    with pytest.raises(ParameterError, match="links"):
+        build_instance(links)
+    inside = math.sqrt(0.99 * geometry.MAX_LINKS) / area
+    assert build_instance(replace(links, lambda_rrh=inside, lambda_user=inside)).n_rrh > 0
+    # a lopsided drop: 1.06e6 RRHs for 0.9 expected users (one at seed 5)
+    points = replace(Scenario(), lambda_rrh=1.01 * geometry.MAX_POINTS / area,
+                     lambda_user=0.9 / area, seed=5)
+    with pytest.raises(ParameterError, match="points per field"):
+        build_instance(points)
+
+
+def test_allocate_over_the_drop_size_bound_exits_2(tmp_path, capsys, monkeypatch):
+    # the default drop expects ~247 links; a lowered bound refuses it the
+    # way cluster_radius = 1e5 (2.5e10 links) meets the real one
+    monkeypatch.setattr(geometry, "MAX_LINKS", 200)
+    out = tmp_path / "o"
+    assert main(["allocate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "links" in err
+    assert not out.exists()
 
 
 def test_run_allocate_files(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from crancache import games
 from crancache.cli import ALGORITHMS, build_instance, run_algorithm
+from crancache.energy import PowerModel
 from crancache.errors import ConvergenceError, DomainError, ParameterError
 from crancache.geometry import NetworkRealization
 from crancache.scenario import Scenario
@@ -20,8 +21,8 @@ from crancache.games import (AllocationResult, ClusterInstance, RrhPartition,
 
 from oracles import (block_utility, conflict_utility, content_game_by_frozensets,
                      enumerate_partitions, greedy_init_partition, hedonic_by_frozensets,
-                     joint_optimum, moved, random_instance, shapley_by_enumeration,
-                     shapley_by_sampling, shapley_conflict_payoff)
+                     joint_optimum, milp_optimum, moved, random_instance,
+                     shapley_by_enumeration, shapley_by_sampling, shapley_conflict_payoff)
 
 
 @pytest.fixture(scope="module")
@@ -647,6 +648,13 @@ def test_joint_optimum_matches_pricing_every_partition_directly():
             joint_optimum(too_big)
 
 
+def print_gaps(yardstick: str, gaps: dict):
+    for name, gap in gaps.items():
+        at_optimum = sum(g <= 1e-12 for g in gap)
+        print(f"{yardstick}, {name}: {at_optimum}/{len(gap)} drops at the optimum, "
+              f"gap mean {100 * np.mean(gap):.2f}%, max {100 * np.max(gap):.2f}%")
+
+
 def test_no_algorithm_beats_the_joint_optimum():
     # every algorithm's outcome is one of the allocations the optimum
     # ranges over, so a welfare above it means the accounting is wrong
@@ -659,10 +667,39 @@ def test_no_algorithm_beats_the_joint_optimum():
             welfare = run_algorithm(inst, alg, Scenario()).welfare
             assert welfare <= best * (1 + 1e-12)
             gaps[alg].append((best - welfare) / best)
-    for alg, gap in gaps.items():
-        at_optimum = sum(g <= 1e-12 for g in gap)
-        print(f"joint optimum, {alg}: {at_optimum}/{len(gap)} drops at the optimum, "
-              f"gap mean {100 * np.mean(gap):.2f}%, max {100 * np.max(gap):.2f}%")
+    print_gaps("joint optimum", gaps)
+
+
+def test_milp_optimum_equals_the_joint_optimum_on_small_drops():
+    # the MILP solves each block where the joint optimum tries every
+    # assignment, so on the drops both can price they must agree; on the
+    # costly copies the power bill rivals the capacity, so a mispriced
+    # RRH or object-share term moves the MILP's assignment
+    costly = dict(cost_coeff=1.0, cache_size=1,
+                  power=PowerModel(rrh_active=1.0, rrh_sleep=0.5,
+                                   cache_per_object=0.15, backhaul=100.0))
+    for drop in YARDSTICK_DROPS + [dict(d, **costly) for d in YARDSTICK_DROPS[:5]]:
+        inst = random_instance(**drop)
+        assert milp_optimum(inst) == pytest.approx(joint_optimum(inst), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.slow
+def test_no_algorithm_beats_the_milp_optimum_on_default_drops():
+    # default drops (5 contents, 13-23 RRHs) are past the joint optimum's
+    # reach; besides the algorithms, the best RRU partition under the inner
+    # RRH game is one more real allocation the optimum bounds
+    inner = "best RRU partition, inner game"
+    gaps = {name: [] for name in (*ALGORITHMS, inner)}
+    for seed in range(1, 11):
+        inst = build_instance(replace(Scenario(), seed=seed))
+        best = milp_optimum(inst)
+        welfare = {alg: run_algorithm(inst, alg, Scenario()).welfare for alg in ALGORITHMS}
+        welfare[inner] = max(sum(games._block(inst, block, len(part))[0] for block in part)
+                             for part in enumerate_partitions(range(inst.content_count)))
+        for name, value in welfare.items():
+            assert value <= best * (1 + 1e-12), name
+            gaps[name].append((best - value) / best)
+    print_gaps("MILP optimum", gaps)
 
 
 def test_rrh_relabelling_probe():

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +7,7 @@ import pytest
 
 from crancache.content import ClusterCache
 from crancache.errors import ParameterError
-from crancache.scenario import _FIELD_MAP, _SCHEMA, Scenario, load_scenario
+from crancache.scenario import Scenario, load_scenario
 
 
 def test_empty_text_gives_pure_defaults():
@@ -38,13 +38,47 @@ def test_parsing_with_renamed_keys():
     assert s.backhaul_w == 10.0
 
 
-def test_schema_keys_and_fields_match_one_to_one():
-    # a key with no field would end in a TypeError traceback, a field with
-    # no key could not be set from a config file
-    keys = [(section, key) for section, names in _SCHEMA.items() for key in names]
-    assert (sorted(_FIELD_MAP.get(k, k[1]) for k in keys)
-            == sorted(f.name for f in fields(Scenario)))
-    assert set(_FIELD_MAP) <= set(keys)
+# one config line per field, each with a valid value off the default
+SETTING_LINES = {
+    "lambda_rrh": ("[geometry] lambda_rrh = 6e-6", 6e-6),
+    "lambda_user": ("[geometry] lambda_user = 7e-6", 7e-6),
+    "cluster_radius": ("[geometry] cluster_radius = 800", 800.0),
+    "sim_radius": ("[geometry] sim_radius = 3000", 3000.0),
+    "content_count": ("[content] count = 4", 4),
+    "object_size_bits": ("[content] object_size_bits = 2e6", 2e6),
+    "zipf_exponent": ("[content] zipf_exponent = 0.8", 0.8),
+    "popularity": ("[content] popularity = 0.4, 0.3, 0.15, 0.1, 0.05",
+                   (0.4, 0.3, 0.15, 0.1, 0.05)),
+    "cache_size": ("[content] cache_size = 3", 3),
+    "theta_cluster": ("[qos] theta_cluster = 0.2", (0.2,)),
+    "theta_cloud": ("[qos] theta_cloud = 0.3 0.4 0.5 0.6 0.7", (0.3, 0.4, 0.5, 0.6, 0.7)),
+    "noise": ("[radio] noise = 0.2", 0.2),
+    "pathloss_exponent": ("[radio] pathloss_exponent = 3.5", 3.5),
+    "bandwidth_hz": ("[radio] bandwidth_hz = 2000", 2000.0),
+    "slot_s": ("[radio] slot_s = 2e-3", 2e-3),
+    "rru_count": ("[radio] rru_count = 3", 3),
+    "quant_intervals": ("[quantizer] intervals = 1024", 1024),
+    "rrh_active_w": ("[power] rrh_active = 90", 90.0),
+    "rrh_sleep_w": ("[power] rrh_sleep = 40", 40.0),
+    "cache_per_object_w": ("[power] cache_per_object = 0.2", 0.2),
+    "backhaul_w": ("[power] backhaul = 12", 12.0),
+    "cost_coeff": ("[games] cost_coeff = 2e-4", 2e-4),
+    "seed": ("[run] seed = 7", 7),
+    "mc_trials": ("[run] mc_trials = 500", 500),
+    "user_distance": ("[run] user_distance = 80", 80.0),
+}
+
+
+def test_each_setting_loads_into_its_field_alone():
+    # every field can be set from a config file, under its documented
+    # section and key, and a line sets nothing but its own field
+    assert list(SETTING_LINES) == [f.name for f in fields(Scenario)]
+    for name, (line, value) in SETTING_LINES.items():
+        section, assignment = line.split(" ", 1)
+        loaded = load_scenario(text=f"{section}\n{assignment}\n")
+        assert getattr(loaded, name) != getattr(Scenario(), name)
+        assert loaded == replace(Scenario(), **{name: value}), line
+        assert type(getattr(loaded, name)) is type(value), line
 
 
 def test_readme_config_example_loads():
