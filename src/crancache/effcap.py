@@ -442,7 +442,11 @@ def outage_prob(gamma, d_m: float, lambda_rrh: float, params: RadioParams):
     if np.any(g < 0):
         raise ParameterError("SINR threshold must be non-negative")
     c1, c2 = _sinr_coeffs(g, lambda_rrh, params)
-    out = -np.expm1(-(c1 * d_m ** 2 + c2 * d_m ** params.pathloss_exponent))
+    try:
+        out = -np.expm1(-(c1 * d_m ** 2 + c2 * d_m ** params.pathloss_exponent))
+    except OverflowError:
+        raise DomainError(f"distance {d_m:g} m to the power {params.pathloss_exponent:g} "
+                          "overflows a float") from None
     return float(out) if np.isscalar(gamma) else out
 
 

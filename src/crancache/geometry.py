@@ -1,10 +1,10 @@
 """Spatial model: Poisson fields of RRHs and users on a disk.
 
 RRHs and users are drawn as independent homogeneous Poisson point
-processes, and each user independently draws the object it requests with
-probability lambda_l / lambda_R.  The per-content holder fields
-(intensity lambda_l, sum lambda_l = lambda_R) enter only the analytic
-law, through lambda_l; no drop marks which content an RRH holds.
+processes, and each user independently draws the object it requests from
+the catalog's popularity P_l.  The per-content holder fields (intensity
+lambda_l = lambda_R * P_l) enter only the analytic law, through lambda_l;
+no drop marks which content an RRH holds.
 
 All randomness flows from a single 64-bit master seed.  Sub-streams are
 derived as ``default_rng(SeedSequence(master, spawn_key=path))`` where
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .content import ContentCatalog
 from .errors import ParameterError
 
 # Sub-stream names for the documented seed-derivation scheme.
@@ -62,33 +63,16 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class DensityConfig:
-    """Intensities of the RRH and user fields (points per square meter).
-
-    ``lambda_split`` holds the per-content RRH intensities; it is
-    renormalized on construction so the entries sum to ``lambda_rrh``
-    exactly.
-    """
+    """Intensities of the RRH and user fields (points per square meter),
+    and the catalog whose popularity each user's request follows."""
 
     lambda_rrh: float
     lambda_user: float
-    lambda_split: np.ndarray
+    catalog: ContentCatalog
 
     def __post_init__(self):
         if self.lambda_rrh <= 0 or self.lambda_user <= 0:
             raise ParameterError("densities lambda_rrh and lambda_user must be positive")
-        split = np.asarray(self.lambda_split, dtype=float)
-        if split.ndim != 1 or split.size == 0 or np.any(split < 0):
-            raise ParameterError("lambda_split must be a non-empty vector of non-negative intensities")
-        total = split.sum()
-        if total <= 0:
-            raise ParameterError("lambda_split must have positive total intensity")
-        object.__setattr__(self, "lambda_split", split * (self.lambda_rrh / total))
-
-    @classmethod
-    def from_popularity(cls, lambda_rrh: float, lambda_user: float,
-                        popularity: np.ndarray) -> "DensityConfig":
-        """Split the RRH field proportionally to content popularity."""
-        return cls(lambda_rrh, lambda_user, lambda_rrh * np.asarray(popularity, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -138,29 +122,13 @@ def sample_ppp(intensity: float, radius: float, rng: np.random.Generator) -> np.
     return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
 
 
-def thin_by_content(points: np.ndarray, probabilities: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Assign each point an independent content class.
-
-    ``probabilities`` must sum to 1 within 1e-12; class l is drawn with
-    probability lambda_l / lambda_R.  Thinning a PPP this way yields
-    independent PPPs per class, which the analysis relies on.
-    """
-    p = np.asarray(probabilities, dtype=float)
-    if p.ndim != 1 or p.size == 0 or np.any(p < 0):
-        raise ParameterError("probabilities must be a non-negative vector")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ParameterError(f"probabilities must sum to 1 (got {p.sum()!r})")
-    p = p / p.sum()
-    return rng.choice(p.size, size=len(points), p=p)
-
-
 def sample_network(density: DensityConfig, radius: float, seed: int) -> NetworkRealization:
     """Sample a full drop from the master seed using the documented streams.
 
-    User request marks follow ``density.lambda_split``.  A drop whose
-    expected points per field exceed MAX_POINTS, or whose expected links
-    exceed MAX_LINKS, raises ParameterError before any draw.
+    Each user requests object l with probability P_l, the popularity of
+    ``density.catalog``.  A drop whose expected points per field exceed
+    MAX_POINTS, or whose expected links exceed MAX_LINKS, raises
+    ParameterError before any draw.
     """
     area = np.pi * radius * radius     # radius ** 2 raises OverflowError past 1e154
     rrhs, users = density.lambda_rrh * area, density.lambda_user * area
@@ -172,8 +140,11 @@ def sample_network(density: DensityConfig, radius: float, seed: int) -> NetworkR
     if rrhs * users > MAX_LINKS:
         raise ParameterError(f"a {radius:g} m cluster expects ~{rrhs * users:.3g} links "
                              f"(users x RRHs), over the {MAX_LINKS} bound; {fix}")
-    split_frac = density.lambda_split / density.lambda_rrh
     rrh_xy = sample_ppp(density.lambda_rrh, radius, substream(seed, STREAM_RRH_POS))
     user_xy = sample_ppp(density.lambda_user, radius, substream(seed, STREAM_USER_POS))
-    user_content = thin_by_content(user_xy, split_frac, substream(seed, STREAM_USER_MARK))
+    # marking each user independently thins the user PPP into independent
+    # per-content PPPs, which the analysis relies on
+    catalog = density.catalog
+    user_content = substream(seed, STREAM_USER_MARK).choice(
+        catalog.count, size=len(user_xy), p=catalog.popularity)
     return NetworkRealization(radius, rrh_xy, user_xy, user_content, seed)

@@ -109,11 +109,14 @@ class Scenario:
                                  f"for {self.content_count} contents")
         if self.cost_coeff < 0:
             raise ParameterError(f"cost_coeff must be non-negative, got {self.cost_coeff!r}")
-        # the builders range-check the radio, power and density fields; the
-        # quantizers are not built here, since each allocates its whole grid
+        # the builders range-check the radio, power, density, cache and QoS
+        # fields; the quantizers are not built here, since each allocates
+        # its whole grid
         self.radio()
         self.power()
         self.density()
+        self.cache()
+        self.qos()
 
     def _theta_vec(self, raw: tuple) -> np.ndarray:
         if len(raw) == 1:
@@ -183,8 +186,7 @@ class Scenario:
                           backhaul=self.backhaul_w)
 
     def density(self) -> DensityConfig:
-        return DensityConfig.from_popularity(self.lambda_rrh, self.lambda_user,
-                                             self.catalog().popularity)
+        return DensityConfig(self.lambda_rrh, self.lambda_user, self.catalog())
 
     def header_lines(self) -> list[str]:
         """Resolved parameter set as '#' comment lines for CSV embedding."""
@@ -236,7 +238,4 @@ def load_scenario(path: str | None = None, text: str | None = None) -> Scenario:
                 values[setting.name] = _PARSERS[setting.type](raw)
             except ValueError as exc:
                 raise ParameterError(f"bad value for [{section}] {key}: {raw!r}") from exc
-    scenario = Scenario(**values)
-    scenario.cache()     # surface cache-size and theta-length errors at load time
-    scenario.qos()
-    return scenario
+    return Scenario(**values)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effcap import RadioParams, log_moment_exponent
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .geometry import DEFAULT_SIM_RADIUS, STREAM_FADING, substream
 
 # Sentinel SINR when the denominator vanishes (no interferers, no noise).
@@ -66,7 +66,8 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
         raise ParameterError("serving distance must be positive")
     if lambda_rrh <= 0 or trials < 1 or sim_radius <= 0:
         raise ParameterError("need positive intensity, radius and trial count")
-    draws = trials * (lambda_rrh * np.pi * sim_radius ** 2 + 1.0)
+    area = np.pi * sim_radius * sim_radius     # sim_radius ** 2 overflows past 1e154
+    draws = trials * (lambda_rrh * area + 1.0)
     if draws > MAX_DRAWS:
         raise ParameterError(f"{trials} trials at {lambda_rrh:g} RRHs per m^2 on a "
                              f"{sim_radius:g} m disk need ~{draws:.3g} draws, over "
@@ -78,7 +79,11 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
     # SINR forms in place in the order of np.where(denom > 0, signal /
     # max(denom, 1e-300), inf) capped at SINR_CAP, so its bits are the formula's
     sinr = rng.standard_exponential(trials)
-    sinr *= d_m ** (-beta)
+    try:
+        sinr *= d_m ** (-beta)
+    except OverflowError:
+        raise DomainError(f"serving distance {d_m:g} m to the power -{beta:g} "
+                          "overflows a float") from None
     denom += params.noise
     empty = ~(denom > 0.0)
     if np.any(denom == 0.0):

@@ -243,8 +243,8 @@ def test_sweep_skips_only_empty_drops(tmp_path):
     _, rows = _read_csv(tmp_path / "sweep.csv")
     assert [r[0] for r in rows] == ["2", "4"]
     # any other error ends the sweep
-    with pytest.raises(ParameterError, match="cache size"):
-        run_sweep(replace(Scenario(), cache_size=9), str(tmp_path), 2,
+    with pytest.raises(ParameterError, match="links"):
+        run_sweep(replace(Scenario(), cluster_radius=1e5), str(tmp_path), 2,
                   algorithms=("orthogonal",))
 
 
@@ -307,6 +307,30 @@ def test_validate_over_the_draw_bound_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["validate", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "draws" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[geometry]\nsim_radius = 1e200\n",          # sim_radius ** 2 in the draw bound
+    "[run]\nuser_distance = 1e200\n",            # d ** 2 in the outage law
+    "[run]\nuser_distance = 1e80\n",             # d ** beta in the outage law
+    "[radio]\npathloss_exponent = 200\n",
+    "[radio]\npathloss_exponent = 1e10\n",
+    "[run]\nuser_distance = 1e-200\n",           # d ** -beta in the sampler
+    "[run]\nuser_distance = 1e-80\n",
+], ids=["sim_radius-1e200", "user_distance-1e200", "user_distance-1e80",
+        "pathloss_exponent-200", "pathloss_exponent-1e10", "user_distance-1e-200",
+        "user_distance-1e-80"])
+def test_validate_on_an_overflowing_power_exits_2(tmp_path, capsys, text):
+    # each length or exponent is finite, so it passes load, but a float
+    # power of it overflows
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == err.splitlines()[-1:]
+    assert "Traceback" not in err
     assert not out.exists()
 
 

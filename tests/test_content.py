@@ -46,6 +46,8 @@ def test_catalog_validation():
     with pytest.raises(ParameterError):
         ContentCatalog(1e6, np.array([0.4, 0.6]))          # increasing
     with pytest.raises(ParameterError):
+        ContentCatalog(1e6, np.array([1.5, -0.5]))         # a negative entry
+    with pytest.raises(ParameterError):
         ContentCatalog(1e6, np.empty(0))
     cat = ContentCatalog.zipf(1e6, 1.0, 5)
     assert cat.count == 5

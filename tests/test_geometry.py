@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from crancache.content import zipf_popularity
+from crancache.content import ContentCatalog
 from crancache.errors import ParameterError
-from crancache.geometry import (STREAM_FADING, STREAM_RRH_POS, DensityConfig,
-                                NetworkRealization, sample_network, sample_ppp,
-                                substream, thin_by_content)
+from crancache.geometry import (STREAM_FADING, STREAM_RRH_POS, STREAM_USER_MARK,
+                                DensityConfig, NetworkRealization, sample_network,
+                                sample_ppp, substream)
+
+CATALOG = ContentCatalog.zipf(1e6, 1.0, 5)
 
 
 def test_substream_reproducible_and_path_sensitive():
@@ -47,19 +49,20 @@ def test_ppp_rejects_degenerate_inputs():
 
 
 def test_thinning_matches_class_probabilities():
-    p = zipf_popularity(1.0, 5)
-    marks = thin_by_content(np.zeros((20000, 2)), p, substream(77, 1))
+    # ~20,000 users, each marking object 0 with probability P_0
+    p = CATALOG.popularity
+    marks = sample_network(DensityConfig(5e-6, 2e-2, CATALOG), 564.0, seed=77).user_content
     frac = np.mean(marks == 0)
-    assert abs(frac - p[0]) < 3.0 * math.sqrt(p[0] * (1 - p[0]) / 20000)
+    assert abs(frac - p[0]) < 3.0 * math.sqrt(p[0] * (1 - p[0]) / len(marks))
     assert set(np.unique(marks)) <= set(range(5))
 
 
-def test_thinning_validation():
-    rng = substream(0, 1)
-    with pytest.raises(ParameterError):
-        thin_by_content(np.zeros((4, 2)), np.array([0.5, 0.4]), rng)
-    with pytest.raises(ParameterError):
-        thin_by_content(np.zeros((4, 2)), np.array([1.5, -0.5]), rng)
+def test_request_marks_follow_the_catalog_popularity():
+    net = sample_network(DensityConfig(5e-6, 2e-5, CATALOG), 1000.0, seed=3)
+    expected = substream(3, STREAM_USER_MARK).choice(
+        CATALOG.count, size=net.n_user, p=CATALOG.popularity)
+    assert net.n_user > 0
+    np.testing.assert_array_equal(net.user_content, expected)
 
 
 def test_realization_validation():
@@ -71,29 +74,15 @@ def test_realization_validation():
                            np.array([[5.0, 0.0]]), np.array([0, 1]), 0)
 
 
-def test_density_split_renormalizes_exactly():
-    cfg = DensityConfig(5e-6, 5e-6, np.array([2.0, 1.0, 1.0]))
-    assert abs(cfg.lambda_split.sum() - 5e-6) < 1e-20
-    np.testing.assert_allclose(cfg.lambda_split,
-                               [2.5e-6, 1.25e-6, 1.25e-6], rtol=1e-14)
-    pop = zipf_popularity(1.0, 5)
-    cfg = DensityConfig.from_popularity(5e-6, 5e-6, pop)
-    np.testing.assert_allclose(cfg.lambda_split, 5e-6 * pop, rtol=1e-14)
-
-
 def test_density_validation():
     with pytest.raises(ParameterError):
-        DensityConfig(0.0, 5e-6, np.array([1.0]))
+        DensityConfig(0.0, 5e-6, CATALOG)
     with pytest.raises(ParameterError):
-        DensityConfig(5e-6, 0.0, np.array([1.0]))
-    with pytest.raises(ParameterError):
-        DensityConfig(5e-6, 5e-6, np.array([0.0, 0.0]))
-    with pytest.raises(ParameterError):
-        DensityConfig(5e-6, 5e-6, np.array([-1.0, 2.0]))
+        DensityConfig(5e-6, 0.0, CATALOG)
 
 
 def test_sample_network_is_seed_deterministic():
-    cfg = DensityConfig.from_popularity(5e-6, 5e-6, zipf_popularity(1.0, 5))
+    cfg = DensityConfig(5e-6, 5e-6, CATALOG)
     a = sample_network(cfg, 1000.0, seed=5)
     b = sample_network(cfg, 1000.0, seed=5)
     np.testing.assert_array_equal(a.rrh_xy, b.rrh_xy)

@@ -176,9 +176,15 @@ def test_every_quantizer_call_builds_a_fresh_grid():
 
 def test_density_split_matches_popularity():
     s = Scenario()
-    d = s.density()
-    assert d.lambda_split.sum() == pytest.approx(s.lambda_rrh, rel=1e-15)
-    assert np.allclose(d.lambda_split / s.lambda_rrh, s.catalog().popularity)
+    np.testing.assert_array_equal(s.density().catalog.popularity, s.catalog().popularity)
+
+
+def test_a_scenario_is_valid_once_built():
+    # the cache and QoS builders run at construction, not at first use
+    with pytest.raises(ParameterError, match=r"cache size 6 outside \[0, 5\]"):
+        Scenario(cache_size=6)
+    with pytest.raises(ParameterError, match="theta vector length"):
+        Scenario(theta_cluster=(0.1, 0.2))
 
 
 def test_header_lines_shape():
