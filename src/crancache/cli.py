@@ -106,12 +106,45 @@ def run_analyze(scenario: Scenario, out_dir: str) -> dict:
 
 
 def run_validate(scenario: Scenario, out_dir: str) -> bool:
-    """Cross-check closed forms against Monte Carlo on the same parameters."""
+    """Cross-check closed forms against Monte Carlo on the same parameters.
+
+    Every analytic value is priced before the first trial is drawn, so a
+    scenario the closed forms reject ends before any sampling."""
     params = scenario.user_radio()
-    quant = scenario.user_quantizer()
     d_m = scenario.user_distance
     lam = scenario.lambda_rrh
     trials = scenario.mc_trials
+
+    gammas = (0.1, 1.0, 10.0)
+    outages = [effcap.outage_prob(gamma, d_m, lam, params) for gamma in gammas]
+    thetas = (float(scenario.theta_cluster[0]), float(scenario.theta_cloud[0]))
+    # vanishing-exponent limit: the capacity map flattens to the ergodic mean
+    # once the log-moment exponent a = mu*theta*W*Tbar is tiny, so theta0
+    # is set through a, not on its own (1e-8 at mu*W*T = 1)
+    theta0 = 1e-8 / (params.spectral_efficiency * params.bandwidth_hz * params.slot_s)
+    *anas, ana0 = effcap.eff_cap_user(thetas + (theta0,), d_m, lam, params,
+                                      scenario.user_quantizer())
+
+    # both per-content estimators, side by side (informational); these are
+    # cluster-context quantities, so they use the delivery mu, and one
+    # kernel pass serves every content with the same cluster exponent
+    catalog = scenario.catalog()
+    qos = scenario.qos()
+    cluster_params = scenario.radio()
+    cluster_quant = scenario.quantizer()
+    split = lam * catalog.popularity
+    cluster_thetas = qos.theta_cluster.tolist()
+    content_caps = [None] * catalog.count
+    for theta in dict.fromkeys(cluster_thetas):
+        members = [l for l, other in enumerate(cluster_thetas) if other == theta]
+        caps = effcap.avg_eff_cap_content((theta,), catalog.popularity[members],
+                                          split[members], lam, cluster_params,
+                                          cluster_quant)
+        for l, (pair,) in zip(members, caps):
+            content_caps[l] = pair
+    # the grid is of no use to the Monte Carlo checks
+    del cluster_quant
+
     rows = []
 
     def record(check: str, analytic: float, mc: float, se: float, ok: bool | None):
@@ -123,21 +156,14 @@ def run_validate(scenario: Scenario, out_dir: str) -> bool:
     sinr = simkit.sample_sinr_batch(d_m, lam, params, trials,
                                     substream(scenario.seed, STREAM_VALIDATE_SINR),
                                     scenario.sim_radius)
-    for gamma in (0.1, 1.0, 10.0):
-        analytic = effcap.outage_prob(gamma, d_m, lam, params)
+    for gamma, analytic in zip(gammas, outages):
         emp = float(np.mean(sinr < gamma))
         se = math.sqrt(max(emp * (1 - emp), 1e-12) / trials)
         record(f"outage_cdf_gamma_{gamma:g}", analytic, emp, se,
                abs(analytic - emp) < 3 * se)
 
-    thetas = (float(scenario.theta_cluster[0]), float(scenario.theta_cloud[0]))
     mcs = simkit.mc_eff_cap(thetas, d_m, lam, params, trials, scenario.seed,
                             scenario.sim_radius)
-    # vanishing-exponent limit: the capacity map flattens to the ergodic mean
-    # once the log-moment exponent a = mu*theta*W*Tbar is tiny, so theta0
-    # is set through a, not on its own (1e-8 at mu*W*T = 1)
-    theta0 = 1e-8 / (params.spectral_efficiency * params.bandwidth_hz * params.slot_s)
-    *anas, ana0 = effcap.eff_cap_user(thetas + (theta0,), d_m, lam, params, quant)
     for label, ana, mc in zip(("cluster", "cloud"), anas, mcs):
         tol = max(0.02 * abs(ana), 3 * mc.std_error)
         record(f"eff_cap_theta_{label}", ana, mc.value, mc.std_error,
@@ -148,21 +174,8 @@ def run_validate(scenario: Scenario, out_dir: str) -> bool:
     record("ergodic_limit", ana0, ergodic,
            params.spectral_efficiency * float(np.std(log2_sinr)) / math.sqrt(trials),
            abs(ana0 - ergodic) <= 0.01 * ergodic)
-    # the single-link checks are done: their grid and batch are of no use
-    # to the per-content checks, which build a grid of their own
-    del quant, sinr, log2_sinr
 
-    # both per-content estimators, side by side (informational);
-    # these are cluster-context quantities, so they use the delivery mu
-    catalog = scenario.catalog()
-    qos = scenario.qos()
-    cluster_params = scenario.radio()
-    cluster_quant = scenario.quantizer()
-    split = lam * catalog.popularity
-    for l in range(catalog.count):
-        (distance_avg, moment), = effcap.avg_eff_cap_content(
-            (float(qos.theta_cluster[l]),), float(catalog.popularity[l]),
-            float(split[l]), lam, cluster_params, cluster_quant)
+    for l, (distance_avg, moment) in enumerate(content_caps):
         record(f"content_{l}_distance_avg_vs_moment", distance_avg, moment, 0.0, None)
 
     os.makedirs(out_dir, exist_ok=True)

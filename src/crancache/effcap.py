@@ -18,8 +18,9 @@ Conventions used throughout:
   masses always sum to one.
 * a content's capacity averages over the nearest-holder distance law on
   a fixed rule in ln t, t = pi * lambda_l * d^2 (:func:`_distance_rule`),
-  so one kernel pass over its nodes serves every delay exponent and both
-  estimators (:func:`avg_eff_cap_content`).
+  so one kernel pass over the nodes of a catalog's contents serves every
+  delay exponent, every content and both estimators
+  (:func:`avg_eff_cap_content`).
 """
 
 from __future__ import annotations
@@ -268,24 +269,26 @@ def _sinr_coeffs(gamma, lambda_rrh: float, params: RadioParams,
     Given ``lambda_l``, d is the distance to the nearest of the lambda_l
     content holders, so the other holders lie beyond d: the remaining
     lambda_R - lambda_l of the field interferes as before and the holders
-    add pi*lambda_l*u(gamma).
-
-    ``gamma`` is an array of thresholds or a :class:`Quantizer`, whose
-    boundaries are then the thresholds and whose kept gamma^(2/beta) and
-    u(gamma) serve in place of fresh ones; c1 and c2 are formed on every
-    call, in the same order either way, so their bits do not depend on it.
+    add pi*lambda_l*u(gamma).  c1 is f1*gamma^(2/beta) + f2*u(gamma) with
+    the factors of :func:`_c1_factors`, which the kernel scales a chunk of
+    the grid's kept powers by, to the same bits.
     """
     beta = params.pathloss_exponent
-    if isinstance(gamma, Quantizer):
-        g, power, u = gamma.boundaries, gamma._power, gamma._u
-    else:
-        g = np.asarray(gamma, dtype=float)
-        power, u = (lambda b: g ** (2.0 / b)), (lambda b: u_func(g, b))
-    lam = lambda_rrh if lambda_l is None else lambda_rrh - lambda_l
-    c1 = 2.0 * np.pi * a_beta(beta) * lam * power(beta)
-    if lambda_l is not None:
-        c1 = c1 + np.pi * lambda_l * u(beta)
+    g = np.asarray(gamma, dtype=float)
+    f1, f2 = _c1_factors(lambda_rrh, beta, lambda_l)
+    c1 = f1 * g ** (2.0 / beta)
+    if f2 is not None:
+        c1 = c1 + f2 * u_func(g, beta)
     return c1, g * params.noise
+
+
+def _c1_factors(lambda_rrh: float, beta: float,
+                lambda_l: float | None) -> tuple[float, float | None]:
+    """(f1, f2) of c1 = f1*gamma^(2/beta) + f2*u(gamma) in :func:`_sinr_coeffs`;
+    f2 is None for the whole-field law (no ``lambda_l``)."""
+    lam = lambda_rrh if lambda_l is None else lambda_rrh - lambda_l
+    return (2.0 * np.pi * a_beta(beta) * lam,
+            None if lambda_l is None else np.pi * lambda_l)
 
 
 def log_moment_exponent(mu: float, theta: float, params: RadioParams) -> float:
@@ -295,12 +298,16 @@ def log_moment_exponent(mu: float, theta: float, params: RadioParams) -> float:
 
 
 def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
-                quantizer: Quantizer, lambda_l: float | None = None) -> list[np.ndarray]:
+                quantizer: Quantizer,
+                lambda_l: float | np.ndarray | None = None) -> list[np.ndarray]:
     """Quantized log-moments G(d) = E[(1 + SINR)^(-a)] of the links whose
     lengths the vector d holds, one vector per exponent a.
 
-    The SINR law is :func:`_sinr_coeffs` on the quantizer boundaries (the
-    nearest-holder law given ``lambda_l``).  Interval masses are survival
+    The SINR law is :func:`_sinr_coeffs` on the quantizer boundaries: the
+    whole-field law without ``lambda_l``, else the nearest-holder law of
+    each link's lambda_l, given as one value for every link or one value
+    per link.  Consecutive links with equal lambda_l form one law's run,
+    so one call serves a catalog's contents.  Interval masses are survival
     differences, and the mass beyond gamma_max folds into the last interval
     so the masses sum to one; each is weighted by (1 + midpoint)^(-a).
     Links go _LINK_BLOCK at a time and boundaries _BOUNDARY_CHUNK at a
@@ -309,30 +316,31 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
     a small gemv of its own, so each G has the bytes of a lone pass, and
     the bytes do not depend on the BLAS thread count.
 
-    The walk goes chunk by chunk, and within a chunk block by block.  At
-    the start of a chunk its weights for every exponent are formed from
-    the grid's kept ln(1 + midpoint), so a call holds exponents x chunk
-    weights per worker, never a weight vector over the grid.  Each
-    block's sums carry from chunk to chunk in its slice of G, 0.0 + p0 +
-    p1 + ..., the additions and order of a block that ran every chunk in
-    one go; the top-interval fold joins at the last chunk.  ln(1 +
-    midpoint) and the SINR law's powers of the boundaries are the grid's
-    kept set-up (:class:`Quantizer`), so a call builds only c1 and c2,
-    the chunk weights and the survival chunks.
+    Each run is cut into blocks as a lone call on its links would cut it,
+    so each G also keeps the bytes of a call on its run alone.  The walk
+    goes chunk by chunk, and within a chunk block by block.  At the start
+    of a chunk its weights for every exponent are formed from the grid's
+    kept ln(1 + midpoint), and at the first block of each run the chunk of
+    its c1 from the grid's kept powers, in :func:`_sinr_coeffs`' order of
+    operations; so a call holds exponents x chunk weights and one c1 chunk
+    per worker, never a weight or c1 vector over the grid.  c2 = gamma *
+    noise is formed once, and only with noise, as are the links' d^beta.
+    Each block's sums carry from chunk to chunk in its slice of G, 0.0 +
+    p0 + p1 + ..., the additions and order of a block that ran every chunk
+    in one go; the top-interval fold joins at the last chunk.
 
     The link blocks run in parallel, one contiguous span of them per CPU
-    this process may run on (``os.sched_getaffinity``, else
-    ``os.cpu_count``), the calling thread working the first span.  A call
-    with one block (``eff_cap_user``) or on a grid of under
-    _PARALLEL_INTERVALS intervals stays on the calling thread.  The
-    set-up is built before any worker starts, each worker forms its own
-    chunk weights and scratch and writes only its own links' sums, and
-    numpy's exp and gemv release the GIL.  A block's sums are those of a serial pass
-    whoever runs it: the block edges, the chunk order and each gemv are
-    the same.  The gemv is ``np.dot`` into a scratch vector, which calls
-    the BLAS routine ``@`` calls but, unlike ``@``, releases the GIL.  So
-    the bytes do not depend on the worker count either.  Every worker
-    thread ends with the call.
+    this process may run on (:func:`usable_cpus`), the calling thread
+    working the first span.  A call with one block (``eff_cap_user``) or
+    on a grid of under _PARALLEL_INTERVALS intervals stays on the calling
+    thread.  The set-up is built before any worker starts, each worker
+    forms its own chunk weights, c1 chunks and scratch and writes only its
+    own links' sums, and numpy's exp and gemv release the GIL.  A block's
+    sums are those of a serial pass whoever runs it: the block edges, the
+    chunk order and each gemv are the same.  The gemv is ``np.dot`` into
+    a scratch vector, which calls the BLAS routine ``@`` calls but, unlike
+    ``@``, releases the GIL.  So the bytes do not depend on the worker
+    count either.  Every worker thread ends with the call.
 
     A chunk where every exponent's weights are all 0.0 is skipped, wherever
     it falls; the weights do not increase along the grid, so only the
@@ -341,44 +349,70 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
     +-0.0 to each sum: skipping it keeps every byte.  A G may underflow to
     0; pass the one a caller demands through :func:`demand_moment`.
     """
-    c1, c2 = _sinr_coeffs(quantizer, lambda_rrh, params, lambda_l)
-    log_mid = quantizer._log_mid()
     d = np.asarray(d, dtype=float)
-    # negating the (links, 1) column saves a pass over each survival chunk
-    neg_sq, bt = -d[:, None] ** 2, d[:, None] ** params.pathloss_exponent
-    n, m = d.size, c1.size - 1
+    n, m = d.size, quantizer.boundaries.size - 1
+    if n == 0:
+        return [np.zeros(0) for _ in exponents]
+    beta = params.pathloss_exponent
+    log_mid, power = quantizer._log_mid(), quantizer._power(beta)
+    # one law per run of equal lambda_l, with its c1 factors
+    if lambda_l is None:
+        edges, laws = [0, n], [_c1_factors(lambda_rrh, beta, None)]
+        u = None
+    else:
+        lam = np.broadcast_to(np.asarray(lambda_l, dtype=float), d.shape)
+        edges = [0, *(1 + np.flatnonzero(lam[1:] != lam[:-1])).tolist(), n]
+        laws = [_c1_factors(lambda_rrh, beta, float(lam[lo])) for lo in edges[:-1]]
+        u = quantizer._u(beta)
     # numpy sums a 1-row block with a dot routine, not gemv, which rounds
-    # differently; so a lone last link joins the block before it
-    starts = list(range(0, max(n - 1, 1), _LINK_BLOCK))
-    blocks = list(zip(starts, starts[1:] + [n]))
-    # without noise c2 is all 0.0 and x - bt*c2 == x bit for bit, so skip it;
-    # c2 = gamma*noise grows along the boundaries, so its last entry tells
-    noisy = bool(c2[-1])
+    # differently; so a lone last link of a run joins the block before it
+    blocks = []
+    for law, lo, hi in zip(laws, edges, edges[1:]):
+        starts = list(range(lo, lo + max(hi - lo - 1, 1), _LINK_BLOCK))
+        blocks += [(b0, b1, law) for b0, b1 in zip(starts, starts[1:] + [hi])]
+    # without noise c2 is all 0.0 and x - bt*c2 == x bit for bit, so skip it
+    # and d^beta, which overflows at steep pathloss; c2 = gamma*noise grows
+    # along the boundaries, so its last entry tells
+    noisy = bool(quantizer.boundaries[-1] * params.noise)
+    if noisy:
+        c2, bt = quantizer.boundaries * params.noise, d[:, None] ** beta
+    # negating the (links, 1) column saves a pass over each survival chunk
+    neg_sq = -d[:, None] ** 2
     # each block's running sums, 0.0 before its first chunk
     gs = [np.zeros(n) for _ in exponents]
 
     def run(span):
-        # the worker's own survival, mass and partial-sum buffers, sized for
-        # the largest block (_LINK_BLOCK + 1 links) and chunk; a contiguous
-        # view over the front of one runs every ufunc and gemv on the same
-        # loop, and so to the same bytes, as a fresh array would, without a
-        # page-faulted allocation per chunk
+        # the worker's own c1, survival, mass and partial-sum buffers, sized
+        # for the largest block (_LINK_BLOCK + 1 links) and chunk; a
+        # contiguous view over the front of one runs every ufunc and gemv on
+        # the same loop, and so to the same bytes, as a fresh array would,
+        # without a page-faulted allocation per chunk
+        c1_buf = np.empty(min(_BOUNDARY_CHUNK, m) + 1)
         surv_buf = np.empty((_LINK_BLOCK + 1) * (min(_BOUNDARY_CHUNK, m) + 1))
         mass_buf = np.empty((_LINK_BLOCK + 1) * min(_BOUNDARY_CHUNK, m))
         part_buf = np.empty(_LINK_BLOCK + 1)
         for b0 in range(0, m, _BOUNDARY_CHUNK):
             k = min(_BOUNDARY_CHUNK, m - b0)   # intervals in this chunk
+            cut = slice(b0, b0 + k + 1)        # its boundaries
             # the bits of the whole-grid weights exp(-a * ln(1 + midpoint))
             weights = [np.exp(-a * log_mid[b0:b0 + k]) for a in exponents]
             if not any(w.any() for w in weights):
                 continue
-            for lo, hi in span:
+            law = None
+            for lo, hi, block_law in span:
+                if block_law is not law:
+                    # the bits of _sinr_coeffs' c1[cut] for this run's law
+                    law = block_law
+                    f1, f2 = law
+                    c1 = np.multiply(f1, power[cut], out=c1_buf[:k + 1])
+                    if f2 is not None:
+                        c1 += f2 * u[cut]
                 size = hi - lo
                 part = part_buf[:size]
-                surv = np.multiply(neg_sq[lo:hi], c1[b0:b0 + k + 1],
+                surv = np.multiply(neg_sq[lo:hi], c1,
                                    out=surv_buf[:size * (k + 1)].reshape(size, k + 1))
                 if noisy:
-                    np.subtract(surv, bt[lo:hi] * c2[b0:b0 + k + 1], out=surv)
+                    np.subtract(surv, bt[lo:hi] * c2[cut], out=surv)
                 np.exp(surv, out=surv)
                 mass = np.subtract(surv[:, :-1], surv[:, 1:],
                                    out=mass_buf[:size * k].reshape(size, k))
@@ -405,12 +439,18 @@ def log_moments(d, exponents, lambda_rrh: float, params: RadioParams,
     return gs
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: ``os.sched_getaffinity``, else
+    ``os.cpu_count``; at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _spans(blocks: list) -> list[list]:
     """``blocks`` cut into one contiguous span per CPU this process may run
     on, as even as the count allows; no more spans than blocks."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    count = min(cpus, len(blocks))
+    count = min(usable_cpus(), len(blocks))
     edges = [len(blocks) * i // count for i in range(count + 1)]
     return [blocks[lo:hi] for lo, hi in zip(edges, edges[1:])]
 
@@ -495,19 +535,23 @@ def _distance_rule() -> tuple[np.ndarray, np.ndarray]:
 _T_NODES, _T_WEIGHTS = _distance_rule()
 
 
-def avg_eff_cap_content(thetas, popularity: float, lambda_l: float,
-                        lambda_rrh: float, params: RadioParams,
-                        quantizer: Quantizer) -> list[tuple[float, float]]:
-    """Popularity-weighted mean effective capacities of one content class,
-    a (distance_avg, quantized_moment) pair per delay exponent in ``thetas``.
+def avg_eff_cap_content(thetas, popularities, lambda_ls, lambda_rrh: float,
+                        params: RadioParams,
+                        quantizer: Quantizer) -> list[list[tuple[float, float]]]:
+    """Popularity-weighted mean effective capacities of content classes:
+    for each content (its popularity and holder intensity lambda_l), a
+    (distance_avg, quantized_moment) pair per delay exponent in ``thetas``.
 
     The user associates with the nearest RRH holding the content (intensity
     lambda_l inside the full field lambda_R); the remaining holders closer
     than the noise horizon contribute through the u() correction.
     t = pi*lambda_l*d^2 is Exp(1) under the nearest-holder distance law,
     and one :func:`log_moments` pass on the fixed :func:`_distance_rule`
-    nodes gives G(t) at every node and exponent (each G with the bytes of
-    a lone pass).  Times the popularity, the pair is
+    nodes of every distinct requested lambda_l, one run of nodes each,
+    gives G(t) at every node and exponent, each G with the bytes of a lone
+    pass on its content.  Contents that share lambda_l share their run,
+    since G does not depend on the popularity.  Times the popularity, the
+    pair is
 
     * distance_avg = E_t[-ln G(t)] / (theta*W*T): the per-distance capacity
       averaged over the distance law, which every curve and game reports;
@@ -518,24 +562,37 @@ def avg_eff_cap_content(thetas, popularity: float, lambda_l: float,
 
     The two are orders of one average, so by Jensen (-ln is convex) the
     first is never below the second.  A content nobody requests
-    (popularity 0) contributes 0 whatever its holders, with no kernel
-    pass, so only a requested one needs 0 < lambda_l <= lambda_R.
+    (popularity 0) contributes 0 whatever its holders, with no nodes in
+    the pass, so only a requested one needs 0 < lambda_l <= lambda_R; a
+    catalog nobody requests makes no pass at all.
     """
-    if any(theta <= 0 for theta in thetas) or not 0 <= popularity <= 1:
+    popularities = [float(p) for p in popularities]
+    lambda_ls = [float(lam) for lam in lambda_ls]
+    if any(theta <= 0 for theta in thetas) or not all(0 <= p <= 1 for p in popularities):
         raise ParameterError("need theta > 0 and popularity in [0, 1]")
-    if popularity == 0.0:
-        return [(0.0, 0.0)] * len(thetas)
-    if not 0 < lambda_l <= lambda_rrh:
+    if len(popularities) != len(lambda_ls):
+        raise ParameterError("need one lambda_l per popularity")
+    requested = [lam for p, lam in zip(popularities, lambda_ls) if p != 0.0]
+    if not all(0 < lam <= lambda_rrh for lam in requested):
         raise ParameterError("need 0 < lambda_l <= lambda_rrh for a requested content")
-    gs = log_moments(np.sqrt(_T_NODES / (np.pi * lambda_l)),
-                     [log_moment_exponent(params.spectral_efficiency, theta, params)
-                      for theta in thetas], lambda_rrh, params, quantizer, lambda_l)
-    caps = []
-    for theta, g in zip(thetas, gs):
-        denom = theta * params.bandwidth_hz * params.slot_s
-        caps.append((popularity * (float(_T_WEIGHTS @ -np.log(demand_moment(g))) / denom),
-                     popularity * (-math.log(float(_T_WEIGHTS @ g)) / denom)))
-    return caps
+    laws = list(dict.fromkeys(requested))
+    caps = {}
+    if laws:
+        nodes = _T_NODES.size
+        gs = log_moments(np.concatenate([np.sqrt(_T_NODES / (np.pi * lam)) for lam in laws]),
+                         [log_moment_exponent(params.spectral_efficiency, theta, params)
+                          for theta in thetas],
+                         lambda_rrh, params, quantizer, np.repeat(laws, nodes))
+        for j, lam in enumerate(laws):
+            caps[lam] = []
+            for theta, g in zip(thetas, gs):
+                g = g[j * nodes:(j + 1) * nodes]
+                denom = theta * params.bandwidth_hz * params.slot_s
+                caps[lam].append((float(_T_WEIGHTS @ -np.log(demand_moment(g))) / denom,
+                                  -math.log(float(_T_WEIGHTS @ g)) / denom))
+    return [[(p * da, p * qm) for da, qm in caps[lam]] if p != 0.0
+            else [(0.0, 0.0)] * len(thetas)
+            for p, lam in zip(popularities, lambda_ls)]
 
 
 def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: float,
@@ -543,10 +600,11 @@ def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: flo
                          quantizer: Quantizer) -> tuple[np.ndarray, np.ndarray]:
     """Per-content capacity vectors at the cache exponent and the cloud exponent.
 
-    Entry l is the ``distance_avg`` of one :func:`avg_eff_cap_content`
-    call on the content's (theta_cluster, theta_cloud), so both exponents
-    share its one kernel pass over the fixed distance nodes.  Contents with
-    the same exponents, popularity and lambda_l share the call itself.
+    Entry l is the ``distance_avg`` of :func:`avg_eff_cap_content` on the
+    content's (theta_cluster, theta_cloud), so both exponents share one
+    kernel pass over the fixed distance nodes.  One call serves every
+    content with the same exponent pair, so a catalog whose contents all
+    share one pair costs one pass.
 
     Returns (from_cache, from_cloud); entry l already carries the P_l
     weighting.  Neither depends on what the cache actually holds, so the
@@ -557,13 +615,13 @@ def per_content_eff_caps(catalog, qos, lambda_split: np.ndarray, lambda_rrh: flo
         raise ParameterError("catalog, QoS profile and density split must align")
     from_cache = np.empty(catalog.count)
     from_cloud = np.empty(catalog.count)
-    caps = {}
-    for l in range(catalog.count):
-        key = ((float(qos.theta_cluster[l]), float(qos.theta_cloud[l])),
-               float(catalog.popularity[l]), float(split[l]))
-        if key not in caps:
-            caps[key] = avg_eff_cap_content(*key, lambda_rrh, params, quantizer)
-        (from_cache[l], _), (from_cloud[l], _) = caps[key]
+    pairs = list(zip(qos.theta_cluster.tolist(), qos.theta_cloud.tolist()))
+    for pair in dict.fromkeys(pairs):
+        members = [l for l, other in enumerate(pairs) if other == pair]
+        caps = avg_eff_cap_content(pair, catalog.popularity[members], split[members],
+                                   lambda_rrh, params, quantizer)
+        for l, ((cache_cap, _), (cloud_cap, _)) in zip(members, caps):
+            from_cache[l], from_cloud[l] = cache_cap, cloud_cap
     return from_cache, from_cloud
 
 

@@ -6,6 +6,8 @@ fresh interference fields per trial and exact SINR (no quantization).
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import copy
 import math
 import warnings
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effcap import RadioParams, log_moment_exponent
+from .effcap import RadioParams, log_moment_exponent, usable_cpus
 from .errors import DomainError, ParameterError
 from .geometry import DEFAULT_SIM_RADIUS, STREAM_FADING, substream
 
@@ -51,16 +53,17 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
     RRH sits at exactly d_m and never interferes.  Draw order is fixed
     (counts, interferer radii, interferer fading, serving fading) so a
     given generator state always yields the same sample.  A batch whose
-    expected links exceed MAX_DRAWS raises ParameterError before any draw.
+    expected links exceed MAX_DRAWS, or whose serving path gain d_m^-beta
+    overflows a float, raises before any draw.
 
     The trials are walked in chunks of about CHUNK_DRAWS interferers, so
-    memory stays bounded at any trial count and density.  The radii come
-    from a copy of the generator taken after the counts, and the
-    interferer fading from the original advanced past them: a PCG64
-    generator (as ``substream`` gives) spends one output per double, so
-    every draw keeps its stream position and the sample is the one a
-    single pass over all interferers draws.  Advancing drops a pending
-    32-bit half-output; nothing here draws 32-bit values.
+    memory stays bounded at any trial count and density
+    (:func:`_interference`).  The radii come from a copy of the generator
+    taken after the counts, and the interferer fading from the original
+    advanced past them: a PCG64 generator (as ``substream`` gives) spends
+    one output per double, so every draw keeps its stream position and the
+    sample is the one a single pass over all interferers draws.  Advancing
+    drops a pending 32-bit half-output; nothing here draws 32-bit values.
     """
     if d_m <= 0:
         raise ParameterError("serving distance must be positive")
@@ -74,16 +77,17 @@ def sample_sinr_batch(d_m: float, lambda_rrh: float, params: RadioParams,
                              f"the {MAX_DRAWS} bound; lower mc_trials, lambda_rrh "
                              "or sim_radius")
     beta = params.pathloss_exponent
+    try:
+        gain = d_m ** (-beta)
+    except OverflowError:
+        raise DomainError(f"serving distance {d_m:g} m to the power -{beta:g} "
+                          "overflows a float") from None
     denom = _interference(lambda_rrh, beta, trials, rng, sim_radius)
     # the walk's counts and chunk buffers are gone with its frame, and the
     # SINR forms in place in the order of np.where(denom > 0, signal /
     # max(denom, 1e-300), inf) capped at SINR_CAP, so its bits are the formula's
     sinr = rng.standard_exponential(trials)
-    try:
-        sinr *= d_m ** (-beta)
-    except OverflowError:
-        raise DomainError(f"serving distance {d_m:g} m to the power -{beta:g} "
-                          "overflows a float") from None
+    sinr *= gain
     denom += params.noise
     empty = ~(denom > 0.0)
     if np.any(denom == 0.0):
@@ -99,10 +103,24 @@ def _interference(lambda_rrh: float, beta: float, trials: int,
                   rng: np.random.Generator, sim_radius: float) -> np.ndarray:
     """Each trial's interference power: the counts, interferer radii and
     interferer fading of :func:`sample_sinr_batch`, drawn from ``rng`` in
-    its order, which leaves ``rng`` just before the serving fading."""
+    its order, which leaves ``rng`` just before the serving fading.
+
+    The walk has two stages.  A chunk's radius terms, (sim_radius *
+    sqrt(x)) ** -beta of uniform draws x, come from the radius generator,
+    whose position is known: one output per double.  The fading comes from
+    ``rng`` in order on the calling thread, since the ziggurat's extra
+    draws make its position unknown until it has drawn.  When the process
+    may use more than one CPU (``effcap.usable_cpus``), the radius terms
+    form on one worker thread, up to two chunks ahead in two buffers,
+    while the calling thread draws each chunk's fading into a third; the
+    fading times its terms (the product's bits either way round) then
+    hands the terms buffer back before the chunk's sums.  Sampling, sqrt
+    and power release the GIL.  On one CPU both stages run in turn on the
+    calling thread, with one terms buffer.  The worker ends with the call,
+    and the bytes and the generator's end state are those of one pass.
+    """
     counts = rng.poisson(lambda_rrh * np.pi * sim_radius ** 2, size=trials)
     ends = np.cumsum(counts)
-    starts = ends - counts
     total = int(ends[-1])
     radius_rng = copy.deepcopy(rng)
     rng.bit_generator.advance(total)
@@ -114,27 +132,68 @@ def _interference(lambda_rrh: float, beta: float, trials: int,
     # would cancel them.
     edges = np.searchsorted(ends, np.arange(CHUNK_DRAWS, total, CHUNK_DRAWS),
                             side="right")
+
+    def chunks():
+        """(busy trials, their segments' offsets, draws) of each chunk that
+        draws any, formed as the walk reaches it."""
+        for lo, hi in zip([0, *edges], [*edges, trials]):
+            busy = lo + np.flatnonzero(counts[lo:hi])
+            if busy.size:
+                offsets = ends[busy] - counts[busy]
+                offsets -= offsets[0]
+                yield busy, offsets, int(offsets[-1] + counts[busy[-1]])
+
     # A chunk's trials end at or below one multiple of CHUNK_DRAWS and its
     # first starts less than a trial's count below the multiple before, so
-    # two buffers of CHUNK_DRAWS plus the largest count hold every chunk's
-    # radii and fading.  random(out=) draws uniform()'s bits (uniform is
+    # buffers of CHUNK_DRAWS plus the largest count hold every chunk's
+    # terms and fading.  random(out=) draws uniform()'s bits (uniform is
     # 0.0 + 1.0 * x), and the terms form in place in the order of the
     # formula, sim_radius * sqrt(x), then ** -beta, then times the fading.
+    # with the caller's floating-point error handling, which a new thread
+    # would not inherit
+    errors = np.geterr()
+
+    def radius_terms(buf, size):
+        with np.errstate(**errors):
+            terms = radius_rng.random(out=buf[:size])
+            np.sqrt(terms, out=terms)
+            terms *= sim_radius
+            return np.power(terms, -beta, out=terms)
+
     interference = np.zeros(trials)
     width = min(total, CHUNK_DRAWS + int(counts.max()))
-    radii_buf, fading_buf = np.empty(width), np.empty(width)
-    for lo, hi in zip([0, *edges], [*edges, trials]):
-        busy = lo + np.flatnonzero(counts[lo:hi])
-        if busy.size == 0:
-            continue
-        first = starts[busy[0]]
-        size = int(ends[busy[-1]] - first)
-        terms = radius_rng.random(out=radii_buf[:size])
-        np.sqrt(terms, out=terms)
-        terms *= sim_radius
-        np.power(terms, -beta, out=terms)
-        terms *= rng.standard_exponential(out=fading_buf[:size])
-        interference[busy] = np.add.reduceat(terms, starts[busy] - first)
+    fading_buf = np.empty(width)
+    # imported here: concurrent.futures loads logging, ~7 ms that every
+    # command would pay at start-up whether or not it samples
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    def run_now(fn, *args) -> Future:
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+    if usable_cpus() > 1:
+        stage = ThreadPoolExecutor(1)
+        submit, ahead = stage.submit, 2
+    else:
+        stage, submit, ahead = contextlib.nullcontext(), run_now, 1
+    with stage:
+        todo, pending = chunks(), collections.deque()
+
+        def feed(buf=None):
+            chunk = next(todo, None)
+            if chunk is not None:
+                buf = np.empty(width) if buf is None else buf
+                pending.append((chunk, buf, submit(radius_terms, buf, chunk[2])))
+
+        for _ in range(ahead):
+            feed()
+        while pending:
+            (busy, offsets, size), buf, terms = pending.popleft()
+            fading = rng.standard_exponential(out=fading_buf[:size])
+            fading *= terms.result()
+            feed(buf)
+            interference[busy] = np.add.reduceat(fading, offsets)
     return interference
 
 

@@ -534,10 +534,10 @@ def per_content_eff_caps_one_by_one(catalog, qos, lambda_split, lambda_rrh: floa
     from_cloud = np.empty(catalog.count)
     for l in range(catalog.count):
         p_l, lambda_l = float(catalog.popularity[l]), float(lambda_split[l])
-        (from_cache[l], _), = avg_eff_cap_content((float(qos.theta_cluster[l]),), p_l,
-                                                  lambda_l, lambda_rrh, params, quantizer)
-        (from_cloud[l], _), = avg_eff_cap_content((float(qos.theta_cloud[l]),), p_l,
-                                                  lambda_l, lambda_rrh, params, quantizer)
+        ((from_cache[l], _),), = avg_eff_cap_content((float(qos.theta_cluster[l]),), [p_l],
+                                                     [lambda_l], lambda_rrh, params, quantizer)
+        ((from_cloud[l], _),), = avg_eff_cap_content((float(qos.theta_cloud[l]),), [p_l],
+                                                     [lambda_l], lambda_rrh, params, quantizer)
     return from_cache, from_cloud
 
 

@@ -753,6 +753,30 @@ def test_an_error_in_one_block_leaves_the_call(monkeypatch, where):
     assert threading.enumerate() == before
 
 
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_a_pass_over_several_laws_keeps_each_runs_lone_bytes(monkeypatch, cpus, noise):
+    # runs of 1, 2, 9 and 224 links, each its own lambda_l (the first and
+    # the last share one but are not adjacent), in one threaded call on a
+    # two-chunk grid: each run's G must be a lone call's on its links
+    _report_cpus(monkeypatch, cpus)
+    p = radio(noise=noise)
+    q = Quantizer.geometric((1 << 13) + 3)
+    rng = np.random.default_rng(11)
+    sizes, lams = (1, 2, 9, 224), (1e-6, 2.5e-6, 4e-7, 1e-6)
+    runs = [rng.uniform(0.5, 800.0, size) for size in sizes]
+    got = log_moments(np.concatenate(runs), [3.0, 50.0], 5e-6, p, q, np.repeat(lams, sizes))
+    edges = np.cumsum((0, *sizes))
+    for lo, hi, links, lam in zip(edges, edges[1:], runs, lams):
+        want = log_moments(links, [3.0, 50.0], 5e-6, p, q, lam)
+        for g, w in zip(got, want):
+            assert _hexes(g[lo:hi]) == _hexes(w)
+
+
 # -- nearest-holder outage --------------------------------------------------
 
 
@@ -822,32 +846,60 @@ def test_content_capacity_scales_with_popularity(quick_quantizer, monkeypatch):
                         lambda *args, **kwargs: calls.append(None) or real(*args, **kwargs))
     for noise in (0.0, 0.3):
         p = radio(noise=noise, mu=1e6)
-        (full,) = avg_eff_cap_content((0.1,), 1.0, 1e-6, 5e-6, p, quick_quantizer)
-        (half,) = avg_eff_cap_content((0.1,), 0.5, 1e-6, 5e-6, p, quick_quantizer)
+        (full,), = avg_eff_cap_content((0.1,), [1.0], [1e-6], 5e-6, p, quick_quantizer)
+        (half,), = avg_eff_cap_content((0.1,), [0.5], [1e-6], 5e-6, p, quick_quantizer)
         for h, f in zip(half, full):
             assert abs(h - 0.5 * f) < 1e-9 * f
         # each exponent of a sequence keeps the bytes of a call of its own
-        assert avg_eff_cap_content((0.1, 0.6), 0.5, 1e-6, 5e-6, p, quick_quantizer) \
-            == [half, *avg_eff_cap_content((0.6,), 0.5, 1e-6, 5e-6, p, quick_quantizer)]
+        assert avg_eff_cap_content((0.1, 0.6), [0.5], [1e-6], 5e-6, p, quick_quantizer) \
+            == [[half, *avg_eff_cap_content((0.6,), [0.5], [1e-6], 5e-6, p,
+                                            quick_quantizer)[0]]]
         # popularity 0: a zero pair per exponent, with no kernel pass
         calls.clear()
-        assert avg_eff_cap_content((0.1, 0.6), 0.0, 1e-6, 5e-6, p, quick_quantizer) \
-            == [(0.0, 0.0)] * 2
+        assert avg_eff_cap_content((0.1, 0.6), [0.0], [1e-6], 5e-6, p, quick_quantizer) \
+            == [[(0.0, 0.0)] * 2]
         assert not calls
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_catalog_pass_keeps_each_contents_lone_bytes(quick_quantizer, monkeypatch, cpus):
+    # two unrequested contents (one with holders, one without), two adjacent
+    # contents sharing lambda_l and a last one sharing the first's: one pass
+    # over the two distinct requested laws gives every content a lone
+    # call's bytes
+    _report_cpus(monkeypatch, cpus)
+    p = radio(noise=0.3, mu=1e6)
+    pops = (0.4, 0.0, 0.2, 0.2, 0.0, 0.2)
+    lams = (1e-6, 3e-6, 2e-6, 2e-6, 0.0, 1e-6)
+    real, sizes = effcap.log_moments, []
+
+    def counted(d, *args, **kwargs):
+        sizes.append(np.size(d))
+        return real(d, *args, **kwargs)
+
+    monkeypatch.setattr(effcap, "log_moments", counted)
+    got = avg_eff_cap_content((0.1, 0.6), pops, lams, 5e-6, p, quick_quantizer)
+    assert sizes == [2 * _T_NODES.size]
+    for caps, popularity, lam in zip(got, pops, lams):
+        want, = avg_eff_cap_content((0.1, 0.6), [popularity], [lam], 5e-6, p,
+                                    quick_quantizer)
+        assert _hexes(caps) == _hexes(want)
+    assert got[1] == got[4] == [(0.0, 0.0)] * 2
 
 
 def test_unrequested_content_needs_no_holders(quick_quantizer):
     # a content with P_l = 0 gets no share of the field (lambda_l = 0 under
     # the popularity split) and contributes 0 to both estimators
     p = radio(mu=1e6)
-    assert avg_eff_cap_content((0.1,), 0.0, 0.0, 5e-6, p, quick_quantizer) == [(0.0, 0.0)]
+    assert avg_eff_cap_content((0.1,), [0.0], [0.0], 5e-6, p, quick_quantizer) \
+        == [[(0.0, 0.0)]]
     cat = ContentCatalog(1e6, np.array([0.5, 0.5, 0.0]))
     fc, fl = per_content_eff_caps(cat, uniform_qos(0.1, 0.6, 3),
                                   5e-6 * cat.popularity, 5e-6, p, quick_quantizer)
     assert fc[2] == fl[2] == 0.0 and fc[0] > fl[0] > 0.0
     # a requested content still needs holders
     with pytest.raises(ParameterError):
-        avg_eff_cap_content((0.1,), 0.5, 0.0, 5e-6, p, quick_quantizer)
+        avg_eff_cap_content((0.1,), [0.5], [0.0], 5e-6, p, quick_quantizer)
 
 
 @pytest.mark.parametrize("lambda_l", [1.37e-7, 1e-6])
@@ -858,7 +910,8 @@ def test_content_capacity_resolves_mass_at_tiny_distances(quick_quantizer, lambd
     # t = pi*lambda_l*d^2 < 1e-4, far below where the mean distance sits;
     # the integral must still find it there
     p = radio(beta=8.0, noise=1.0, mu=1e6)
-    (got, _), = avg_eff_cap_content((theta,), 1.0, lambda_l, 5e-6, p, quick_quantizer)
+    ((got, _),), = avg_eff_cap_content((theta,), [1.0], [lambda_l], 5e-6, p,
+                                       quick_quantizer)
     want = distance_avg_cap_quad(theta, lambda_l, 5e-6, p, quick_quantizer)
     assert abs(got - want) <= 1e-9 * want
 
@@ -872,7 +925,8 @@ def test_moment_estimator_matches_adaptive_quadrature(quick_quantizer, beta, noi
     # -ln E_t[G] on the fixed distance rule against the quad oracle of
     # the same average, up to steep pathloss with a strong noise floor
     p = radio(beta=beta, noise=noise, mu=1e6)
-    (_, got), = avg_eff_cap_content((theta,), 1.0, lambda_l, 5e-6, p, quick_quantizer)
+    ((_, got),), = avg_eff_cap_content((theta,), [1.0], [lambda_l], 5e-6, p,
+                                       quick_quantizer)
     want = moment_avg_cap_quad(theta, lambda_l, 5e-6, p, quick_quantizer)
     assert abs(got - want) <= tol * want
 
@@ -883,8 +937,8 @@ def test_content_capacity_matches_adaptive_quadrature(scenario, quick_quantizer,
     p = scenario.radio()
     for lambda_l in set((scenario.lambda_rrh * catalog.popularity).tolist()):
         for theta in (scenario.theta_cluster[0], scenario.theta_cloud[0]):
-            (got, _), = avg_eff_cap_content((theta,), 1.0, lambda_l, scenario.lambda_rrh,
-                                            p, quick_quantizer)
+            ((got, _),), = avg_eff_cap_content((theta,), [1.0], [lambda_l],
+                                               scenario.lambda_rrh, p, quick_quantizer)
             want = distance_avg_cap_quad(theta, lambda_l, scenario.lambda_rrh, p,
                                          quick_quantizer)
             assert abs(got - want) <= 1e-11 * want
@@ -896,7 +950,8 @@ def test_content_capacity_estimator_ordering(quick_quantizer):
     for beta, noise in ((4.0, 0.0), (8.0, 1.0)):
         p = radio(beta=beta, noise=noise, mu=1e6)
         for theta, lam_l in ((0.1, 1e-6), (0.6, 2.5e-6), (0.05, 5e-6)):
-            (da, qm), = avg_eff_cap_content((theta,), 1.0, lam_l, 5e-6, p, quick_quantizer)
+            ((da, qm),), = avg_eff_cap_content((theta,), [1.0], [lam_l], 5e-6, p,
+                                               quick_quantizer)
             assert da >= qm > 0.0
 
 
@@ -908,12 +963,14 @@ def test_content_capacity_guards(quick_quantizer):
         for thetas in ((0.0,), (0.1, 0.0), (-0.1, 0.6), (0.1, 0.6, -1e-9)):
             for popularity in (1.0, 0.0):
                 with pytest.raises(ParameterError):
-                    avg_eff_cap_content(thetas, popularity, 1e-6, 5e-6, p,
+                    avg_eff_cap_content(thetas, [popularity], [1e-6], 5e-6, p,
                                         quick_quantizer)
         with pytest.raises(ParameterError):
-            avg_eff_cap_content((0.1,), 1.0, 6e-6, 5e-6, p, quick_quantizer)
+            avg_eff_cap_content((0.1,), [1.0], [6e-6], 5e-6, p, quick_quantizer)
         with pytest.raises(ParameterError):
-            avg_eff_cap_content((0.1,), 1.5, 1e-6, 5e-6, p, quick_quantizer)
+            avg_eff_cap_content((0.1,), [1.5], [1e-6], 5e-6, p, quick_quantizer)
+        with pytest.raises(ParameterError):
+            avg_eff_cap_content((0.1,), [0.5, 0.5], [1e-6], 5e-6, p, quick_quantizer)
 
 
 def _cluster_pieces():
@@ -929,8 +986,8 @@ def test_per_content_vectors_carry_popularity_weight(quick_quantizer):
     fc, fl = per_content_eff_caps(cat, qos, split, 5e-6, p, quick_quantizer)
     assert fc.shape == fl.shape == (3,)
     assert np.all(fc > fl)      # softer exponent from the cache side
-    (bare, _), = avg_eff_cap_content((0.1,), 1.0, float(split[0]), 5e-6, p,
-                                     quick_quantizer)
+    ((bare, _),), = avg_eff_cap_content((0.1,), [1.0], split[:1], 5e-6, p,
+                                        quick_quantizer)
     assert abs(fc[0] - cat.popularity[0] * bare) < 1e-9 * fc[0]
 
 
@@ -1016,8 +1073,9 @@ def test_doubling_theta_and_halving_the_object_halves_content_caps_exactly(noise
 
 
 def test_per_content_caps_share_kernel_passes(quick_quantizer, monkeypatch):
-    # one pass over the distance nodes per content integral, shared by both
-    # exponents and by identical contents; counted, so no timing is involved
+    # one pass over the distance nodes per distinct exponent pair, shared by
+    # both exponents and every content with that pair; counted, so no
+    # timing is involved
     real, calls = effcap.log_moments, []
     monkeypatch.setattr(effcap, "log_moments",
                         lambda *args, **kwargs: calls.append(None) or real(*args, **kwargs))
@@ -1031,12 +1089,18 @@ def test_per_content_caps_share_kernel_passes(quick_quantizer, monkeypatch):
     cat = ContentCatalog.zipf(1e6, 0.0, 5)
     split = 5e-6 * cat.popularity
     for thetas in ((0.1,), (0.6,), (0.1, 0.6)):
-        assert passes(lambda: avg_eff_cap_content(thetas, float(cat.popularity[0]),
-                                                  float(split[0]), 5e-6, p,
+        assert passes(lambda: avg_eff_cap_content(thetas, cat.popularity, split, 5e-6, p,
                                                   quick_quantizer)) == 1
     assert passes(lambda: per_content_eff_caps(cat, uniform_qos(0.1, 0.6, 5),
                                                split, 5e-6, p, quick_quantizer)) == 1
     ranked = ContentCatalog.zipf(1e6, 1.0, 4)
     assert passes(lambda: per_content_eff_caps(ranked, uniform_qos(0.1, 0.6, 4),
                                                5e-6 * ranked.popularity, 5e-6, p,
-                                               quick_quantizer)) == 4
+                                               quick_quantizer)) == 1
+    # three exponent pairs: the first and the last content share one
+    mixed = QosProfile(np.array([0.05, 0.1, 0.2, 0.05]), np.array([0.3, 0.5, 0.7, 0.3]))
+    assert passes(lambda: per_content_eff_caps(ranked, mixed, 5e-6 * ranked.popularity,
+                                               5e-6, p, quick_quantizer)) == 3
+    # a catalog nobody requests makes no pass
+    assert passes(lambda: avg_eff_cap_content((0.1,), [0.0, 0.0], [1e-6, 2e-6], 5e-6, p,
+                                              quick_quantizer)) == 0

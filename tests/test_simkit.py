@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -92,7 +95,8 @@ STREAMED_CASES = {
 @pytest.mark.parametrize("case", sorted(STREAMED_CASES))
 def test_streamed_batch_matches_the_one_pass_oracle(case, monkeypatch):
     # the chunked walk must return the one-pass sample bit for bit, leave
-    # the generator where one pass leaves it, and warn as one pass warns
+    # the generator where one pass leaves it, and warn as one pass warns,
+    # with its radius stage on the calling thread (1 CPU) or a worker (2)
     trials, lam, beta, noise, chunk, chunks = STREAMED_CASES[case]
     if chunk is not None:
         monkeypatch.setattr(simkit, "CHUNK_DRAWS", chunk)
@@ -100,20 +104,85 @@ def test_streamed_batch_matches_the_one_pass_oracle(case, monkeypatch):
                                                  size=trials)
     assert len(range(simkit.CHUNK_DRAWS, int(counts.sum()), simkit.CHUNK_DRAWS)) + 1 == chunks
     p = _params(beta=beta, noise=noise)
-    results = []
-    for sampler in (sample_sinr_batch, sample_sinr_batch_in_one_pass):
+
+    def sample(sampler):
         rng = substream(1, STREAM_FADING)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             sinr = sampler(50.0, lam, p, trials, rng, DEFAULT_SIM_RADIUS)
-        results.append((sinr, rng.bit_generator.state, [str(w.message) for w in caught]))
-    (got, got_state, got_warned), (expect, expect_state, expect_warned) = results
-    assert np.array_equal(got, expect)
-    assert got_state == expect_state
-    assert got_warned == expect_warned
+        return sinr, rng.bit_generator.state, [str(w.message) for w in caught]
+
+    expect, expect_state, expect_warned = sample(sample_sinr_batch_in_one_pass)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        got, got_state, got_warned = sample(sample_sinr_batch)
+        assert np.array_equal(got, expect)
+        assert got_state == expect_state
+        assert got_warned == expect_warned
     assert bool(got_warned) == (noise == 0.0 and not counts.all())
     if case == "no-interferer-at-all":
         assert np.all(got == SINR_CAP)
+
+
+def _power_on_threads(monkeypatch, cpus: int, fail_off_caller: bool = False) -> set:
+    """The threads that call ``np.power`` from here on, with ``cpus`` CPUs
+    reported; with ``fail_off_caller``, a call off this thread raises."""
+    real_power, caller, runners = np.power, threading.get_ident(), set()
+
+    def power(*args, **kwargs):
+        runners.add(threading.get_ident())
+        if fail_off_caller and threading.get_ident() != caller:
+            raise RuntimeError("radius stage failed")
+        return real_power(*args, **kwargs)
+
+    monkeypatch.setattr(np, "power", power)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return runners
+
+
+def test_radius_stage_runs_on_a_worker_that_ends_with_the_call(monkeypatch):
+    # 62 chunks: on two CPUs every chunk's radius terms form off the calling
+    # thread, on one all on it, to the same bytes, and no thread outlives
+    # either call.  The GIL passes every microsecond, so a terms buffer
+    # handed back too early would be refilled under the fading it multiplies
+    monkeypatch.setattr(simkit, "CHUNK_DRAWS", 4096)
+    p = _params(noise=0.3)
+    before = threading.enumerate()
+    runners = _power_on_threads(monkeypatch, 2)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sample_sinr_batch(50.0, 5e-6, p, 4000, substream(1, STREAM_FADING))
+    finally:
+        sys.setswitchinterval(switch)
+    assert runners and threading.get_ident() not in runners
+    assert threading.enumerate() == before
+    runners = _power_on_threads(monkeypatch, 1)
+    serial = sample_sinr_batch(50.0, 5e-6, p, 4000, substream(1, STREAM_FADING))
+    assert runners == {threading.get_ident()}
+    assert np.array_equal(threaded, serial)
+
+
+def test_an_error_in_the_radius_stage_reaches_the_caller(monkeypatch):
+    before = threading.enumerate()
+    _power_on_threads(monkeypatch, 2, fail_off_caller=True)
+    with pytest.raises(RuntimeError, match="radius stage"):
+        sample_sinr_batch(50.0, 5e-6, _params(), 8193, substream(1, STREAM_FADING))
+    assert threading.enumerate() == before
+
+
+def test_radius_stage_keeps_the_callers_error_handling(monkeypatch):
+    # radii below 1 m overflow r^-beta at beta = 1e10; on either CPU count
+    # the caller's np.errstate decides whether that warns or raises
+    p = _params(beta=1e10, noise=1.0)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                sample_sinr_batch(1.5, 1.0, p, 200, substream(1, STREAM_FADING), 2.0)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                sample_sinr_batch(1.5, 1.0, p, 200, substream(1, STREAM_FADING), 2.0)
 
 
 def test_sample_batch_keeps_every_interferer_of_the_trial_before_empty_ones():
