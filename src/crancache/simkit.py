@@ -148,9 +148,9 @@ def _interference(lambda_rrh: float, beta: float, trials: int,
     # buffers of CHUNK_DRAWS plus the largest count hold every chunk's
     # terms and fading.  random(out=) draws uniform()'s bits (uniform is
     # 0.0 + 1.0 * x), and the terms form in place in the order of the
-    # formula, sim_radius * sqrt(x), then ** -beta, then times the fading.
-    # with the caller's floating-point error handling, which a new thread
-    # would not inherit
+    # formula, sim_radius * sqrt(x), then ** -beta, then times the fading;
+    # the terms form under the caller's floating-point error handling,
+    # which a new thread would not inherit.
     errors = np.geterr()
 
     def radius_terms(buf, size):
